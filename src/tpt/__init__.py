@@ -11,7 +11,7 @@ Library layout:
   harness   — evaluation ops, baselines, ablations, results files
 """
 
-from .autodiff import Tape, Tensor, backward, finite_diff_check
+from .autodiff import Tape, Tensor, finite_diff_check
 from .augment import AugmentPolicy, ViewBatch, generate_views
 from .bongard import BongardSample, ReasonConfig, tpt_reason
 from .data import Dataset, DatasetSpec, ShiftSpec, apply_shift, generate
@@ -21,7 +21,7 @@ from .episode import (PredictionSet, TPTConfig, confidence_threshold, entropy,
 from .model import (ClassSet, ModelConfig, class_probabilities, encode_image,
                     encode_text, init_weights, load_weights,
                     pretrain_contrastive, save_weights)
-from .optim import AdamW, adamw_step
+from .optim import AdamW
 from .prompt import PromptState, assemble, init_from_template, init_gaussian
 
 __version__ = "0.1.0"

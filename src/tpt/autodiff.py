@@ -7,21 +7,13 @@ nothing extra, which is how the image branch runs during test-time tuning.
 """
 
 import math
-import threading
 
 import numpy as np
 from scipy.special import erf as _erf
 
 _EPS_CLAMP = 1e-12
 
-_tls = threading.local()
-
-
-def _stack():
-    stack = getattr(_tls, "tapes", None)
-    if stack is None:
-        stack = _tls.tapes = []
-    return stack
+_TAPES = []  # active tapes, innermost last
 
 
 class Tensor:
@@ -43,9 +35,6 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0.0
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def item(self):
         return float(self.data)
 
@@ -66,11 +55,11 @@ class Tape:
         self._records = []  # (output Tensor, backward closure)
 
     def __enter__(self):
-        _stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, *exc):
-        popped = _stack().pop()
+        popped = _TAPES.pop()
         assert popped is self
         return False
 
@@ -94,13 +83,7 @@ class Tape:
 
 
 def active_tape():
-    stack = _stack()
-    return stack[-1] if stack else None
-
-
-def backward(loss, tape=None):
-    """Populate grads of every requires_grad leaf reachable from loss."""
-    (tape or active_tape()).backward(loss)
+    return _TAPES[-1] if _TAPES else None
 
 
 def _record(out, inputs, backward_fn):
@@ -112,10 +95,6 @@ def _record(out, inputs, backward_fn):
 
 # ---------------------------------------------------------------------------
 # ops
-
-
-def constant(arr):
-    return Tensor(arr)
 
 
 def matmul(a, b):

@@ -88,9 +88,7 @@ def tpt_reason(weights, config, sample, reason_config=None):
                           with_cls=True)
     support = list(sample.negatives) + list(sample.positives)
     labels = np.array([0] * len(sample.negatives) + [1] * len(sample.positives))
-    m = len(support)
-    feats = Tensor(np.concatenate(
-        [mdl.encode_image(weights, config, img).data for img in support]))
+    feats = mdl.encode_images(weights, config, support)
     onehot = Tensor(np.eye(2)[labels])
 
     opt = AdamW(state.params(), lr=cfg.lr)
@@ -98,11 +96,8 @@ def tpt_reason(weights, config, sample, reason_config=None):
     for _ in range(cfg.steps):
         with ad.Tape() as tape:
             tfeats = _binary_text_features(weights, config, state)
-            logits = ad.scale(ad.matmul(feats, ad.transpose(tfeats)),
-                              config.logit_scale)
-            probs = ad.softmax_rows(logits)
-            loss = ad.scale(ad.neg(ad.sum_all(ad.mul(ad.log(probs), onehot))),
-                            1.0 / m)
+            loss, probs = mdl.cross_entropy(
+                mdl.class_logits(tfeats, feats, config.logit_scale), onehot)
             opt.zero_grad()
             tape.backward(loss)
         trace["losses"].append(loss.item())
@@ -111,11 +106,7 @@ def tpt_reason(weights, config, sample, reason_config=None):
         opt.step()
 
     tfeats = _binary_text_features(weights, config, state)
-    final_logits = feats.data @ tfeats.data.T
-    trace["support_acc"].append(
-        float(np.mean(np.argmax(final_logits, axis=1) == labels)))
-    qfeat = mdl.encode_image(weights, config, sample.query)
-    logits = config.logit_scale * (qfeat.data @ tfeats.data.T)
-    prediction = int(np.argmax(logits))
-    state.reset()
-    return prediction, trace
+    final = mdl.class_logits(tfeats, feats, config.logit_scale).data
+    trace["support_acc"].append(float(np.mean(np.argmax(final, axis=1) == labels)))
+    query = mdl.encode_image(weights, config, sample.query)
+    return int(np.argmax(mdl.class_logits(tfeats, query, config.logit_scale).data)), trace

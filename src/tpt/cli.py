@@ -2,7 +2,7 @@
 
 Subcommands: pretrain, gen-data, eval, fewshot-train, ablate, bongard,
 dump-dist, gradcheck.  A key=value config file may set any flag; CLI
-flags win.  TPT_THREADS caps evaluation parallelism.
+flags win.  Settings left unset keep the library defaults.
 """
 
 import argparse
@@ -49,13 +49,28 @@ def _get(cfg, key, cast, default):
     return cast(cfg[key]) if key in cfg else default
 
 
-def _build_dataset(cfg):
-    spec = dat.DatasetSpec(
-        samples_per_class=_get(cfg, "samples_per_class", int, 64),
-        noise_sigma=_get(cfg, "noise_sigma", float, 0.05),
-        contrast=_get(cfg, "contrast", float, 0.35),
-        contrast_min=_get(cfg, "contrast_min", float, 0.15))
-    seed = _get(cfg, "data_seed", int, 1)
+# config key -> (keyword it sets, type); unset keys keep library defaults
+_KEYS = {
+    "samples_per_class": ("samples_per_class", int),
+    "noise_sigma": ("noise_sigma", float), "contrast": ("contrast", float),
+    "contrast_min": ("contrast_min", float), "aug": ("kind", str),
+    "views": ("n_views", int), "rho": ("rho", float), "steps": ("steps", int),
+    "lr": ("lr", float), "seed": ("seed", int), "epochs": ("epochs", int),
+    "pretrain_lr": ("lr", float), "weight_decay": ("weight_decay", float),
+    "embed_rescale": ("embed_rescale", float),
+    "noise_patch_prob": ("noise_patch_prob", float),
+}
+
+
+def _pick(cfg, *keys):
+    """Keyword arguments from those of the config keys the user set."""
+    return {_KEYS[k][0]: _KEYS[k][1](cfg[k]) for k in keys if k in cfg}
+
+
+def _build_dataset(cfg, data_seed=1):
+    spec = dat.DatasetSpec(**_pick(cfg, "samples_per_class", "noise_sigma",
+                                   "contrast", "contrast_min"))
+    seed = _get(cfg, "data_seed", int, data_seed)
     ds = dat.generate(spec, seed=seed)
     if cfg.get("shift", "none") != "none":
         shift = dat.ShiftSpec.parse(cfg["shift"])
@@ -67,34 +82,29 @@ def _build_dataset(cfg):
     return ds
 
 
+def _load_model(args):
+    """(config, weights), the weights file checked against the config."""
+    config = mdl.ModelConfig()
+    return config, mdl.load_weights(args.weights, config)
+
+
 def _tpt_config(cfg):
-    policy = AugmentPolicy(kind=cfg.get("aug", "rrc"))
-    return TPTConfig(
-        n_views=_get(cfg, "views", int, 64),
-        rho=_get(cfg, "rho", float, 0.1),
-        steps=_get(cfg, "steps", int, 1),
-        lr=_get(cfg, "lr", float, 0.005),
-        seed=_get(cfg, "seed", int, 0),
-        policy=policy)
+    return TPTConfig(policy=AugmentPolicy(**_pick(cfg, "aug")),
+                     **_pick(cfg, "views", "rho", "steps", "lr", "seed"))
 
 
 def cmd_pretrain(args):
     cfg = _run_config(args)
-    seed = _get(cfg, "seed", int, 0)
+    recipe = {**mdl.PRETRAIN, **_pick(cfg, "epochs", "pretrain_lr", "seed",
+                                      "weight_decay", "embed_rescale")}
+    policy = {**mdl.PRETRAIN_POLICY, **_pick(cfg, "noise_patch_prob")}
+    if "pretrain_crop_min" in cfg:
+        policy["scale_range"] = (float(cfg["pretrain_crop_min"]), 1.0)
     mconfig = mdl.ModelConfig()
-    ds = _build_dataset(cfg)
-    pairs = dat.caption_pairs(ds)
-    weights = mdl.init_weights(mconfig, seed=seed)
-    epochs = _get(cfg, "epochs", int, 80)
-    lr = _get(cfg, "pretrain_lr", float, 0.001)
-    policy = AugmentPolicy(
-        scale_range=(_get(cfg, "pretrain_crop_min", float, 0.8), 1.0),
-        noise_patch_prob=_get(cfg, "noise_patch_prob", float, 0.3))
+    pairs = dat.caption_pairs(_build_dataset(cfg, data_seed=mdl.TRAIN_DATA_SEED))
+    weights = mdl.init_weights(mconfig, seed=recipe["seed"])
     weights, losses = mdl.pretrain_contrastive(
-        weights, mconfig, pairs, epochs=epochs, lr=lr, seed=seed,
-        augment_policy=policy,
-        weight_decay=_get(cfg, "weight_decay", float, 0.1),
-        embed_rescale=_get(cfg, "embed_rescale", float, 0.1))
+        weights, mconfig, pairs, augment_policy=AugmentPolicy(**policy), **recipe)
     out = args.out or "weights.tptw"
     mdl.save_weights(weights, out)
     top1 = mdl.retrieval_top1(weights, mconfig, pairs[:64])
@@ -113,8 +123,7 @@ def cmd_gen_data(args):
 
 def cmd_eval(args):
     cfg = _run_config(args)
-    mconfig = mdl.ModelConfig()
-    weights = mdl.load_weights(args.weights)
+    mconfig, weights = _load_model(args)
     ds = _build_dataset(cfg)
     classes = hz.class_set(ds)
     template = dat.template_ids()
@@ -138,7 +147,7 @@ def cmd_eval(args):
     else:
         raise SystemExit(f"unknown method {method}")
     row = {"method": method, "shift": cfg.get("shift", "none"),
-           "accuracy": acc, "n": len(ds), "seed": _get(cfg, "seed", int, 0)}
+           "accuracy": acc, "n": len(ds), "seed": tcfg.seed}
     if args.out:
         hz.write_results(args.out, [row], cfg)
         if traces is not None:
@@ -149,8 +158,7 @@ def cmd_eval(args):
 
 def cmd_fewshot_train(args):
     cfg = _run_config(args)
-    mconfig = mdl.ModelConfig()
-    weights = mdl.load_weights(args.weights)
+    mconfig, weights = _load_model(args)
     ds = _build_dataset(cfg)
     classes = hz.class_set(ds)
     shots = _get(cfg, "shots", int, 16)
@@ -162,7 +170,7 @@ def cmd_fewshot_train(args):
     sub = ds.subset(np.sort(idx))
     state = hz.fewshot_train_prompt(
         weights, mconfig, classes, sub.images, sub.labels,
-        epochs=_get(cfg, "epochs", int, 50), lr=_get(cfg, "lr", float, 0.01))
+        **_pick(cfg, "epochs", "lr"))
     out = args.out or "prompt.tptw"
     mdl.save_weights({"prompt": state.prompt}, out)
     print(f"few-shot prompt ({shots}-shot) -> {out}")
@@ -171,19 +179,14 @@ def cmd_fewshot_train(args):
 
 def cmd_ablate(args):
     cfg = _run_config(args)
-    mconfig = mdl.ModelConfig()
-    weights = mdl.load_weights(args.weights)
+    mconfig, weights = _load_model(args)
     ds = _build_dataset(cfg)
     classes = hz.class_set(ds)
-    grid = {}
-    if args.grid_rho:
-        grid["rho"] = [float(x) for x in args.grid_rho.split(",")]
-    if args.grid_views:
-        grid["n_views"] = [int(x) for x in args.grid_views.split(",")]
-    if args.grid_steps:
-        grid["steps"] = [int(x) for x in args.grid_steps.split(",")]
-    if args.grid_group:
-        grid["parameter_group"] = args.grid_group.split(",")
+    flags = {"rho": (float, args.grid_rho), "n_views": (int, args.grid_views),
+             "steps": (int, args.grid_steps),
+             "parameter_group": (str, args.grid_group)}
+    grid = {field: [cast(x) for x in value.split(",")]
+            for field, (cast, value) in flags.items() if value}
     seeds = [int(s) for s in (args.seeds or "0").split(",")]
     rows = hz.ablate(weights, mconfig, dat.template_ids(), classes, ds,
                      _tpt_config(cfg), grid, seeds=seeds,
@@ -197,11 +200,9 @@ def cmd_ablate(args):
 
 def cmd_bongard(args):
     cfg = _run_config(args)
-    mconfig = mdl.ModelConfig()
-    weights = mdl.load_weights(args.weights)
+    mconfig, weights = _load_model(args)
     seed = _get(cfg, "seed", int, 0)
-    rcfg = bg.ReasonConfig(steps=_get(cfg, "steps", int, 64),
-                           lr=_get(cfg, "lr", float, 0.005))
+    rcfg = bg.ReasonConfig(**_pick(cfg, "steps", "lr"))
     tasks = bg.generate_tasks(args.tasks, seed=seed)
     by_split = {s: [] for s in bg.SPLITS}
     for i, task in enumerate(tasks):
@@ -223,8 +224,7 @@ def cmd_bongard(args):
 
 def cmd_dump_dist(args):
     cfg = _run_config(args)
-    mconfig = mdl.ModelConfig()
-    weights = mdl.load_weights(args.weights)
+    mconfig, weights = _load_model(args)
     ds = _build_dataset(cfg)
     classes = hz.class_set(ds)
     i = args.sample
@@ -245,7 +245,7 @@ def cmd_dump_dist(args):
 
 def cmd_gradcheck(args):
     cfg = _run_config(args)
-    checks = hz.gradcheck_report(seed=_get(cfg, "seed", int, 0))
+    checks = hz.gradcheck_report(**_pick(cfg, "seed"))
     worst = 0.0
     for name, err in checks:
         status = "ok" if err <= 1e-4 else "FAIL"

@@ -91,9 +91,7 @@ def predict_views(weights, config, prompt_state, classes, image_features):
     reused across optimization steps.
     """
     tfeats = text_features(weights, config, prompt_state, classes)
-    logits = ad.scale(ad.matmul(image_features, ad.transpose(tfeats)),
-                      config.logit_scale)
-    probs = ad.softmax_rows(logits)
+    probs = mdl.class_probabilities(tfeats, image_features, config.logit_scale)
     return PredictionSet(probs=probs, entropies=row_entropies(probs.data))
 
 
@@ -136,11 +134,6 @@ def marginal_entropy_loss(pred):
     return ad.neg(ad.sum_all(ad.mul(pred.averaged, ad.log(pred.averaged))))
 
 
-def _encode_views(weights, config, views):
-    feats = [mdl.encode_image(weights, config, v) for v in views]
-    return ad.concat_rows(feats)
-
-
 def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
                  record_views=False):
     """One full episode; returns (predicted class, final averaged dist, trace).
@@ -153,6 +146,12 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
     group_prefixes = PARAMETER_GROUPS[cfg.parameter_group]
     batch = generate_views(image, cfg.n_views, cfg.policy, cfg.seed)
 
+    # encoding rejects bad input, so it runs before any tuned state changes
+    image_grads = any(p.startswith(("image", "patch")) for p in group_prefixes)
+    cached_feats = None
+    if not image_grads:
+        cached_feats = mdl.encode_images(weights, config, batch.views)
+
     weight_snapshot = None
     weight_params = []
     if group_prefixes:
@@ -160,11 +159,6 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
                            if any(name.startswith(p) for p in group_prefixes)}
         mdl.set_trainable(weights, True, prefixes=group_prefixes)
         weight_params = [weights[name] for name in sorted(weight_snapshot)]
-
-    image_grads = any(p.startswith(("image", "patch")) for p in group_prefixes)
-    cached_feats = None
-    if not image_grads:
-        cached_feats = Tensor(_encode_views(weights, config, batch.views).data)
 
     opt = AdamW(prompt_state.params() + weight_params, lr=cfg.lr,
                 beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
@@ -178,7 +172,7 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
             with ad.Tape() as tape:
                 feats = cached_feats
                 if feats is None:
-                    feats = _encode_views(weights, config, batch.views)
+                    feats = mdl.encode_images(weights, config, batch.views)
                 pred = predict_views(weights, config, prompt_state, classes, feats)
                 select_and_average(pred, cfg.rho)
                 loss = marginal_entropy_loss(pred)
@@ -198,7 +192,7 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
         # inference with the tuned prompt, no tape
         feats = cached_feats
         if feats is None:
-            feats = Tensor(_encode_views(weights, config, batch.views).data)
+            feats = mdl.encode_images(weights, config, batch.views)
         final = predict_views(weights, config, prompt_state, classes, feats)
         select_and_average(final, cfg.rho)
         trace["post_original"] = final.probs.data[0].copy()

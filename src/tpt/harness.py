@@ -4,9 +4,8 @@ files (CSV rows under a reproducibility header)."""
 
 import csv
 import io
+import itertools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -27,41 +26,27 @@ def class_set(dataset):
     return mdl.ClassSet(list(dataset.class_names), dataset.class_token_ids)
 
 
-def _num_threads():
-    try:
-        return max(1, int(os.environ.get("TPT_THREADS", "1")))
-    except ValueError:
-        return 1
+def _template_text_features(weights, config, template_ids, classes):
+    """Class text features under the untuned template prompt."""
+    state = init_from_template(weights, config, template_ids)
+    return ep.text_features(weights, config, state, classes)
 
 
-def _map_samples(fn, items):
-    threads = _num_threads()
-    if threads == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def zero_shot_text_features(weights, config, template_ids, classes):
-    rows = [mdl.encode_text(weights, config,
-                            mdl.embed_tokens(weights, config,
-                                             list(template_ids) + list(ids))).data
-            for ids in classes.token_ids]
-    return np.concatenate(rows)
+def _classify_images(weights, config, tfeats, dataset):
+    preds = np.array([
+        int(np.argmax(mdl.class_probabilities(
+            tfeats, mdl.encode_image(weights, config, image),
+            config.logit_scale).data))
+        for image in dataset.images])
+    return float(np.mean(preds == dataset.labels)), preds
 
 
 def evaluate_zero_shot(weights, config, template_ids, classes, dataset):
     """Argmax over scaled cosine similarities, no tuning.
 
     Returns (accuracy, per-sample predictions)."""
-    tfeats = zero_shot_text_features(weights, config, template_ids, classes)
-
-    def predict(i):
-        feat = mdl.encode_image(weights, config, dataset.images[i]).data
-        return int(np.argmax(feat @ tfeats.T))
-
-    preds = np.array(_map_samples(predict, range(len(dataset))))
-    return float(np.mean(preds == dataset.labels)), preds
+    tfeats = _template_text_features(weights, config, template_ids, classes)
+    return _classify_images(weights, config, tfeats, dataset)
 
 
 def evaluate_tpt(weights, config, template_ids, classes, dataset, tpt_config,
@@ -70,37 +55,22 @@ def evaluate_tpt(weights, config, template_ids, classes, dataset, tpt_config,
     sample's stable id, so evaluation order cannot change any prediction.
 
     Returns (accuracy, predictions, traces)."""
-
-    def run(i):
+    preds, traces = [], []
+    for image, sample_id, label in zip(dataset.images, dataset.ids, dataset.labels):
         state = init_from_template(weights, config, template_ids)
-        cfg = replace(tpt_config, seed=split_seed(tpt_config.seed, int(dataset.ids[i])))
-        pred, averaged, trace = ep.tpt_classify(
-            weights, config, state, classes, dataset.images[i], cfg,
-            record_views=record_views)
-        return pred, averaged, trace
-
-    parallel_ok = tpt_config.parameter_group == "prompt"
-    results = (_map_samples(run, range(len(dataset))) if parallel_ok
-               else [run(i) for i in range(len(dataset))])
-    preds = np.array([r[0] for r in results])
-    traces = None
-    if record_traces:
-        traces = []
-        for i, (_, averaged, trace) in enumerate(results):
+        cfg = replace(tpt_config, seed=split_seed(tpt_config.seed, int(sample_id)))
+        pred, _, trace = ep.tpt_classify(weights, config, state, classes, image,
+                                         cfg, record_views=record_views)
+        preds.append(pred)
+        if record_traces:
             traces.append({
-                "sample_id": int(dataset.ids[i]),
-                "label": int(dataset.labels[i]),
-                "prediction": int(preds[i]),
-                "losses": trace["losses"],
-                "k": trace["k"],
-                "thresholds": trace["thresholds"],
-                "mask_indices": trace["mask_indices"],
-                "pre_original": trace["pre_original"].tolist(),
-                "post_original": trace["post_original"].tolist(),
-                "pre_averaged": trace["pre_averaged"].tolist(),
-                "post_averaged": trace["post_averaged"].tolist(),
-            })
-    return float(np.mean(preds == dataset.labels)), preds, traces
+                "sample_id": int(sample_id), "label": int(label), "prediction": pred,
+                **{k: trace[k] for k in ("losses", "k", "thresholds", "mask_indices")},
+                **{k: trace[k].tolist() for k in ("pre_original", "post_original",
+                                                  "pre_averaged", "post_averaged")}})
+    preds = np.array(preds)
+    return (float(np.mean(preds == dataset.labels)), preds,
+            traces if record_traces else None)
 
 
 def fewshot_train_prompt(weights, config, classes, images, labels, epochs=50,
@@ -112,18 +82,14 @@ def fewshot_train_prompt(weights, config, classes, images, labels, epochs=50,
     state = init_from_template(weights, config, template_ids)
     if epochs == 0:
         return state
-    feats = Tensor(np.concatenate(
-        [mdl.encode_image(weights, config, img).data for img in images]))
+    feats = mdl.encode_images(weights, config, images)
     onehot = Tensor(np.eye(len(classes))[np.asarray(labels)])
     opt = AdamW(state.params(), lr=lr)
     for _ in range(epochs):
         with ad.Tape() as tape:
             tfeats = ep.text_features(weights, config, state, classes)
-            logits = ad.scale(ad.matmul(feats, ad.transpose(tfeats)),
-                              config.logit_scale)
-            loss = ad.scale(
-                ad.neg(ad.sum_all(ad.mul(ad.log(ad.softmax_rows(logits)), onehot))),
-                1.0 / len(images))
+            loss, _ = mdl.cross_entropy(
+                mdl.class_logits(tfeats, feats, config.logit_scale), onehot)
             opt.zero_grad()
             tape.backward(loss)
         opt.step()
@@ -132,59 +98,47 @@ def fewshot_train_prompt(weights, config, classes, images, labels, epochs=50,
 
 def prompt_ensemble(weights, config, templates, classes, dataset):
     """Per-class feature = normalized mean of per-template text features."""
-    per_template = [zero_shot_text_features(weights, config, t, classes)
+    per_template = [_template_text_features(weights, config, t, classes).data
                     for t in templates]
     mean = np.mean(per_template, axis=0)
     tfeats = mean / np.maximum(np.linalg.norm(mean, axis=1, keepdims=True), 1e-12)
+    return _classify_images(weights, config, Tensor(tfeats), dataset)
 
-    def predict(i):
-        feat = mdl.encode_image(weights, config, dataset.images[i]).data
-        return int(np.argmax(feat @ tfeats.T))
 
-    preds = np.array(_map_samples(predict, range(len(dataset))))
+def _pool_views(weights, config, template_ids, classes, dataset, tpt_config,
+                pool):
+    """Untuned per-view probabilities of the view batch an episode would
+    see, reduced to one class by pool(N x K probabilities)."""
+    tfeats = _template_text_features(weights, config, template_ids, classes)
+    preds = []
+    for image, sample_id in zip(dataset.images, dataset.ids):
+        seed = split_seed(tpt_config.seed, int(sample_id))
+        batch = generate_views(image, tpt_config.n_views, tpt_config.policy, seed)
+        feats = mdl.encode_images(weights, config, batch.views)
+        probs = mdl.class_probabilities(tfeats, feats, config.logit_scale).data
+        preds.append(int(pool(probs)))
+    preds = np.array(preds)
     return float(np.mean(preds == dataset.labels)), preds
-
-
-def _view_probs(weights, config, tfeats, image, tpt_config, sample_id):
-    seed = split_seed(tpt_config.seed, sample_id)
-    batch = generate_views(image, tpt_config.n_views, tpt_config.policy, seed)
-    feats = np.concatenate(
-        [mdl.encode_image(weights, config, v).data for v in batch.views])
-    logits = config.logit_scale * (feats @ tfeats.T)
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def baseline_averaged_prediction(weights, config, template_ids, classes,
                                  dataset, tpt_config):
     """No optimization: argmax of the mean probability over the same
     view batch an episode would see."""
-    tfeats = zero_shot_text_features(weights, config, template_ids, classes)
-
-    def predict(i):
-        probs = _view_probs(weights, config, tfeats, dataset.images[i],
-                            tpt_config, int(dataset.ids[i]))
-        return int(np.argmax(probs.mean(axis=0)))
-
-    preds = np.array(_map_samples(predict, range(len(dataset))))
-    return float(np.mean(preds == dataset.labels)), preds
+    return _pool_views(weights, config, template_ids, classes, dataset,
+                       tpt_config, lambda probs: np.argmax(probs.mean(axis=0)))
 
 
 def baseline_majority_vote(weights, config, template_ids, classes, dataset,
                            tpt_config):
     """No optimization: majority vote over per-view argmaxes, ties to the
-    lowest class id."""
-    tfeats = zero_shot_text_features(weights, config, template_ids, classes)
+    lowest class id (argmax takes the first maximum)."""
+    def vote(probs):
+        return np.argmax(np.bincount(np.argmax(probs, axis=1),
+                                     minlength=len(classes)))
 
-    def predict(i):
-        probs = _view_probs(weights, config, tfeats, dataset.images[i],
-                            tpt_config, int(dataset.ids[i]))
-        votes = np.bincount(np.argmax(probs, axis=1), minlength=len(classes))
-        return int(np.argmax(votes))  # argmax takes the lowest id on ties
-
-    preds = np.array(_map_samples(predict, range(len(dataset))))
-    return float(np.mean(preds == dataset.labels)), preds
+    return _pool_views(weights, config, template_ids, classes, dataset,
+                       tpt_config, vote)
 
 
 def ablate(weights, config, template_ids, classes, dataset, base_config,
@@ -195,16 +149,8 @@ def ablate(weights, config, template_ids, classes, dataset, base_config,
     (method, shift, accuracy, n, seed)."""
     fields = sorted(grid)
     rows = []
-
-    def expand(prefix, remaining):
-        if not remaining:
-            yield dict(prefix)
-            return
-        key, rest = remaining[0], remaining[1:]
-        for value in grid[key]:
-            yield from expand(prefix + [(key, value)], rest)
-
-    for combo in expand([], fields):
+    for values in itertools.product(*(grid[f] for f in fields)):
+        combo = dict(zip(fields, values))
         for seed in seeds:
             cfg = replace(base_config, seed=seed, **combo)
             acc, _, _ = evaluate_tpt(weights, config, template_ids, classes,
@@ -282,29 +228,24 @@ def gradcheck_report(seed=0, h=1e-5):
     img_feats /= np.linalg.norm(img_feats, axis=1, keepdims=True)
     img_feats = Tensor(img_feats)
 
-    def view_predictions(p):
-        state = PromptState.__new__(PromptState)
-        state.prompt = p
-        state.cls = None
-        state._snapshot = []
-        return ep.predict_views(weights, config, state, classes, img_feats)
+    state = PromptState(rng.normal(0.0, 0.02, size=(4, config.embed_dim)))
 
-    p = Tensor(rng.normal(0.0, 0.02, size=(4, config.embed_dim)),
-               requires_grad=True)
+    def view_predictions():
+        return ep.predict_views(weights, config, state, classes, img_feats)
 
     # Selection is an argsort, so the loss is only piecewise smooth in the
     # prompt; the backward pass holds the selected set constant.  Fix the
     # selection at the base point so central differences probe the same
     # smooth branch the analytic gradient lives on.
-    selected = ep.select_and_average(view_predictions(p), 0.5).selected
+    selected = ep.select_and_average(view_predictions(), 0.5).selected
 
-    def episode_loss(p):
-        pred = view_predictions(p)
+    def episode_loss(prompt):  # finite_diff_check perturbs it in place
+        pred = view_predictions()
         pred.averaged = ad.mean_rows(ad.gather_rows(pred.probs, selected))
         return ep.marginal_entropy_loss(pred)
 
     checks.append(("marginal_entropy_loss_vs_prompt",
-                   ad.finite_diff_check(episode_loss, p, h)))
+                   ad.finite_diff_check(episode_loss, state.prompt, h)))
     return checks
 
 

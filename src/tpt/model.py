@@ -203,6 +203,8 @@ def encode_image(weights, config, image):
     img = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
     if img.shape != config.image_shape:
         raise ValueError(f"image shape {img.shape} != config {config.image_shape}")
+    if not np.all(np.isfinite(img)):
+        raise ValueError("image has non-finite pixels")
     patches = Tensor(patchify(img, config.patch_size))
     x = ad.add_row(ad.matmul(patches, weights["patch_proj"]), weights["patch_bias"])
     x = ad.add(x, weights["image_pos"])
@@ -211,16 +213,30 @@ def encode_image(weights, config, image):
     return ad.l2_normalize_rows(ad.matmul(pooled, weights["image_proj"]))
 
 
-def class_probabilities(text_features, image_feature, logit_scale):
-    """Softmax over scaled cosine similarities; returns a 1 x K row."""
-    logits = ad.scale(ad.matmul(image_feature, ad.transpose(text_features)), logit_scale)
-    return ad.softmax_rows(logits)
+def encode_images(weights, config, images):
+    """N x proj_dim features, one row per image (on the active tape)."""
+    return ad.concat_rows([encode_image(weights, config, img) for img in images])
 
 
-def _cross_entropy_diagonal(log_probs, n):
-    onehot = Tensor(np.eye(n))
-    picked = ad.sum_all(ad.mul(log_probs, onehot))
-    return ad.scale(ad.neg(picked), 1.0 / n)
+def class_logits(text_features, image_features, logit_scale):
+    """Scaled cosine similarities: one K-class row per image feature row."""
+    return ad.scale(ad.matmul(image_features, ad.transpose(text_features)),
+                    logit_scale)
+
+
+def class_probabilities(text_features, image_features, logit_scale):
+    """Row softmax of class_logits."""
+    return ad.softmax_rows(class_logits(text_features, image_features, logit_scale))
+
+
+def cross_entropy(logits, targets):
+    """Mean cross-entropy of the row softmax of M x K logits against M x K
+    target rows (one-hot rows for hard labels).
+
+    Returns (loss, probs); probs is the on-tape softmax."""
+    probs = ad.softmax_rows(logits)
+    picked = ad.sum_all(ad.mul(ad.log(probs), targets))
+    return ad.scale(ad.neg(picked), 1.0 / logits.data.shape[0]), probs
 
 
 def rescale_text_embeddings(weights, factor):
@@ -241,9 +257,20 @@ def rescale_text_embeddings(weights, factor):
     return weights
 
 
-def pretrain_contrastive(weights, config, pairs, epochs=30, lr=0.001, batch=16,
-                         seed=0, augment_policy=None, weight_decay=0.0,
-                         embed_rescale=1.0):
+# The pretraining recipe.  `tpt pretrain`, the acceptance suite's cached
+# model and the benchmark checkpoint are all trained with exactly these
+# settings, on the images of DatasetSpec() drawn with TRAIN_DATA_SEED.
+PRETRAIN = dict(epochs=80, lr=0.001, batch=16, seed=0, weight_decay=0.1,
+                embed_rescale=0.1)
+PRETRAIN_POLICY = dict(scale_range=(0.8, 1.0), noise_patch_prob=0.3)
+TRAIN_DATA_SEED = 100
+
+
+def pretrain_contrastive(weights, config, pairs, epochs=PRETRAIN["epochs"],
+                         lr=PRETRAIN["lr"], batch=PRETRAIN["batch"],
+                         seed=PRETRAIN["seed"], augment_policy=None,
+                         weight_decay=PRETRAIN["weight_decay"],
+                         embed_rescale=PRETRAIN["embed_rescale"]):
     """Symmetric InfoNCE over in-batch image-text similarities.
 
     When augment_policy is set, every drawn image is replaced by a random
@@ -275,17 +302,15 @@ def pretrain_contrastive(weights, config, pairs, epochs=30, lr=0.001, batch=16,
                 images = [make_view(img, augment_policy, int(rng.integers(2 ** 62)))
                           for img in images]
             with ad.Tape() as tape:
-                img_feats = ad.concat_rows(
-                    [encode_image(weights, config, img) for img in images])
+                img_feats = encode_images(weights, config, images)
                 txt_feats = ad.concat_rows(
                     [encode_text(weights, config,
                                  embed_tokens(weights, config, pairs[i][1]))
                      for i in idx])
-                sims = ad.scale(ad.matmul(img_feats, ad.transpose(txt_feats)),
-                                config.logit_scale)
-                li = _cross_entropy_diagonal(ad.log(ad.softmax_rows(sims)), len(idx))
-                lt = _cross_entropy_diagonal(
-                    ad.log(ad.softmax_rows(ad.transpose(sims))), len(idx))
+                sims = class_logits(txt_feats, img_feats, config.logit_scale)
+                matched = Tensor(np.eye(len(idx)))  # pair i is image i, caption i
+                li, _ = cross_entropy(sims, matched)
+                lt, _ = cross_entropy(ad.transpose(sims), matched)
                 loss = ad.scale(ad.add(li, lt), 0.5)
                 opt.zero_grad()
                 tape.backward(loss)
@@ -333,18 +358,35 @@ def save_weights(weights, path):
             f.write(t.data.astype("<f8").tobytes())
 
 
-def load_weights(path):
+def load_weights(path, config=None):
+    """Read a weights file.  With a config, every tensor name and shape
+    must match weight_shapes(config); errors name the file and tensor."""
     weights = {}
     with open(path, "rb") as f:
+        def read(n, what):
+            buf = f.read(n)
+            if len(buf) != n:
+                raise ValueError(f"{path}: file truncated in {what}")
+            return buf
+
         if f.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path}: bad magic, not a weights file")
-        (count,) = struct.unpack("<I", f.read(4))
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{rank}I", f.read(4 * rank))
+        (count,) = struct.unpack("<I", read(4, "the header"))
+        for i in range(count):
+            (nlen,) = struct.unpack("<H", read(2, f"the name of tensor #{i}"))
+            name = read(nlen, f"the name of tensor #{i}").decode("utf-8")
+            what = f"tensor {name!r}"
+            (rank,) = struct.unpack("<B", read(1, what))
+            shape = struct.unpack(f"<{rank}I", read(4 * rank, what))
             n = int(np.prod(shape)) if rank else 1
-            data = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(shape)
+            data = np.frombuffer(read(8 * n, what), dtype="<f8").reshape(shape)
             weights[name] = Tensor(data.copy())
+    if config is not None:
+        expected = weight_shapes(config)
+        for name in {**expected, **weights}:
+            got = weights[name].data.shape if name in weights else "absent"
+            want = expected.get(name, "absent")
+            if got != want:
+                raise ValueError(f"{path}: tensor {name!r} is {got} in the file "
+                                 f"but {want} in the model config")
     return weights

@@ -44,22 +44,3 @@ class AdamW:
         for p in self.params:
             p.zero_grad()
 
-
-def adamw_step(params, state, lr=0.005, beta1=0.9, beta2=0.999, eps=1e-8,
-               weight_decay=0.0):
-    """One AdamW update from populated .grad buffers.
-
-    state is a dict carried between calls; pass {} at episode start.
-    Returns the same dict for convenience.
-    """
-    opt = state.get("opt")
-    if opt is None or opt.params != list(params):
-        opt = AdamW(params, lr, beta1, beta2, eps, weight_decay)
-        opt.t = state.get("t", 0)
-        if "m" in state:
-            opt.m, opt.v = state["m"], state["v"]
-        state["opt"] = opt
-    opt.lr = lr
-    opt.step()
-    state["t"], state["m"], state["v"] = opt.t, opt.m, opt.v
-    return state

@@ -16,12 +16,12 @@ from tpt.augment import AugmentPolicy
 
 CACHE_DIR = pathlib.Path(__file__).parent / ".cache"
 
-# the default training recipe: everything downstream (acceptance
-# criteria, README numbers) assumes exactly this model
-PRETRAIN = dict(epochs=80, lr=0.001, batch=16, seed=0, weight_decay=0.1,
-                embed_rescale=0.1)
-PRETRAIN_POLICY = dict(scale_range=(0.8, 1.0), noise_patch_prob=0.3)
-TRAIN_DATA_SEED = 100
+# the default training recipe, defined in tpt.model: everything downstream
+# (acceptance criteria, README numbers, the benchmark checkpoint) assumes
+# exactly this model
+PRETRAIN = dict(mdl.PRETRAIN)
+PRETRAIN_POLICY = dict(mdl.PRETRAIN_POLICY)
+TRAIN_DATA_SEED = mdl.TRAIN_DATA_SEED
 
 
 @pytest.fixture(scope="session")
@@ -35,7 +35,7 @@ def pretrained(model_config):
     CACHE_DIR.mkdir(exist_ok=True)
     path = CACHE_DIR / "pretrained.tptw"
     if path.exists():
-        return mdl.load_weights(path)
+        return mdl.load_weights(path, model_config)
     train = dat.generate(dat.DatasetSpec(), seed=TRAIN_DATA_SEED)
     weights = mdl.init_weights(model_config, seed=PRETRAIN["seed"])
     weights, _ = mdl.pretrain_contrastive(

@@ -21,6 +21,8 @@ from tpt.autodiff import Tensor
 from tpt.bongard import ReasonConfig, generate_tasks, tpt_reason
 from tpt.episode import TPTConfig
 
+pytestmark = pytest.mark.acceptance
+
 TEMPLATE = dat.template_ids()
 SEEDS = (0, 1, 2)
 TEST_DATA_SEED = 200

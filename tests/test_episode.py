@@ -212,6 +212,22 @@ class TestTptClassify:
         np.testing.assert_array_equal(a[1], b[1])
         assert a[2]["losses"] == b[2]["losses"]
 
+    def test_non_finite_image_raises_and_resets(self, weights, config, classes,
+                                                prompt, image):
+        bad = image.copy()
+        bad[0, 4, 4] = np.nan
+        before = prompt.prompt.data.copy()
+        snap = {n: t.data.copy() for n, t in weights.items()}
+        for group in ("prompt", "text_encoder", "image_encoder"):
+            cfg = self.small_cfg(parameter_group=group)
+            with pytest.raises(ValueError, match="non-finite"):
+                ep.tpt_classify(weights, config, prompt, classes, bad, cfg)
+            np.testing.assert_array_equal(prompt.prompt.data, before)
+            assert not prompt.prompt.grad.any()
+            for n, t in weights.items():
+                np.testing.assert_array_equal(t.data, snap[n])
+                assert not t.requires_grad
+
     def test_one_view_runs(self, weights, config, classes, prompt, image):
         cfg = ep.TPTConfig(n_views=1, rho=1.0)
         pred, averaged, trace = ep.tpt_classify(weights, config, prompt, classes,

@@ -1,4 +1,4 @@
-import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from tpt import cli
 from tpt import data as dat
 from tpt import harness as hz
 from tpt import model as mdl
+from tpt.augment import AugmentPolicy, split_seed
 from tpt.episode import TPTConfig
 
 
@@ -18,6 +19,13 @@ def config():
 @pytest.fixture(scope="module")
 def weights(config):
     return mdl.init_weights(config, seed=0)
+
+
+@pytest.fixture(scope="module")
+def varied_weights(config):
+    """Random weights whose predictions differ across the dataset's samples
+    (under seed 0 every sample gets class 0)."""
+    return mdl.init_weights(config, seed=2)
 
 
 @pytest.fixture(scope="module")
@@ -42,16 +50,15 @@ class TestZeroShot:
         assert 0.0 <= acc <= 1.0
         assert preds.min() >= 0 and preds.max() < len(classes)
 
-    def test_threaded_matches_serial(self, weights, config, classes, dataset):
-        _, serial = hz.evaluate_zero_shot(weights, config, TEMPLATE, classes,
-                                          dataset)
-        os.environ["TPT_THREADS"] = "4"
-        try:
-            _, threaded = hz.evaluate_zero_shot(weights, config, TEMPLATE,
-                                                classes, dataset)
-        finally:
-            del os.environ["TPT_THREADS"]
-        np.testing.assert_array_equal(serial, threaded)
+    def test_matches_tpt_with_zero_lr(self, varied_weights, config, classes,
+                                      dataset):
+        # a null update must reproduce zero-shot exactly
+        _, zero_shot = hz.evaluate_zero_shot(varied_weights, config, TEMPLATE,
+                                             classes, dataset)
+        _, tuned, _ = hz.evaluate_tpt(varied_weights, config, TEMPLATE, classes,
+                                      dataset, replace(FAST, lr=0.0))
+        assert len(set(zero_shot.tolist())) > 1
+        np.testing.assert_array_equal(tuned, zero_shot)
 
 
 class TestEvaluateTpt:
@@ -62,17 +69,6 @@ class TestEvaluateTpt:
         _, shuffled, _ = hz.evaluate_tpt(weights, config, TEMPLATE, classes,
                                          dataset.subset(perm), FAST)
         np.testing.assert_array_equal(shuffled, preds[perm])
-
-    def test_threaded_matches_serial(self, weights, config, classes, dataset):
-        _, serial, _ = hz.evaluate_tpt(weights, config, TEMPLATE, classes,
-                                       dataset, FAST)
-        os.environ["TPT_THREADS"] = "4"
-        try:
-            _, threaded, _ = hz.evaluate_tpt(weights, config, TEMPLATE, classes,
-                                             dataset, FAST)
-        finally:
-            del os.environ["TPT_THREADS"]
-        np.testing.assert_array_equal(serial, threaded)
 
     def test_traces_align_with_predictions(self, weights, config, classes,
                                            dataset):
@@ -91,6 +87,21 @@ class TestBaselines:
             acc, preds = fn(weights, config, TEMPLATE, classes, dataset, FAST)
             assert 0.0 <= acc <= 1.0
             assert preds.shape == (len(dataset),)
+
+    def test_pool_the_episode_view_distributions(self, varied_weights, config,
+                                                 classes, dataset):
+        _, avg = hz.baseline_averaged_prediction(varied_weights, config, TEMPLATE,
+                                                 classes, dataset, FAST)
+        _, vote = hz.baseline_majority_vote(varied_weights, config, TEMPLATE,
+                                            classes, dataset, FAST)
+        for i in range(len(dataset)):
+            cfg = replace(FAST, seed=split_seed(FAST.seed, int(dataset.ids[i])))
+            views, _, _ = hz.dump_distributions(varied_weights, config, TEMPLATE,
+                                                classes, dataset.images[i], cfg)
+            assert avg[i] == np.argmax(views.mean(axis=0))
+            votes = np.bincount(np.argmax(views, axis=1), minlength=len(classes))
+            assert vote[i] == np.argmax(votes)
+        assert len(set(avg.tolist())) > 1
 
     def test_single_view_baselines_agree(self, weights, config, classes,
                                          dataset):
@@ -222,6 +233,33 @@ class TestCli:
         assert rc == 0
         back = dat.load_dataset(str(out))
         assert len(back) == 4
+
+    def test_eval_rejects_weights_of_another_config(self, tmp_path):
+        wpath = tmp_path / "w.tptw"
+        mdl.save_weights(mdl.init_weights(mdl.ModelConfig(embed_dim=16)), wpath)
+        with pytest.raises(ValueError, match="w.tptw: tensor"):
+            cli.main(["eval", "--weights", str(wpath), "--method", "zeroshot",
+                      "--samples", "2"])
+
+    def test_pretrain_uses_the_recipe(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_pretrain(weights, config, pairs, **kwargs):
+            seen.update(kwargs, pairs=pairs)
+            return weights, [0.0]
+
+        monkeypatch.setattr(mdl, "pretrain_contrastive", fake_pretrain)
+        assert cli.main(["pretrain", "--out", str(tmp_path / "w.tptw")]) == 0
+        policy = seen.pop("augment_policy")
+        train = dat.generate(dat.DatasetSpec(), seed=mdl.TRAIN_DATA_SEED)
+        expected = dat.caption_pairs(train)
+        pairs = seen.pop("pairs")
+        assert seen == mdl.PRETRAIN
+        assert policy == AugmentPolicy(**mdl.PRETRAIN_POLICY)
+        assert len(pairs) == len(expected)
+        for (img, ids), (want_img, want_ids) in zip(pairs, expected):
+            np.testing.assert_array_equal(img, want_img)
+            assert list(ids) == list(want_ids)
 
     def test_gradcheck_exit_code(self):
         assert cli.main(["gradcheck"]) == 0

@@ -74,6 +74,13 @@ class TestEncodeImage:
         with pytest.raises(ValueError, match="shape"):
             mdl.encode_image(weights, config, np.zeros((3, 16, 16)))
 
+    def test_non_finite_pixels_rejected(self, weights, config):
+        for bad in (np.nan, np.inf, -np.inf):
+            img = np.zeros(config.image_shape)
+            img[1, 2, 3] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                mdl.encode_image(weights, config, img)
+
     def test_continuity_one_pixel(self, weights, config):
         rng = np.random.default_rng(2)
         img = rng.random(config.image_shape)
@@ -136,6 +143,25 @@ class TestClassProbabilities:
         np.testing.assert_array_equal(a.data, b.data)
 
 
+class TestCrossEntropy:
+    def test_value_and_probs(self):
+        rng = np.random.default_rng(0)
+        logits = rng.normal(size=(5, 3))
+        labels = np.array([0, 2, 1, 1, 0])
+        loss, probs = mdl.cross_entropy(Tensor(logits), Tensor(np.eye(3)[labels]))
+        p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(probs.data, p, rtol=1e-12)
+        expected = -np.mean(np.log(p[np.arange(5), labels]))
+        assert abs(loss.item() - expected) <= 1e-12
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        targets = Tensor(np.eye(6)[[5, 0, 3, 3]])
+        err = ad.finite_diff_check(lambda t: mdl.cross_entropy(t, targets)[0], x)
+        assert err <= 1e-4
+
+
 @pytest.fixture(scope="module")
 def tiny_setup():
     from tpt import data as dat
@@ -184,6 +210,50 @@ def test_weights_bad_magic(tmp_path):
     path.write_bytes(b"GARBAGE!")
     with pytest.raises(ValueError, match="magic"):
         mdl.load_weights(path)
+
+
+class TestLoadWeightsChecked:
+    def test_matching_config_loads(self, tmp_path, weights, config):
+        path = tmp_path / "w.tptw"
+        mdl.save_weights(weights, path)
+        back = mdl.load_weights(path, config)
+        assert set(back) == set(weights)
+
+    def test_other_config_rejected(self, tmp_path, config):
+        path = tmp_path / "small.tptw"
+        mdl.save_weights(mdl.init_weights(mdl.ModelConfig(embed_dim=16)), path)
+        expected = (r"small\.tptw: tensor 'token_embedding' is \(64, 16\) in the "
+                    r"file but \(64, 32\) in the model config")
+        with pytest.raises(ValueError, match=expected):
+            mdl.load_weights(path, config)
+
+    def test_missing_tensor_rejected(self, tmp_path, weights, config):
+        path = tmp_path / "w.tptw"
+        mdl.save_weights({n: t for n, t in weights.items() if n != "text_proj"},
+                         path)
+        with pytest.raises(ValueError, match="'text_proj' is absent in the file"):
+            mdl.load_weights(path, config)
+
+    def test_extra_tensor_rejected(self, tmp_path, weights, config):
+        path = tmp_path / "w.tptw"
+        mdl.save_weights({**weights, "stray": Tensor(np.zeros((1, 2)))}, path)
+        with pytest.raises(ValueError, match="'stray' is .* but absent in the model"):
+            mdl.load_weights(path, config)
+
+    def test_truncated_file_names_file_and_tensor(self, tmp_path, weights):
+        path = tmp_path / "w.tptw"
+        mdl.save_weights(weights, path)
+        blob = path.read_bytes()
+        cut_path = tmp_path / "cut.tptw"
+        expected = (r"cut\.tptw: file truncated in "
+                    r"(the header|the name of tensor #\d+|tensor '[\w.]+')")
+        for cut in list(range(5, 40)) + list(range(40, len(blob), 4099)):
+            cut_path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match=expected):
+                mdl.load_weights(cut_path)
+        cut_path.write_bytes(blob[:100])  # inside the first tensor's data
+        with pytest.raises(ValueError, match="truncated in tensor 'token_embedding'"):
+            mdl.load_weights(cut_path)
 
 
 def test_no_grads_on_frozen_weights(weights, config):
