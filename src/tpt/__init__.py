@@ -1,7 +1,7 @@
 """Test-time prompt tuning on a miniature dual-encoder vision-language model.
 
 Library layout:
-  autodiff  — float64 tensors with tape-based reverse-mode gradients
+  autodiff  — batched float64 tensors with tape-based reverse-mode gradients
   model     — dual-encoder transformer, contrastive pretraining, persistence
   prompt    — learnable prompt state and episodic reset
   augment   — random-resized-crop and AugMix view generation
@@ -19,8 +19,8 @@ from .episode import (PredictionSet, TPTConfig, confidence_threshold, entropy,
                       marginal_entropy_loss, predict_views, select_and_average,
                       tpt_classify)
 from .model import (ClassSet, ModelConfig, class_probabilities, encode_image,
-                    encode_text, init_weights, load_weights,
-                    pretrain_contrastive, save_weights)
+                    encode_images, encode_text, encode_texts, init_weights,
+                    load_weights, pretrain_contrastive, save_weights)
 from .optim import AdamW
 from .prompt import PromptState, assemble, init_from_template, init_gaussian
 

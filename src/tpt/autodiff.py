@@ -1,9 +1,17 @@
 """Minimal dense-tensor math with tape-based reverse-mode gradients.
 
-Everything is float64 and 2-D (vectors are 1xN rows, scalars are shape-()
-arrays).  Ops record onto the innermost active Tape only when an input
-requires gradients; with no active tape they are plain numpy and cost
-nothing extra, which is how the image branch runs during test-time tuning.
+Everything is float64.  An op acts on the last two axes as a matrix
+(rows x columns); any axes before them are batch axes (views, class
+prompts, attention heads), and each batch item is computed exactly as
+the 2-D op would compute it alone.  Operands broadcast: a 2-D weight,
+bias or gain meets every item of a batch.  Such a shared input gets its
+gradient item by item, in reverse item order, which is the order a tape
+of one-item ops replays; so a batched forward and backward round
+exactly like the per-item ones.  Scalars are shape-() arrays.
+
+Ops record onto the innermost active Tape only when an input requires
+gradients; with no active tape they are plain numpy and cost nothing
+extra, which is how the image branch runs during test-time tuning.
 """
 
 import math
@@ -93,58 +101,102 @@ def _record(out, inputs, backward_fn):
     return out
 
 
+def _accumulate(t, g):
+    """t.grad += g, where g has the broadcast shape of an op's output.
+
+    Axes along which t was broadcast are summed: within the matrix (the
+    last two axes) by numpy, over batch axes one item at a time in
+    reverse order.
+    """
+    shape = t.data.shape
+    if g.shape == shape:
+        t.grad += g
+        return
+    padded = (1,) * (g.ndim - len(shape)) + shape
+    inner = tuple(ax for ax in range(max(0, g.ndim - 2), g.ndim)
+                  if padded[ax] == 1 and g.shape[ax] != 1)
+    if inner:
+        g = g.sum(axis=inner, keepdims=True)
+    if g.shape == padded:
+        t.grad += g.reshape(shape)
+        return
+    if len(shape) > 2:
+        raise ValueError(f"cannot sum a {g.shape} gradient into a batched {shape} input")
+    for item in g.reshape((-1,) + shape)[::-1]:
+        t.grad += item
+
+
 # ---------------------------------------------------------------------------
 # ops
 
 
 def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    """Matrix product of the last two axes, batch axes broadcast."""
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
-    out = Tensor(a.data @ b.data)
+    out = Tensor(np.matmul(a.data, b.data))
 
     def bw():
         if a.requires_grad:
-            a.grad += out.grad @ b.data.T
+            _accumulate(a, np.matmul(out.grad, np.swapaxes(b.data, -1, -2)))
         if b.requires_grad:
-            b.grad += a.data.T @ out.grad
+            _accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), out.grad))
 
     return _record(out, (a, b), bw)
 
 
 def transpose(a):
-    out = Tensor(a.data.T)
+    """Swap the last two axes."""
+    out = Tensor(np.swapaxes(a.data, -1, -2))
 
     def bw():
-        a.grad += out.grad.T
+        a.grad += np.swapaxes(out.grad, -1, -2)
 
     return _record(out, (a,), bw)
 
 
+def reshape(a, shape):
+    out = Tensor(a.data.reshape(shape))
+
+    def bw():
+        a.grad += out.grad.reshape(a.data.shape)
+
+    return _record(out, (a,), bw)
+
+
+def split_heads(x, heads):
+    """(..., T, heads * dh) -> (..., heads, T, dh): each head's columns,
+    as a view."""
+    *batch, t, d = x.data.shape
+    out = Tensor(np.swapaxes(x.data.reshape(*batch, t, heads, d // heads), -3, -2))
+
+    def bw():
+        x.grad += np.swapaxes(out.grad, -3, -2).reshape(x.data.shape)
+
+    return _record(out, (x,), bw)
+
+
+def merge_heads(x):
+    """(..., heads, T, dh) -> (..., T, heads * dh), the inverse of split_heads."""
+    *batch, heads, t, dh = x.data.shape
+    out = Tensor(np.swapaxes(x.data, -3, -2).reshape(*batch, t, heads * dh))
+
+    def bw():
+        x.grad += np.swapaxes(out.grad.reshape(*batch, t, heads, dh), -3, -2)
+
+    return _record(out, (x,), bw)
+
+
 def add(a, b):
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
     out = Tensor(a.data + b.data)
 
     def bw():
         if a.requires_grad:
-            a.grad += out.grad
+            _accumulate(a, out.grad)
         if b.requires_grad:
-            b.grad += out.grad
+            _accumulate(b, out.grad)
 
     return _record(out, (a, b), bw)
-
-
-def add_row(a, row):
-    """Add a 1xN row tensor to every row of a."""
-    out = Tensor(a.data + row.data)
-
-    def bw():
-        if a.requires_grad:
-            a.grad += out.grad
-        if row.requires_grad:
-            row.grad += out.grad.sum(axis=0, keepdims=True)
-
-    return _record(out, (a, row), bw)
 
 
 def mul(a, b):
@@ -152,9 +204,9 @@ def mul(a, b):
 
     def bw():
         if a.requires_grad:
-            a.grad += out.grad * b.data
+            _accumulate(a, out.grad * b.data)
         if b.requires_grad:
-            b.grad += out.grad * a.data
+            _accumulate(b, out.grad * a.data)
 
     return _record(out, (a, b), bw)
 
@@ -183,9 +235,9 @@ def sum_all(a):
 
 
 def mean_rows(a):
-    """Column means as a 1xN row (mean-pooling over rows)."""
-    n = a.data.shape[0]
-    out = Tensor(a.data.mean(axis=0, keepdims=True))
+    """Column means as one row per item (mean-pooling over rows)."""
+    n = a.data.shape[-2]
+    out = Tensor(a.data.mean(axis=-2, keepdims=True))
 
     def bw():
         a.grad += out.grad / n
@@ -194,58 +246,56 @@ def mean_rows(a):
 
 
 def concat_rows(tensors):
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=0))
-    offsets = np.cumsum([0] + [t.data.shape[0] for t in tensors])
+    """Stack along the row axis; batch axes broadcast, so one 2-D prompt
+    can head every item of a batch."""
+    batch = np.broadcast_shapes(*(t.data.shape[:-2] for t in tensors))
+    out = Tensor(np.concatenate(
+        [np.broadcast_to(t.data, batch + t.data.shape[-2:]) for t in tensors], axis=-2))
+    offsets = np.cumsum([0] + [t.data.shape[-2] for t in tensors])
 
     def bw():
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                t.grad += out.grad[lo:hi]
-
-    return _record(out, tuple(tensors), bw)
-
-
-def concat_cols(tensors):
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=1))
-    offsets = np.cumsum([0] + [t.data.shape[1] for t in tensors])
-
-    def bw():
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t.grad += out.grad[:, lo:hi]
+                _accumulate(t, out.grad[..., lo:hi, :])
 
     return _record(out, tuple(tensors), bw)
 
 
 def gather_rows(a, indices):
+    """Rows of the row axis by index.
+
+    A 2-D table looked up with an index array of any shape (embedding
+    lookup; the index's leading axes become batch axes), or a batch
+    with a 1-D index, which picks the same rows of every item.
+    """
     idx = np.asarray(indices, dtype=np.intp)
-    out = Tensor(a.data[idx])
+    if a.data.ndim > 2 and idx.ndim > 1:
+        raise ValueError("a batched tensor takes a 1-D row index")
+    out = Tensor(a.data[..., idx, :])
 
     def bw():
-        np.add.at(a.grad, idx, out.grad)
-
-    return _record(out, (a,), bw)
-
-
-def slice_cols(a, lo, hi):
-    out = Tensor(a.data[:, lo:hi])
-
-    def bw():
-        a.grad[:, lo:hi] += out.grad
+        if a.data.ndim > 2:
+            np.add.at(a.grad, (Ellipsis, idx, slice(None)), out.grad)
+            return
+        # a shared table: one lookup at a time, in reverse
+        rows = idx.reshape(-1, idx.shape[-1])
+        grads = out.grad.reshape(rows.shape + a.data.shape[-1:])
+        for i in reversed(range(len(rows))):
+            np.add.at(a.grad, rows[i], grads[i])
 
     return _record(out, (a,), bw)
 
 
 def softmax_rows(x):
-    """Row-wise softmax, max-subtracted for stability."""
-    z = x.data - x.data.max(axis=1, keepdims=True)
+    """Softmax over the last axis, max-subtracted for stability."""
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def bw():
         g = out.grad
-        x.grad += y * (g - (g * y).sum(axis=1, keepdims=True))
+        x.grad += y * (g - (g * y).sum(axis=-1, keepdims=True))
 
     return _record(out, (x,), bw)
 
@@ -279,7 +329,7 @@ def gelu(x):
 
 def l2_normalize_rows(x):
     """Divide each row by max(||row||_2, 1e-12)."""
-    norms = np.linalg.norm(x.data, axis=1, keepdims=True)
+    norms = np.linalg.norm(x.data, axis=-1, keepdims=True)
     n = np.maximum(norms, _EPS_CLAMP)
     y = x.data / n
     out = Tensor(y)
@@ -287,7 +337,7 @@ def l2_normalize_rows(x):
 
     def bw():
         g = out.grad
-        proj = np.where(live, y * (g * y).sum(axis=1, keepdims=True), 0.0)
+        proj = np.where(live, y * (g * y).sum(axis=-1, keepdims=True), 0.0)
         x.grad += (g - proj) / n
 
     return _record(out, (x,), bw)
@@ -297,9 +347,9 @@ def layer_norm(x, gain, bias, eps=1e-5):
     """Per-row zero mean / unit variance, then affine by gain and bias."""
     if gain.data.shape[-1] != x.data.shape[-1] or bias.data.shape[-1] != x.data.shape[-1]:
         raise ValueError("layer_norm gain/bias must match the last dimension")
-    mu = x.data.mean(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     sigma = np.sqrt(var + eps)
     y = xc / sigma
     out = Tensor(y * gain.data + bias.data)
@@ -308,12 +358,12 @@ def layer_norm(x, gain, bias, eps=1e-5):
         g = out.grad
         gy = g * gain.data
         if x.requires_grad:
-            x.grad += (gy - gy.mean(axis=1, keepdims=True)
-                       - y * (gy * y).mean(axis=1, keepdims=True)) / sigma
+            x.grad += (gy - gy.mean(axis=-1, keepdims=True)
+                       - y * (gy * y).mean(axis=-1, keepdims=True)) / sigma
         if gain.requires_grad:
-            gain.grad += (g * y).sum(axis=0, keepdims=True).reshape(gain.data.shape)
+            _accumulate(gain, g * y)
         if bias.requires_grad:
-            bias.grad += g.sum(axis=0, keepdims=True).reshape(bias.data.shape)
+            _accumulate(bias, g)
 
     return _record(out, (x, gain, bias), bw)
 

@@ -72,9 +72,8 @@ def generate_tasks(n_tasks, seed=0, spec=None, support_per_side=3):
 
 
 def _binary_text_features(weights, config, state):
-    t1 = mdl.encode_text(weights, config, assemble(state, weights, config, cls_index=1))
-    t2 = mdl.encode_text(weights, config, assemble(state, weights, config, cls_index=2))
-    return ad.concat_rows([t1, t2])
+    return mdl.encode_texts(weights, config,
+                            assemble(state, weights, config, cls_index=(1, 2)))
 
 
 def tpt_reason(weights, config, sample, reason_config=None):
@@ -88,7 +87,8 @@ def tpt_reason(weights, config, sample, reason_config=None):
                           with_cls=True)
     support = list(sample.negatives) + list(sample.positives)
     labels = np.array([0] * len(sample.negatives) + [1] * len(sample.positives))
-    feats = mdl.encode_images(weights, config, support)
+    encoded = mdl.encode_images(weights, config, support + [sample.query]).data
+    feats, query = Tensor(encoded[:-1]), Tensor(encoded[-1:])
     onehot = Tensor(np.eye(2)[labels])
 
     opt = AdamW(state.params(), lr=cfg.lr)
@@ -108,5 +108,4 @@ def tpt_reason(weights, config, sample, reason_config=None):
     tfeats = _binary_text_features(weights, config, state)
     final = mdl.class_logits(tfeats, feats, config.logit_scale).data
     trace["support_acc"].append(float(np.mean(np.argmax(final, axis=1) == labels)))
-    query = mdl.encode_image(weights, config, sample.query)
     return int(np.argmax(mdl.class_logits(tfeats, query, config.logit_scale).data)), trace

@@ -76,11 +76,8 @@ def row_entropies(probs):
 
 def text_features(weights, config, prompt_state, classes):
     """K x proj_dim matrix of prompt-conditioned class text features."""
-    rows = [mdl.encode_text(weights, config,
-                            assemble(prompt_state, weights, config,
-                                     class_tokens=ids))
-            for ids in classes.token_ids]
-    return ad.concat_rows(rows)
+    return mdl.encode_texts(weights, config, assemble(
+        prompt_state, weights, config, class_tokens=classes.token_ids))
 
 
 def predict_views(weights, config, prompt_state, classes, image_features):
@@ -95,17 +92,23 @@ def predict_views(weights, config, prompt_state, classes, image_features):
     return PredictionSet(probs=probs, entropies=row_entropies(probs.data))
 
 
+def _confidence_order(entropies, rho):
+    """(threshold, k, order): the stable ascending entropy order and the
+    entropy of its k-th view, k = max(1, floor(rho * N))."""
+    entropies = np.asarray(entropies, dtype=np.float64)
+    k = max(1, int(np.floor(rho * len(entropies))))
+    order = np.argsort(entropies, kind="stable")
+    return float(entropies[order[k - 1]]), k, order
+
+
 def confidence_threshold(entropies, rho):
     """(threshold, k): nearest-rank rho-percentile of the self-entropies.
 
     k = max(1, floor(rho * N)); ties at the threshold go to the lower
     view index so exactly k views are selected.
     """
-    entropies = np.asarray(entropies, dtype=np.float64)
-    n = len(entropies)
-    k = max(1, int(np.floor(rho * n)))
-    order = np.argsort(entropies, kind="stable")
-    return float(entropies[order[k - 1]]), k
+    threshold, k, _ = _confidence_order(entropies, rho)
+    return threshold, k
 
 
 def select_and_average(pred, rho):
@@ -115,8 +118,7 @@ def select_and_average(pred, rho):
     a proper distribution for every rho and N.
     """
     n = pred.probs.data.shape[0]
-    threshold, k = confidence_threshold(pred.entropies, rho)
-    order = np.argsort(pred.entropies, kind="stable")
+    threshold, k, order = _confidence_order(pred.entropies, rho)
     selected = np.sort(order[:k])
     mask = np.zeros(n, dtype=bool)
     mask[selected] = True

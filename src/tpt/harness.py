@@ -32,12 +32,17 @@ def _template_text_features(weights, config, template_ids, classes):
     return ep.text_features(weights, config, state, classes)
 
 
+# images encoded per pass when classifying a dataset: the episode's view
+# count, which bounds the activations held at once
+_CHUNK = 64
+
+
 def _classify_images(weights, config, tfeats, dataset):
-    preds = np.array([
-        int(np.argmax(mdl.class_probabilities(
-            tfeats, mdl.encode_image(weights, config, image),
-            config.logit_scale).data))
-        for image in dataset.images])
+    preds = np.concatenate([
+        np.argmax(mdl.class_probabilities(
+            tfeats, mdl.encode_images(weights, config, dataset.images[i:i + _CHUNK]),
+            config.logit_scale).data, axis=1)
+        for i in range(0, len(dataset), _CHUNK)])
     return float(np.mean(preds == dataset.labels)), preds
 
 
@@ -50,7 +55,7 @@ def evaluate_zero_shot(weights, config, template_ids, classes, dataset):
 
 
 def evaluate_tpt(weights, config, template_ids, classes, dataset, tpt_config,
-                 record_traces=False, record_views=False):
+                 record_traces=False):
     """Per-sample episodic tuning.  The episode seed is derived from the
     sample's stable id, so evaluation order cannot change any prediction.
 
@@ -59,8 +64,7 @@ def evaluate_tpt(weights, config, template_ids, classes, dataset, tpt_config,
     for image, sample_id, label in zip(dataset.images, dataset.ids, dataset.labels):
         state = init_from_template(weights, config, template_ids)
         cfg = replace(tpt_config, seed=split_seed(tpt_config.seed, int(sample_id)))
-        pred, _, trace = ep.tpt_classify(weights, config, state, classes, image,
-                                         cfg, record_views=record_views)
+        pred, _, trace = ep.tpt_classify(weights, config, state, classes, image, cfg)
         preds.append(pred)
         if record_traces:
             traces.append({
@@ -246,6 +250,18 @@ def gradcheck_report(seed=0, h=1e-5):
 
     checks.append(("marginal_entropy_loss_vs_prompt",
                    ad.finite_diff_check(episode_loss, state.prompt, h)))
+
+    # batched ops: a 2-D weight shared by every item of a batch, and the
+    # attention head split and merge
+    items = Tensor(rng.normal(size=(3, 2, 4)))
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    checks.append(("matmul_shared_weight", ad.finite_diff_check(
+        scalarize(lambda t: ad.matmul(items, t), w), w, h)))
+
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    checks.append(("split_merge_heads", ad.finite_diff_check(
+        scalarize(lambda t: ad.merge_heads(ad.softmax_rows(ad.split_heads(t, 2))), x),
+        x, h)))
     return checks
 
 

@@ -126,36 +126,39 @@ def set_trainable(weights, trainable, prefixes=None):
 
 
 def embed_tokens(weights, config, token_ids):
-    ids = list(token_ids)
-    if any(i >= config.vocab_size or i < 0 for i in ids):
+    """Token embedding rows, on the tape.
+
+    One id list gives a (T, D) sequence.  K id lists give a (K, T, D)
+    batch when they have one length, else a list of K sequences;
+    encode_texts takes either.
+    """
+    many = len(token_ids) > 0 and not np.isscalar(token_ids[0])
+    if many and len({len(ids) for ids in token_ids}) > 1:
+        return [embed_tokens(weights, config, ids) for ids in token_ids]
+    ids = np.asarray(token_ids, dtype=np.intp)
+    if np.any((ids < 0) | (ids >= config.vocab_size)):
         raise ValueError(f"token id out of range for vocab {config.vocab_size}")
     return ad.gather_rows(weights["token_embedding"], ids)
 
 
 def _attention(weights, prefix, x, heads, mask=None):
-    d = x.data.shape[1]
-    dh = d // heads
-    q = ad.add_row(ad.matmul(x, weights[f"{prefix}.wq"]), weights[f"{prefix}.bq"])
-    k = ad.add_row(ad.matmul(x, weights[f"{prefix}.wk"]), weights[f"{prefix}.bk"])
-    v = ad.add_row(ad.matmul(x, weights[f"{prefix}.wv"]), weights[f"{prefix}.bv"])
-    ctxs = []
-    for h in range(heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = ad.slice_cols(q, lo, hi)
-        kh = ad.slice_cols(k, lo, hi)
-        vh = ad.slice_cols(v, lo, hi)
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(dh))
-        if mask is not None:
-            scores = ad.add(scores, mask)
-        ctxs.append(ad.matmul(ad.softmax_rows(scores), vh))
-    ctx = ad.concat_cols(ctxs)
-    return ad.add_row(ad.matmul(ctx, weights[f"{prefix}.wo"]), weights[f"{prefix}.bo"])
+    q = ad.add(ad.matmul(x, weights[f"{prefix}.wq"]), weights[f"{prefix}.bq"])
+    k = ad.add(ad.matmul(x, weights[f"{prefix}.wk"]), weights[f"{prefix}.bk"])
+    v = ad.add(ad.matmul(x, weights[f"{prefix}.wv"]), weights[f"{prefix}.bv"])
+    dh = x.data.shape[-1] // heads
+    scores = ad.scale(ad.matmul(ad.split_heads(q, heads),
+                                ad.transpose(ad.split_heads(k, heads))),
+                      1.0 / np.sqrt(dh))
+    if mask is not None:
+        scores = ad.add(scores, mask)
+    ctx = ad.merge_heads(ad.matmul(ad.softmax_rows(scores), ad.split_heads(v, heads)))
+    return ad.add(ad.matmul(ctx, weights[f"{prefix}.wo"]), weights[f"{prefix}.bo"])
 
 
 def _transformer(weights, prefix, x, n_layers, heads, causal):
     mask = None
     if causal:
-        t = x.data.shape[0]
+        t = x.data.shape[-2]
         m = np.triu(np.full((t, t), -1e9), k=1)
         mask = Tensor(m)
     for i in range(n_layers):
@@ -164,58 +167,89 @@ def _transformer(weights, prefix, x, n_layers, heads, causal):
         x = ad.add(x, _attention(weights, f"{p}.attn", h, heads, mask))
         h = ad.layer_norm(x, weights[f"{p}.ln2.gain"], weights[f"{p}.ln2.bias"])
         h = ad.matmul(h, weights[f"{p}.mlp.w1"])
-        h = ad.add_row(h, weights[f"{p}.mlp.b1"])
+        h = ad.add(h, weights[f"{p}.mlp.b1"])
         h = ad.gelu(h)
         h = ad.matmul(h, weights[f"{p}.mlp.w2"])
-        h = ad.add_row(h, weights[f"{p}.mlp.b2"])
+        h = ad.add(h, weights[f"{p}.mlp.b2"])
         x = ad.add(x, h)
     return ad.layer_norm(x, weights[f"{prefix}.final_ln.gain"],
                          weights[f"{prefix}.final_ln.bias"])
 
 
-def encode_text(weights, config, seq):
-    """Encode an embedded token sequence (T x D) to a unit feature row.
+def _project(weights, name, rows):
+    """(K, 1, D) rows -> K x proj_dim unit features.
 
-    Causal attention, feature read from the last position.  The gradient
-    path into the input sequence is what test-time tuning relies on.
+    The projection runs as K one-row products, which round like the
+    one-item encoder; a flat (K, D) product can differ in the last bit.
     """
-    t = seq.data.shape[0]
+    feats = ad.l2_normalize_rows(ad.matmul(rows, weights[name]))
+    return ad.reshape(feats, (rows.data.shape[0], feats.data.shape[-1]))
+
+
+def encode_texts(weights, config, seqs):
+    """Encode embedded token sequences to a K x proj_dim Tensor of unit rows.
+
+    seqs is a (K, T, D) batch or a list of K (T_k, D) sequences; a list
+    is encoded in one pass per distinct length, and its rows come back
+    in input order.  Causal attention, feature read from the last
+    position.  The gradient path into the input sequences is what
+    test-time tuning relies on.
+    """
+    if isinstance(seqs, list):
+        lengths = [s.data.shape[0] for s in seqs]
+        groups = [[i for i, n in enumerate(lengths) if n == t]
+                  for t in sorted(set(lengths))]
+        feats = [encode_texts(weights, config, ad.reshape(
+                    ad.concat_rows([seqs[i] for i in g]),
+                    (len(g),) + seqs[g[0]].data.shape))
+                 for g in groups]
+        if len(feats) == 1:
+            return feats[0]
+        order = np.argsort(np.concatenate(groups), kind="stable")
+        return ad.gather_rows(ad.concat_rows(feats), order)
+    t = seqs.data.shape[-2]
     if t > config.max_text_len:
         raise ValueError(f"sequence length {t} exceeds max_text_len {config.max_text_len}")
-    pos = ad.gather_rows(weights["text_pos"], list(range(t)))
-    x = ad.add(seq, pos)
+    pos = ad.gather_rows(weights["text_pos"],
+                         np.broadcast_to(np.arange(t), seqs.data.shape[:-1]))
+    x = ad.add(seqs, pos)
     x = _transformer(weights, "text", x, config.text_layers, config.heads, causal=True)
-    last = ad.gather_rows(x, [t - 1])
-    return ad.l2_normalize_rows(ad.matmul(last, weights["text_proj"]))
+    return _project(weights, "text_proj", ad.gather_rows(x, [t - 1]))
 
 
-def patchify(image, patch_size):
-    """(C, H, W) array -> (P, C*ps*ps) patch matrix, row-major patches."""
-    c, h, w = image.shape
+def encode_text(weights, config, seq):
+    """Encode one embedded token sequence (T x D) to a 1 x proj_dim unit row."""
+    return encode_texts(weights, config, ad.reshape(seq, (1,) + seq.data.shape))
+
+
+def patchify(images, patch_size):
+    """(..., C, H, W) array -> (..., P, C*ps*ps) patch matrices, row-major patches."""
+    *batch, c, h, w = images.shape
     ps = patch_size
-    x = image.reshape(c, h // ps, ps, w // ps, ps)
-    x = x.transpose(1, 3, 0, 2, 4).reshape((h // ps) * (w // ps), c * ps * ps)
-    return np.ascontiguousarray(x)
-
-
-def encode_image(weights, config, image):
-    """Encode a (C, H, W) image to a unit feature row; mean-pooled patches."""
-    img = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
-    if img.shape != config.image_shape:
-        raise ValueError(f"image shape {img.shape} != config {config.image_shape}")
-    if not np.all(np.isfinite(img)):
-        raise ValueError("image has non-finite pixels")
-    patches = Tensor(patchify(img, config.patch_size))
-    x = ad.add_row(ad.matmul(patches, weights["patch_proj"]), weights["patch_bias"])
-    x = ad.add(x, weights["image_pos"])
-    x = _transformer(weights, "image", x, config.image_layers, config.heads, causal=False)
-    pooled = ad.mean_rows(x)
-    return ad.l2_normalize_rows(ad.matmul(pooled, weights["image_proj"]))
+    x = images.reshape(*batch, c, h // ps, ps, w // ps, ps)
+    x = np.moveaxis(x, (-5, -3, -1), (-3, -2, -1))
+    return np.ascontiguousarray(x.reshape(*batch, (h // ps) * (w // ps), c * ps * ps))
 
 
 def encode_images(weights, config, images):
-    """N x proj_dim features, one row per image (on the active tape)."""
-    return ad.concat_rows([encode_image(weights, config, img) for img in images])
+    """Encode N (C, H, W) images to an N x proj_dim Tensor of unit rows,
+    in one pass; mean-pooled patches."""
+    imgs = np.stack([im.data if isinstance(im, Tensor) else np.asarray(im, dtype=np.float64)
+                     for im in images])
+    if imgs.shape[1:] != config.image_shape:
+        raise ValueError(f"image shape {imgs.shape[1:]} != config {config.image_shape}")
+    if not np.all(np.isfinite(imgs)):
+        raise ValueError("image has non-finite pixels")
+    patches = Tensor(patchify(imgs, config.patch_size))
+    x = ad.add(ad.matmul(patches, weights["patch_proj"]), weights["patch_bias"])
+    x = ad.add(x, weights["image_pos"])
+    x = _transformer(weights, "image", x, config.image_layers, config.heads, causal=False)
+    return _project(weights, "image_proj", ad.mean_rows(x))
+
+
+def encode_image(weights, config, image):
+    """Encode one (C, H, W) image to a 1 x proj_dim unit row."""
+    return encode_images(weights, config, [image])
 
 
 def class_logits(text_features, image_features, logit_scale):
@@ -303,10 +337,8 @@ def pretrain_contrastive(weights, config, pairs, epochs=PRETRAIN["epochs"],
                           for img in images]
             with ad.Tape() as tape:
                 img_feats = encode_images(weights, config, images)
-                txt_feats = ad.concat_rows(
-                    [encode_text(weights, config,
-                                 embed_tokens(weights, config, pairs[i][1]))
-                     for i in idx])
+                txt_feats = encode_texts(weights, config, embed_tokens(
+                    weights, config, [pairs[i][1] for i in idx]))
                 sims = class_logits(txt_feats, img_feats, config.logit_scale)
                 matched = Tensor(np.eye(len(idx)))  # pair i is image i, caption i
                 li, _ = cross_entropy(sims, matched)
@@ -328,10 +360,9 @@ def retrieval_top1(weights, config, pairs):
 
     Duplicate captions are common in the synthetic set, so a retrieval
     counts as correct when the retrieved caption's tokens match."""
-    txt = np.concatenate([
-        encode_text(weights, config, embed_tokens(weights, config, ids)).data
-        for _, ids in pairs])
-    img = np.concatenate([encode_image(weights, config, im).data for im, _ in pairs])
+    txt = encode_texts(weights, config,
+                       embed_tokens(weights, config, [ids for _, ids in pairs])).data
+    img = encode_images(weights, config, [im for im, _ in pairs]).data
     captions = [tuple(ids) for _, ids in pairs]
     top = np.argmax(img @ txt.T, axis=1)
     return float(np.mean([captions[t] == captions[i] for i, t in enumerate(top)]))

@@ -69,22 +69,29 @@ def init_gaussian(length, dim, sigma, seed, with_cls=False):
 
 
 def assemble(prompt_state, weights, config, class_tokens=None, cls_index=None):
-    """[prompt ; class token embeddings] or [prompt ; cls^i], tape-attached.
+    """K tape-attached sequences [prompt ; class token embeddings] or
+    [prompt ; cls^i].
 
-    cls_index is 1-based to match the two binary label tokens.
+    class_tokens is a list of K token-id lists; cls_index is a list of K
+    1-based indices of the two binary label tokens.  Returns a (K, T, D)
+    batch, or a list of K sequences when the class token lists differ in
+    length; encode_texts takes either.
     """
     if (class_tokens is None) == (cls_index is None):
         raise ValueError("pass exactly one of class_tokens or cls_index")
     if cls_index is not None:
         if prompt_state.cls is None:
             raise ValueError("prompt state has no class tokens")
-        tail = prompt_state.cls[cls_index - 1]
-        total = prompt_state.length + 1
+        tails = ad.concat_rows([prompt_state.cls[i - 1] for i in cls_index])
+        tails = ad.reshape(tails, (len(cls_index), 1, tails.data.shape[-1]))
+        longest = 1
     else:
         from .model import embed_tokens
-        tail = embed_tokens(weights, config, class_tokens)
-        total = prompt_state.length + len(class_tokens)
-    if total > config.max_text_len:
-        raise ValueError(f"assembled length {total} exceeds max_text_len "
-                         f"{config.max_text_len}")
-    return ad.concat_rows([prompt_state.prompt, tail])
+        tails = embed_tokens(weights, config, class_tokens)
+        longest = max(len(ids) for ids in class_tokens)
+    if prompt_state.length + longest > config.max_text_len:
+        raise ValueError(f"assembled length {prompt_state.length + longest} exceeds "
+                         f"max_text_len {config.max_text_len}")
+    if isinstance(tails, list):
+        return [ad.concat_rows([prompt_state.prompt, t]) for t in tails]
+    return ad.concat_rows([prompt_state.prompt, tails])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpt import autodiff as ad
 from tpt.autodiff import Tape, Tensor
@@ -195,3 +197,141 @@ def test_tensor_invariant_grad_shape():
     t = Tensor(np.zeros((3, 5)), requires_grad=True)
     assert t.grad.shape == t.data.shape
     assert Tensor(np.zeros((2, 2))).grad is None
+
+
+# ---------------------------------------------------------------------------
+# batched ops: every op over 0-2 leading batch axes of size 1-4, including
+# 2-D inputs shared by every batch item (weight, bias, gain, prompt, table)
+
+
+def _batched_cases():
+    """name -> make(rng, batch) -> (op, x): op maps the Tensor x (the
+    input differentiated) to a Tensor of any shape."""
+    def normal(rng, shape, grad=False):
+        return Tensor(rng.normal(size=shape), requires_grad=grad)
+
+    def unary(op, positive=False):
+        def make(rng, batch):
+            shape = batch + (3, 4)
+            data = rng.uniform(0.5, 2.0, shape) if positive else rng.normal(size=shape)
+            return op, Tensor(data, requires_grad=True)
+        return make
+
+    def shared(op, shape, batched_shape):
+        """op(batched constant, x) with x a 2-D input shared by the batch."""
+        def make(rng, batch):
+            other = normal(rng, batch + batched_shape)
+            return (lambda t: op(other, t)), normal(rng, shape, grad=True)
+        return make
+
+    def per_item(op, shape, shared_shape):
+        """op(x, shared constant) with x the batched input."""
+        def make(rng, batch):
+            other = normal(rng, shared_shape)
+            return (lambda t: op(t, other)), normal(rng, batch + shape, grad=True)
+        return make
+
+    def gather_table(rng, batch):
+        idx = rng.integers(0, 5, size=batch + (3,))
+        return (lambda t: ad.gather_rows(t, idx)), normal(rng, (5, 4), grad=True)
+
+    def layer_norm_arg(which):
+        def make(rng, batch):
+            args = [normal(rng, batch + (3, 4)), normal(rng, (1, 4)), normal(rng, (1, 4))]
+            args[which].requires_grad = True
+            args[which].grad = np.zeros_like(args[which].data)
+
+            def op(t):
+                return ad.layer_norm(*(t if i == which else a for i, a in enumerate(args)))
+            return op, args[which]
+        return make
+
+    return {
+        "gelu": unary(ad.gelu),
+        "log": unary(ad.log, positive=True),
+        "softmax_rows": unary(ad.softmax_rows),
+        "l2_normalize_rows": unary(ad.l2_normalize_rows),
+        "mean_rows": unary(ad.mean_rows),
+        "transpose": unary(ad.transpose),
+        "scale": unary(lambda t: ad.scale(t, -1.7)),
+        "reshape": unary(lambda t: ad.reshape(t, (-1,))),
+        "split_merge_heads": unary(
+            lambda t: ad.merge_heads(ad.softmax_rows(ad.split_heads(t, 2)))),
+        "split_heads": unary(lambda t: ad.split_heads(t, 2)),
+        "matmul_input": per_item(ad.matmul, (2, 4), (4, 3)),
+        "matmul_shared_weight": shared(ad.matmul, (4, 3), (2, 4)),
+        "matmul_both_batched": per_item(
+            lambda t, w: ad.matmul(t, ad.transpose(ad.add(t, w))), (3, 4), (1, 4)),
+        "add_input": per_item(ad.add, (3, 4), (1, 4)),
+        "add_shared_bias": shared(ad.add, (1, 4), (3, 4)),
+        "add_shared_matrix": shared(ad.add, (3, 4), (3, 4)),
+        "mul_shared_gain": shared(ad.mul, (1, 4), (3, 4)),
+        "layer_norm_input": layer_norm_arg(0),
+        "layer_norm_shared_gain": layer_norm_arg(1),
+        "layer_norm_shared_bias": layer_norm_arg(2),
+        "concat_rows_shared_prompt": shared(
+            lambda tail, t: ad.concat_rows([t, tail]), (2, 4), (1, 4)),
+        "concat_rows_batched_tail": per_item(
+            lambda t, prompt: ad.concat_rows([prompt, t]), (1, 4), (2, 4)),
+        "gather_rows_table": gather_table,
+        "gather_rows_batch": unary(lambda t: ad.gather_rows(t, [2, 0, 2])),
+    }
+
+
+BATCHED = _batched_cases()
+batch_shapes = st.lists(st.integers(1, 4), min_size=0, max_size=2).map(tuple)
+batched_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple)
+
+
+class TestBatchedOps:
+    @pytest.mark.parametrize("case", sorted(BATCHED))
+    @settings(max_examples=15, deadline=None)
+    @given(batch=batch_shapes, seed=st.integers(0, 2 ** 32 - 1))
+    def test_gradcheck(self, case, batch, seed):
+        rng = np.random.default_rng(seed)
+        op, x = BATCHED[case](rng, batch)
+        w = Tensor(rng.normal(size=op(Tensor(x.data.copy())).data.shape))
+
+        def f(t):
+            return ad.sum_all(ad.mul(op(t), w))
+
+        assert ad.finite_diff_check(f, x) <= 1e-5
+
+    @settings(max_examples=25, deadline=None)
+    @given(batch=batched_shapes, seed=st.integers(0, 2 ** 32 - 1))
+    def test_each_item_is_the_2d_op(self, batch, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=batch + (3, 4))
+        w, gain, bias = rng.normal(size=(4, 5)), rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
+
+        def chain(t):
+            h = ad.layer_norm(t, Tensor(gain), Tensor(bias))
+            h = ad.merge_heads(ad.softmax_rows(ad.split_heads(h, 2)))
+            return ad.l2_normalize_rows(ad.matmul(ad.gelu(h), Tensor(w)))
+
+        batched = chain(Tensor(x)).data
+        for i in np.ndindex(*batch):
+            np.testing.assert_array_equal(batched[i], chain(Tensor(x[i])).data)
+
+    def test_shared_weight_gradient_sums_items_in_reverse(self):
+        rng = np.random.default_rng(17)
+        items = rng.normal(size=(5, 2, 4))
+        r = Tensor(rng.normal(size=(5, 2, 3)))
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(ad.sum_all(ad.mul(ad.matmul(Tensor(items), w), r)))
+        expected = np.zeros((4, 3))
+        for i in reversed(range(5)):
+            expected += items[i].T @ (r.data[i])
+        np.testing.assert_array_equal(w.grad, expected)
+
+    def test_mismatched_batch_broadcast_rejected(self):
+        a = rand((2, 3, 4), seed=18)
+        b = rand((1, 3, 4), seed=19)
+        with Tape() as tape:
+            with pytest.raises(ValueError, match="batched"):
+                tape.backward(ad.sum_all(ad.add(a, b)))
+
+    def test_batched_row_index_must_be_1d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            ad.gather_rows(rand((2, 3, 4)), [[0], [1]])

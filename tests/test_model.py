@@ -264,3 +264,73 @@ def test_no_grads_on_frozen_weights(weights, config):
         tape.backward(loss)
     assert all(w.grad is None for w in weights.values())
     assert np.any(seq.grad != 0.0)
+
+
+class TestBatchInvariance:
+    """A batched encode rounds exactly like one encode per item."""
+
+    @pytest.fixture(scope="class")
+    def images(self, config):
+        return list(np.random.default_rng(5).random((5,) + config.image_shape))
+
+    def test_image_rows_equal_single_image_encodes(self, weights, config, images):
+        batched = mdl.encode_images(weights, config, images).data
+        assert batched.shape == (5, config.proj_dim)
+        for i, img in enumerate(images):
+            single = mdl.encode_images(weights, config, [img]).data
+            np.testing.assert_array_equal(batched[i], single[0])
+            np.testing.assert_array_equal(
+                single, mdl.encode_image(weights, config, img).data)
+
+    def test_text_rows_equal_single_sequence_encodes(self, weights, config):
+        seqs = np.random.default_rng(6).normal(0.0, 0.02, size=(4, 6, config.embed_dim))
+        batched = mdl.encode_texts(weights, config, Tensor(seqs)).data
+        assert batched.shape == (4, config.proj_dim)
+        for i, seq in enumerate(seqs):
+            single = mdl.encode_texts(weights, config, Tensor(seqs[i:i + 1])).data
+            np.testing.assert_array_equal(batched[i], single[0])
+            np.testing.assert_array_equal(
+                single, mdl.encode_text(weights, config, Tensor(seq)).data)
+
+    def test_unequal_lengths_encode_in_input_order(self, weights, config):
+        rng = np.random.default_rng(7)
+        seqs = [Tensor(rng.normal(0.0, 0.02, size=(t, config.embed_dim)),
+                       requires_grad=True) for t in (3, 5, 3, 4)]
+        with Tape() as tape:
+            feats = mdl.encode_texts(weights, config, seqs)
+            tape.backward(ad.sum_all(feats))
+        assert feats.data.shape == (4, config.proj_dim)
+        for row, seq in zip(feats.data, seqs):
+            np.testing.assert_array_equal(row, mdl.encode_text(weights, config, seq).data[0])
+            assert np.any(seq.grad != 0.0)
+
+    def _grads(self, config, loss_fn):
+        weights = mdl.init_weights(config, seed=3)
+        mdl.set_trainable(weights, True)
+        with Tape() as tape:
+            tape.backward(loss_fn(weights))
+        return {name: t.grad.copy() for name, t in weights.items()}
+
+    def test_shared_weight_gradients_equal_per_item_tape(self, config, images):
+        captions = [[0, 1, 2, 0, 16], [3, 4, 2, 0, 17], [0, 5, 2, 6, 18]]
+        r_img = Tensor(np.random.default_rng(8).normal(size=(len(images), config.proj_dim)))
+        r_txt = Tensor(np.random.default_rng(9).normal(size=(len(captions), config.proj_dim)))
+
+        def loss(img_feats, txt_feats):
+            return ad.add(ad.sum_all(ad.mul(img_feats, r_img)),
+                          ad.sum_all(ad.mul(txt_feats, r_txt)))
+
+        def batched(w):
+            return loss(mdl.encode_images(w, config, images),
+                        mdl.encode_texts(w, config, mdl.embed_tokens(w, config, captions)))
+
+        def per_item(w):
+            return loss(
+                ad.concat_rows([mdl.encode_image(w, config, img) for img in images]),
+                ad.concat_rows([mdl.encode_text(w, config, mdl.embed_tokens(w, config, ids))
+                                for ids in captions]))
+
+        got, want = self._grads(config, batched), self._grads(config, per_item)
+        assert np.any(got["token_embedding"] != 0.0) and np.any(got["patch_proj"] != 0.0)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)

@@ -96,41 +96,75 @@ class TestInitGaussian:
 class TestAssemble:
     def test_concatenates_prompt_and_class_tokens(self, weights, config):
         state = pr.init_from_template(weights, config, dat.template_ids())
-        class_ids = [16, 17]
-        seq = pr.assemble(state, weights, config, class_tokens=class_ids)
-        np.testing.assert_array_equal(seq.data[:state.length], state.prompt.data)
-        np.testing.assert_array_equal(
-            seq.data[state.length:], weights["token_embedding"].data[class_ids])
+        class_ids = [[16, 17], [18, 19], [20, 21]]
+        seqs = pr.assemble(state, weights, config, class_tokens=class_ids)
+        assert seqs.data.shape == (3, state.length + 2, config.embed_dim)
+        for seq, ids in zip(seqs.data, class_ids):
+            np.testing.assert_array_equal(seq[:state.length], state.prompt.data)
+            np.testing.assert_array_equal(
+                seq[state.length:], weights["token_embedding"].data[ids])
+
+    def test_unequal_lengths_give_one_sequence_each(self, weights, config):
+        state = pr.init_from_template(weights, config, dat.template_ids())
+        class_ids = [[16], [17, 18], [19]]
+        seqs = pr.assemble(state, weights, config, class_tokens=class_ids)
+        assert [s.data.shape[0] for s in seqs] == [state.length + 1,
+                                                   state.length + 2,
+                                                   state.length + 1]
+        for seq, ids in zip(seqs, class_ids):
+            np.testing.assert_array_equal(seq.data[:state.length], state.prompt.data)
+            np.testing.assert_array_equal(
+                seq.data[state.length:], weights["token_embedding"].data[ids])
 
     def test_cls_index_selects_token(self, weights, config):
         state = pr.init_gaussian(2, config.embed_dim, 0.02, seed=0, with_cls=True)
-        seq1 = pr.assemble(state, weights, config, cls_index=1)
-        seq2 = pr.assemble(state, weights, config, cls_index=2)
-        np.testing.assert_array_equal(seq1.data[-1], state.cls[0].data[0])
-        np.testing.assert_array_equal(seq2.data[-1], state.cls[1].data[0])
+        seqs = pr.assemble(state, weights, config, cls_index=[1, 2, 1])
+        assert seqs.data.shape == (3, 3, config.embed_dim)
+        np.testing.assert_array_equal(seqs.data[0, -1], state.cls[0].data[0])
+        np.testing.assert_array_equal(seqs.data[1, -1], state.cls[1].data[0])
+        np.testing.assert_array_equal(seqs.data[2, -1], state.cls[0].data[0])
+        np.testing.assert_array_equal(seqs.data[1, :2], state.prompt.data)
 
     def test_exactly_one_mode(self, weights, config):
         state = pr.init_gaussian(2, config.embed_dim, 0.02, seed=0, with_cls=True)
         with pytest.raises(ValueError, match="exactly one"):
             pr.assemble(state, weights, config)
         with pytest.raises(ValueError, match="exactly one"):
-            pr.assemble(state, weights, config, class_tokens=[16], cls_index=1)
+            pr.assemble(state, weights, config, class_tokens=[[16]], cls_index=[1])
 
     def test_cls_without_cls_tokens(self, weights, config):
         state = pr.init_gaussian(2, config.embed_dim, 0.02, seed=0)
         with pytest.raises(ValueError, match="class tokens"):
-            pr.assemble(state, weights, config, cls_index=1)
+            pr.assemble(state, weights, config, cls_index=[1])
 
     def test_length_overflow(self, weights, config):
         state = pr.init_gaussian(config.max_text_len, config.embed_dim, 0.02, seed=0)
         with pytest.raises(ValueError, match="max_text_len"):
-            pr.assemble(state, weights, config, class_tokens=[16])
+            pr.assemble(state, weights, config, class_tokens=[[16]])
 
     def test_gradient_reaches_prompt(self, weights, config):
         state = pr.init_from_template(weights, config, dat.template_ids())
         with Tape() as tape:
-            seq = pr.assemble(state, weights, config, class_tokens=[16])
-            feat = mdl.encode_text(weights, config, seq)
-            loss = ad.sum_all(feat)
+            seqs = pr.assemble(state, weights, config, class_tokens=[[16], [17]])
+            feats = mdl.encode_texts(weights, config, seqs)
+            loss = ad.sum_all(feats)
             tape.backward(loss)
         assert np.any(state.prompt.grad != 0.0)
+
+    def test_prompt_gradient_equals_per_class_tape(self, weights, config):
+        class_ids = [[16], [17], [18], [19]]
+        r = Tensor(np.random.default_rng(3).normal(size=(4, config.proj_dim)))
+
+        def prompt_grad(encode):
+            state = pr.init_from_template(weights, config, dat.template_ids())
+            with Tape() as tape:
+                tape.backward(ad.sum_all(ad.mul(encode(state), r)))
+            return state.prompt.grad
+
+        batched = prompt_grad(lambda s: mdl.encode_texts(
+            weights, config, pr.assemble(s, weights, config, class_tokens=class_ids)))
+        per_class = prompt_grad(lambda s: ad.concat_rows([
+            mdl.encode_texts(weights, config,
+                             pr.assemble(s, weights, config, class_tokens=[ids]))
+            for ids in class_ids]))
+        np.testing.assert_array_equal(batched, per_class)
