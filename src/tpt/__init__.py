@@ -12,15 +12,15 @@ Library layout:
 """
 
 from .autodiff import Tape, Tensor, finite_diff_check
-from .augment import AugmentPolicy, ViewBatch, generate_views
+from .augment import AugmentPolicy, generate_views
 from .bongard import BongardSample, ReasonConfig, tpt_reason
 from .data import Dataset, DatasetSpec, ShiftSpec, apply_shift, generate
 from .episode import (PredictionSet, TPTConfig, confidence_threshold, entropy,
                       marginal_entropy_loss, predict_views, select_and_average,
                       tpt_classify)
-from .model import (ClassSet, ModelConfig, class_probabilities, encode_image,
-                    encode_images, encode_text, encode_texts, init_weights,
-                    load_weights, pretrain_contrastive, save_weights)
+from .model import (ModelConfig, class_probabilities, encode_image, encode_images,
+                    encode_text, encode_texts, init_weights, load_weights,
+                    pretrain_contrastive, save_weights)
 from .optim import AdamW
 from .prompt import PromptState, assemble, init_from_template, init_gaussian
 

@@ -10,6 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import uniform_filter
 
+from .data import PIXEL_RANGE
+
+_NOISE_PATCH_SIGMA = (0.1, 0.3)  # noise std range inside the block
+_AUGMIX_DEPTH = (1, 3)  # chain depth range
+_AUGMIX_WIDTH = 3  # chains mixed per view
+_AUGMIX_ALPHA = 1.0  # Dirichlet / Beta concentration
+
 
 @dataclass(frozen=True)
 class AugmentPolicy:
@@ -18,11 +25,6 @@ class AugmentPolicy:
     smooth_prob: float = 0.2  # fraction of denoising (box-blurred) views
     smooth_scale_range: tuple = (0.9, 1.0)  # crop range used for smooth views
     noise_patch_prob: float = 0.0  # random-erasing-style noise block
-    noise_patch_sigma: tuple = (0.1, 0.3)  # noise std range inside the block
-    depth_range: tuple = (1, 3)  # augmix chain depth
-    width: int = 3  # augmix mixing width
-    alpha: float = 1.0  # Dirichlet / Beta concentration
-    value_range: tuple = (0.0, 1.0)
 
     def __post_init__(self):
         if self.kind not in ("rrc", "augmix"):
@@ -35,18 +37,6 @@ class AugmentPolicy:
             raise ValueError("smooth_prob must be within [0, 1]")
         if not 0.0 <= self.noise_patch_prob <= 1.0:
             raise ValueError("noise_patch_prob must be within [0, 1]")
-        if self.width < 1:
-            raise ValueError("width must be >= 1")
-
-
-@dataclass
-class ViewBatch:
-    views: list  # N images, views[0] is the untouched original
-    seeds: list  # per-view RNG seeds (seeds[0] unused)
-    original_index: int = 0
-
-    def __len__(self):
-        return len(self.views)
 
 
 def split_seed(seed, index):
@@ -55,10 +45,6 @@ def split_seed(seed, index):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % (1 << 64)
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % (1 << 64)
     return z ^ (z >> 31)
-
-
-def _clip(image, policy):
-    return np.clip(image, *policy.value_range)
 
 
 def _bilinear_axis(image, axis, src):
@@ -132,7 +118,7 @@ _AUGMIX_PRIMITIVES = (
 )
 
 
-def noise_patch(image, rng, sigma_range):
+def noise_patch(image, rng):
     """Additive Gaussian noise inside one random block (random-erasing
     style): trains tolerance to spatially local corruption."""
     out = image.copy()
@@ -141,7 +127,7 @@ def noise_patch(image, rng, sigma_range):
     bw = int(round(w * rng.uniform(0.3, 0.7)))
     y0 = rng.integers(0, h - bh + 1)
     x0 = rng.integers(0, w - bw + 1)
-    sigma = rng.uniform(*sigma_range)
+    sigma = rng.uniform(*_NOISE_PATCH_SIGMA)
     out[:, y0:y0 + bh, x0:x0 + bw] += rng.normal(0.0, sigma, size=(image.shape[0], bh, bw))
     return out
 
@@ -153,10 +139,10 @@ def rrc_view(image, policy, seed):
     else:
         out = crop_resize(image, rng, policy.scale_range)
     if rng.random() < policy.noise_patch_prob:
-        out = noise_patch(out, rng, policy.noise_patch_sigma)
+        out = noise_patch(out, rng)
     if rng.random() < 0.5:
         out = hflip(out)
-    return _clip(out, policy)
+    return np.clip(out, *PIXEL_RANGE)
 
 
 def augmix_view(image, policy, seed, blend_override=None):
@@ -165,19 +151,19 @@ def augmix_view(image, policy, seed, blend_override=None):
     if policy.kind != "augmix":
         raise ValueError("policy kind must be 'augmix'")
     rng = np.random.default_rng(seed)
-    chain_weights = rng.dirichlet(np.full(policy.width, policy.alpha))
+    chain_weights = rng.dirichlet(np.full(_AUGMIX_WIDTH, _AUGMIX_ALPHA))
     mixed = np.zeros_like(image)
     for wgt in chain_weights:
         out = image
-        depth = rng.integers(policy.depth_range[0], policy.depth_range[1] + 1)
+        depth = rng.integers(_AUGMIX_DEPTH[0], _AUGMIX_DEPTH[1] + 1)
         for _ in range(depth):
             op = _AUGMIX_PRIMITIVES[rng.integers(len(_AUGMIX_PRIMITIVES))]
             out = op(out, rng)
         mixed += wgt * out
-    blend = rng.beta(policy.alpha, policy.alpha)
+    blend = rng.beta(_AUGMIX_ALPHA, _AUGMIX_ALPHA)
     if blend_override is not None:
         blend = blend_override
-    return _clip(blend * image + (1.0 - blend) * mixed, policy)
+    return np.clip(blend * image + (1.0 - blend) * mixed, *PIXEL_RANGE)
 
 
 def make_view(image, policy, seed):
@@ -187,11 +173,10 @@ def make_view(image, policy, seed):
 
 
 def generate_views(image, n, policy, seed):
-    """N views of one image; view 0 is the untouched original."""
+    """N views of one image: view 0 is the untouched original, view i
+    is make_view with seed split_seed(seed, i)."""
     if n < 1:
         raise ValueError("need at least one view")
     image = np.asarray(image, dtype=np.float64)
-    seeds = [split_seed(seed, i) for i in range(n)]
-    views = [image.copy()]
-    views.extend(make_view(image, policy, seeds[i]) for i in range(1, n))
-    return ViewBatch(views=views, seeds=seeds)
+    return [image.copy()] + [make_view(image, policy, split_seed(seed, i))
+                             for i in range(1, n)]

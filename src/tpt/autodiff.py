@@ -27,13 +27,12 @@ _TAPES = []  # active tapes, innermost last
 class Tensor:
     """Dense float64 array with an optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad", "is_leaf")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if requires_grad else None
-        self.is_leaf = True
 
     @property
     def shape(self):
@@ -54,9 +53,8 @@ class Tape:
     """Ordered record of differentiable ops; a context manager.
 
     Backward traversal replays the record in exact reverse execution
-    order.  Tensors produced on a tape are marked non-leaf; leaves keep
-    accumulating across repeated backward() calls, intermediates are
-    re-zeroed per call.
+    order.  Tensors produced on the tape are re-zeroed per backward()
+    call; inputs from outside it keep accumulating across calls.
     """
 
     def __init__(self):
@@ -74,7 +72,6 @@ class Tape:
     def record(self, out, backward_fn):
         out.requires_grad = True
         out.grad = np.zeros_like(out.data)
-        out.is_leaf = False
         self._records.append((out, backward_fn))
 
     def backward(self, loss):
@@ -90,14 +87,9 @@ class Tape:
             backward_fn()
 
 
-def active_tape():
-    return _TAPES[-1] if _TAPES else None
-
-
 def _record(out, inputs, backward_fn):
-    tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        tape.record(out, backward_fn)
+    if _TAPES and any(t.requires_grad for t in inputs):
+        _TAPES[-1].record(out, backward_fn)
     return out
 
 

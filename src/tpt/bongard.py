@@ -18,6 +18,8 @@ from .optim import AdamW
 from .prompt import assemble, init_gaussian
 
 SPLITS = ("pp", "pn", "np", "nn")  # generator-defined, for report format only
+PROMPT_LEN = 4  # learnable prompt rows
+SIGMA = 0.02  # std of the Gaussian init of the prompt and class tokens
 
 
 @dataclass
@@ -35,8 +37,6 @@ class BongardSample:
 
 @dataclass(frozen=True)
 class ReasonConfig:
-    prompt_len: int = 4
-    sigma: float = 0.02
     steps: int = 64
     lr: float = 0.005
     seed: int = 0
@@ -51,12 +51,12 @@ def generate_tasks(n_tasks, seed=0, spec=None, support_per_side=3):
     tasks = []
     for t in range(n_tasks):
         pos_k, neg_k = rng.choice(len(names), size=2, replace=False)
-        proto_pos = dat.class_prototype(names[pos_k], spec.image_size, spec.contrast)
-        proto_neg = dat.class_prototype(names[neg_k], spec.image_size, spec.contrast)
+        proto_pos = dat.class_prototype(names[pos_k], spec.contrast)
+        proto_neg = dat.class_prototype(names[neg_k], spec.contrast)
 
         def noisy(proto):
             img = proto + rng.normal(0.0, spec.noise_sigma, size=proto.shape)
-            return np.clip(img, *spec.value_range)
+            return np.clip(img, *dat.PIXEL_RANGE)
 
         positives = [noisy(proto_pos) for _ in range(support_per_side)]
         negatives = [noisy(proto_neg) for _ in range(support_per_side)]
@@ -71,11 +71,6 @@ def generate_tasks(n_tasks, seed=0, spec=None, support_per_side=3):
     return tasks
 
 
-def _binary_text_features(weights, config, state):
-    return mdl.encode_texts(weights, config,
-                            assemble(state, weights, config, cls_index=(1, 2)))
-
-
 def tpt_reason(weights, config, sample, reason_config=None):
     """Tune {prompt, cls1, cls2} on the support set, then judge the query.
 
@@ -83,8 +78,7 @@ def tpt_reason(weights, config, sample, reason_config=None):
     accuracy).  Class column 0 is the negative token, column 1 positive.
     """
     cfg = reason_config or ReasonConfig()
-    state = init_gaussian(cfg.prompt_len, config.embed_dim, cfg.sigma, cfg.seed,
-                          with_cls=True)
+    state = init_gaussian(PROMPT_LEN, config.embed_dim, SIGMA, cfg.seed, with_cls=True)
     support = list(sample.negatives) + list(sample.positives)
     labels = np.array([0] * len(sample.negatives) + [1] * len(sample.positives))
     encoded = mdl.encode_images(weights, config, support + [sample.query]).data
@@ -95,7 +89,7 @@ def tpt_reason(weights, config, sample, reason_config=None):
     trace = {"losses": [], "support_acc": []}
     for _ in range(cfg.steps):
         with ad.Tape() as tape:
-            tfeats = _binary_text_features(weights, config, state)
+            tfeats = mdl.encode_texts(weights, config, assemble(state, state.cls))
             loss, probs = mdl.cross_entropy(
                 mdl.class_logits(tfeats, feats, config.logit_scale), onehot)
             opt.zero_grad()
@@ -105,7 +99,7 @@ def tpt_reason(weights, config, sample, reason_config=None):
             float(np.mean(np.argmax(probs.data, axis=1) == labels)))
         opt.step()
 
-    tfeats = _binary_text_features(weights, config, state)
+    tfeats = mdl.encode_texts(weights, config, assemble(state, state.cls))
     final = mdl.class_logits(tfeats, feats, config.logit_scale).data
     trace["support_acc"].append(float(np.mean(np.argmax(final, axis=1) == labels)))
     return int(np.argmax(mdl.class_logits(tfeats, query, config.logit_scale).data)), trace

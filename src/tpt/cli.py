@@ -216,7 +216,7 @@ def cmd_bongard(args):
         for split in bg.SPLITS:
             hits = by_split[split]
             acc = float(np.mean(hits)) if hits else float("nan")
-            writer.writerow([split, f"{acc:.4f}", len(hits), rcfg.prompt_len,
+            writer.writerow([split, f"{acc:.4f}", len(hits), bg.PROMPT_LEN,
                              rcfg.steps, rcfg.lr, seed])
             print(f"{split}: {acc:.4f} ({len(hits)} tasks)")
     return 0
@@ -228,6 +228,9 @@ def cmd_dump_dist(args):
     ds = _build_dataset(cfg)
     classes = hz.class_set(ds)
     i = args.sample
+    if not 0 <= i < len(ds):
+        raise SystemExit(f"--sample {i} is out of range: the dataset has "
+                         f"{len(ds)} samples, 0 to {len(ds) - 1}")
     before, after, _ = hz.dump_distributions(
         weights, mconfig, dat.template_ids(), classes, ds.images[i],
         _tpt_config(cfg))

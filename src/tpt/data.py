@@ -6,11 +6,15 @@ and a binary image/manifest format for round-tripping datasets.
 """
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import uniform_filter
+
+IMAGE_SIZE = 32
+PIXEL_RANGE = (0.0, 1.0)
 
 # fixed vocabulary: template words in the low ids, class words from 16
 VOCAB = {
@@ -59,8 +63,6 @@ class DatasetSpec:
     noise_sigma: float = 0.05
     contrast: float = 0.35  # max prototype amplitude around mid-gray
     contrast_min: float = 0.15  # per-sample contrast ~ U(contrast_min, contrast)
-    image_size: int = 32
-    value_range: tuple = (0.0, 1.0)
 
     def __post_init__(self):
         if len(self.class_names) < 2:
@@ -76,11 +78,23 @@ class ShiftSpec:
     kind: str = "none"  # none | noise | invert | channel_drop | blur | style
     param: float = 0.0
 
-    _KINDS = ("none", "noise", "invert", "channel_drop", "blur", "style")
+    # kind -> (test of the parameter, what the kind takes)
+    _PARAMS = {
+        "none": (lambda p: p == 0, "no parameter"),
+        "noise": (lambda p: p >= 0, "a noise std of 0 or more"),
+        "invert": (lambda p: p == 0, "no parameter"),
+        "channel_drop": (lambda p: p in (0, 1, 2), "a channel index 0, 1 or 2"),
+        "blur": (lambda p: p >= 0 and float(p).is_integer(),
+                 "a blur radius that is an integer of 0 or more"),
+        "style": (lambda p: p == 0, "no parameter"),
+    }
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self._PARAMS:
             raise ValueError(f"unknown shift kind {self.kind!r}")
+        valid, takes = self._PARAMS[self.kind]
+        if not valid(self.param):
+            raise ValueError(f"shift {self.kind!r} takes {takes}, got {self.param!r}")
 
     @classmethod
     def parse(cls, text):
@@ -90,9 +104,6 @@ class ShiftSpec:
             return cls(kind, float(param))
         return cls(text)
 
-    def __str__(self):
-        return self.kind if self.param == 0.0 else f"{self.kind}:{self.param:g}"
-
 
 @dataclass
 class Dataset:
@@ -100,7 +111,6 @@ class Dataset:
     labels: np.ndarray  # (n,)
     class_names: tuple
     class_token_ids: list  # per class, token id list for the class name
-    spec: DatasetSpec
     ids: np.ndarray = field(default=None)  # stable per-sample identity
 
     def __post_init__(self):
@@ -113,10 +123,11 @@ class Dataset:
     def subset(self, indices):
         idx = np.asarray(indices)
         return Dataset(self.images[idx], self.labels[idx], self.class_names,
-                       self.class_token_ids, self.spec, self.ids[idx])
+                       self.class_token_ids, self.ids[idx])
 
 
-def _pattern_mask(name, size):
+def _pattern_mask(name):
+    size = IMAGE_SIZE
     y, x = np.mgrid[0:size, 0:size]
     c = (size - 1) / 2.0
     if name == "stripes":
@@ -142,12 +153,12 @@ def _pattern_mask(name, size):
     raise ValueError(f"no prototype for class {name!r}")
 
 
-def class_prototype(name, size=32, contrast=0.4):
-    """Noise-free (3, size, size) prototype image for a class.
+def class_prototype(name, contrast=0.4):
+    """Noise-free (3, IMAGE_SIZE, IMAGE_SIZE) prototype image for a class.
 
     Full-contrast pattern lerped toward mid-gray so the class signal
     amplitude is tunable against additive pixel noise."""
-    mask = _pattern_mask(name, size)
+    mask = _pattern_mask(name)
     color = np.array(_CLASS_COLORS[name]).reshape(3, 1, 1)
     background = 0.1
     full = mask[None, :, :] * color + (1.0 - mask[None, :, :]) * background
@@ -160,23 +171,22 @@ def generate(spec, seed=0):
     Each sample draws its own contrast from U(contrast_min, contrast), so
     the difficulty spectrum runs from comfortable to genuinely borderline."""
     rng = np.random.default_rng(seed)
-    lo, hi = spec.value_range
     images, labels = [], []
     for k, name in enumerate(spec.class_names):
         for _ in range(spec.samples_per_class):
             c = rng.uniform(spec.contrast_min, spec.contrast)
-            proto = class_prototype(name, spec.image_size, c)
+            proto = class_prototype(name, c)
             img = proto + rng.normal(0.0, spec.noise_sigma, size=proto.shape)
-            images.append(np.clip(img, lo, hi))
+            images.append(np.clip(img, *PIXEL_RANGE))
             labels.append(k)
     token_ids = [tokenize((n,)) for n in spec.class_names]
     return Dataset(np.array(images), np.array(labels), tuple(spec.class_names),
-                   token_ids, spec)
+                   token_ids)
 
 
 def apply_shift(dataset, shift, seed=0):
     """Label-preserving pixel transform; deterministic under seed."""
-    lo, hi = dataset.spec.value_range
+    lo, hi = PIXEL_RANGE
     imgs = dataset.images
     if shift.kind == "none":
         out = imgs.copy()
@@ -204,14 +214,11 @@ def apply_shift(dataset, shift, seed=0):
     elif shift.kind == "blur":
         size = 2 * int(shift.param) + 1
         out = uniform_filter(imgs, size=(1, 1, size, size), mode="nearest")
-    elif shift.kind == "style":
-        # fixed channel remap: swap R/B and apply a mild gamma curve
+    else:  # style: a fixed channel remap, R/B swapped under a mild gamma curve
         out = imgs[:, [2, 1, 0]] ** 1.5
-    else:
-        raise ValueError(shift.kind)
     out = np.clip(out, lo, hi)
     return Dataset(out, dataset.labels.copy(), dataset.class_names,
-                   dataset.class_token_ids, dataset.spec, dataset.ids.copy())
+                   dataset.class_token_ids, dataset.ids.copy())
 
 
 def caption_pairs(dataset):
@@ -239,19 +246,27 @@ def save_image(image, path):
         f.write(image.astype("<f8").tobytes())
 
 
+def read_exact(f, n, what):
+    """n bytes from the open file f; a short read is an error that names
+    the file and `what` was being read."""
+    buf = f.read(n)
+    if len(buf) != n:
+        raise ValueError(f"{f.name}: file truncated in {what}")
+    return buf
+
+
 def load_image(path):
+    """Read an image file; errors name the file and the field."""
     with open(path, "rb") as f:
         if f.read(len(_IMG_MAGIC)) != _IMG_MAGIC:
             raise ValueError(f"{path}: bad magic, not an image file")
-        c, h, w = struct.unpack("<III", f.read(12))
-        data = np.frombuffer(f.read(8 * c * h * w), dtype="<f8")
+        c, h, w = struct.unpack("<III", read_exact(f, 12, "the shape"))
+        data = np.frombuffer(read_exact(f, 8 * c * h * w, "the pixels"), dtype="<f8")
         return data.reshape(c, h, w).copy()
 
 
 def save_dataset(dataset, out_dir, split="test"):
     """Write every image plus a JSON-lines manifest; returns manifest path."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
     with open(manifest_path, "w") as mf:
@@ -268,9 +283,7 @@ def save_dataset(dataset, out_dir, split="test"):
     return manifest_path
 
 
-def load_dataset(out_dir, spec=None):
-    import os
-
+def load_dataset(out_dir):
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
     with open(manifest_path) as mf:
         header = json.loads(mf.readline())
@@ -278,4 +291,4 @@ def load_dataset(out_dir, spec=None):
     images = np.array([load_image(os.path.join(out_dir, r["path"])) for r in records])
     labels = np.array([r["class_id"] for r in records])
     return Dataset(images, labels, tuple(header["class_names"]),
-                   header["class_token_ids"], spec or DatasetSpec())
+                   header["class_token_ids"])

@@ -31,7 +31,6 @@ PARAMETER_GROUPS = {
 class PredictionSet:
     probs: Tensor  # N x K, tape-attached
     entropies: np.ndarray  # N self-entropies
-    mask: np.ndarray = None  # N booleans, set by select_and_average
     averaged: Tensor = None  # 1 x K, stays on the tape
     threshold: float = None
     selected: np.ndarray = None  # indices, == k lowest-entropy views
@@ -43,10 +42,6 @@ class TPTConfig:
     rho: float = 0.1
     steps: int = 1
     lr: float = 0.005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
     seed: int = 0
     policy: AugmentPolicy = field(default_factory=AugmentPolicy)
     parameter_group: str = "prompt"
@@ -75,9 +70,10 @@ def row_entropies(probs):
 
 
 def text_features(weights, config, prompt_state, classes):
-    """K x proj_dim matrix of prompt-conditioned class text features."""
+    """K x proj_dim matrix of prompt-conditioned class text features;
+    classes is K token-id lists of one length."""
     return mdl.encode_texts(weights, config, assemble(
-        prompt_state, weights, config, class_tokens=classes.token_ids))
+        prompt_state, mdl.embed_tokens(weights, config, classes)))
 
 
 def predict_views(weights, config, prompt_state, classes, image_features):
@@ -117,12 +113,8 @@ def select_and_average(pred, rho):
     The divisor is the actual selected count k, which keeps the average
     a proper distribution for every rho and N.
     """
-    n = pred.probs.data.shape[0]
     threshold, k, order = _confidence_order(pred.entropies, rho)
     selected = np.sort(order[:k])
-    mask = np.zeros(n, dtype=bool)
-    mask[selected] = True
-    pred.mask = mask
     pred.threshold = threshold
     pred.selected = selected
     pred.averaged = ad.mean_rows(ad.gather_rows(pred.probs, selected))
@@ -146,13 +138,17 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
     """
     cfg = tpt_config
     group_prefixes = PARAMETER_GROUPS[cfg.parameter_group]
-    batch = generate_views(image, cfg.n_views, cfg.policy, cfg.seed)
+    views = generate_views(image, cfg.n_views, cfg.policy, cfg.seed)
 
-    # encoding rejects bad input, so it runs before any tuned state changes
+    # encoding rejects bad input, so it runs before any tuned state changes;
+    # a tuned image encoder encodes afresh at every use
     image_grads = any(p.startswith(("image", "patch")) for p in group_prefixes)
-    cached_feats = None
-    if not image_grads:
-        cached_feats = mdl.encode_images(weights, config, batch.views)
+    cached_feats = None if image_grads else mdl.encode_images(weights, config, views)
+
+    def view_features():
+        if cached_feats is not None:
+            return cached_feats
+        return mdl.encode_images(weights, config, views)
 
     weight_snapshot = None
     weight_params = []
@@ -162,9 +158,7 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
         mdl.set_trainable(weights, True, prefixes=group_prefixes)
         weight_params = [weights[name] for name in sorted(weight_snapshot)]
 
-    opt = AdamW(prompt_state.params() + weight_params, lr=cfg.lr,
-                beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
-                weight_decay=cfg.weight_decay)
+    opt = AdamW(prompt_state.params() + weight_params, lr=cfg.lr)
     trace = {"losses": [], "thresholds": [], "k": None, "mask_indices": [],
              "pre_original": None, "post_original": None,
              "pre_views": None, "post_views": None,
@@ -172,10 +166,8 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
     try:
         for step in range(cfg.steps):
             with ad.Tape() as tape:
-                feats = cached_feats
-                if feats is None:
-                    feats = mdl.encode_images(weights, config, batch.views)
-                pred = predict_views(weights, config, prompt_state, classes, feats)
+                pred = predict_views(weights, config, prompt_state, classes,
+                                     view_features())
                 select_and_average(pred, cfg.rho)
                 loss = marginal_entropy_loss(pred)
                 opt.zero_grad()
@@ -192,10 +184,7 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
             opt.step()
 
         # inference with the tuned prompt, no tape
-        feats = cached_feats
-        if feats is None:
-            feats = mdl.encode_images(weights, config, batch.views)
-        final = predict_views(weights, config, prompt_state, classes, feats)
+        final = predict_views(weights, config, prompt_state, classes, view_features())
         select_and_average(final, cfg.rho)
         trace["post_original"] = final.probs.data[0].copy()
         trace["post_averaged"] = final.averaged.data[0].copy()

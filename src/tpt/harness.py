@@ -23,7 +23,8 @@ VERSION = "tpt-0.1.0"
 
 
 def class_set(dataset):
-    return mdl.ClassSet(list(dataset.class_names), dataset.class_token_ids)
+    """The K class-name token-id lists that an episode tunes against."""
+    return dataset.class_token_ids
 
 
 def _template_text_features(weights, config, template_ids, classes):
@@ -117,8 +118,8 @@ def _pool_views(weights, config, template_ids, classes, dataset, tpt_config,
     preds = []
     for image, sample_id in zip(dataset.images, dataset.ids):
         seed = split_seed(tpt_config.seed, int(sample_id))
-        batch = generate_views(image, tpt_config.n_views, tpt_config.policy, seed)
-        feats = mdl.encode_images(weights, config, batch.views)
+        views = generate_views(image, tpt_config.n_views, tpt_config.policy, seed)
+        feats = mdl.encode_images(weights, config, views)
         probs = mdl.class_probabilities(tfeats, feats, config.logit_scale).data
         preds.append(int(pool(probs)))
     preds = np.array(preds)
@@ -227,7 +228,7 @@ def gradcheck_report(seed=0, h=1e-5):
     # the same at any scale.
     config = mdl.ModelConfig(logit_scale=10.0)
     weights = mdl.init_weights(config, seed=seed)
-    classes = mdl.ClassSet(["a", "b", "c"], [[16], [17], [18]])
+    classes = [[16], [17], [18]]
     img_feats = rng.normal(size=(8, config.proj_dim))
     img_feats /= np.linalg.norm(img_feats, axis=1, keepdims=True)
     img_feats = Tensor(img_feats)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import read_exact
 from .optim import AdamW
 
 
@@ -49,20 +50,6 @@ class ModelConfig:
     def patch_dim(self):
         c, _, _ = self.image_shape
         return c * self.patch_size * self.patch_size
-
-
-@dataclass
-class ClassSet:
-    """K class names with their fixed token-id sequences."""
-    names: list
-    token_ids: list  # list of lists of int
-
-    def __post_init__(self):
-        if len(self.names) < 1 or len(self.names) != len(self.token_ids):
-            raise ValueError("names and token_ids must align")
-
-    def __len__(self):
-        return len(self.names)
 
 
 def _layer_names(prefix, n_layers, d):
@@ -126,15 +113,11 @@ def set_trainable(weights, trainable, prefixes=None):
 
 
 def embed_tokens(weights, config, token_ids):
-    """Token embedding rows, on the tape.
-
-    One id list gives a (T, D) sequence.  K id lists give a (K, T, D)
-    batch when they have one length, else a list of K sequences;
-    encode_texts takes either.
-    """
-    many = len(token_ids) > 0 and not np.isscalar(token_ids[0])
-    if many and len({len(ids) for ids in token_ids}) > 1:
-        return [embed_tokens(weights, config, ids) for ids in token_ids]
+    """Token embedding rows, on the tape: one id list gives a (T, D)
+    sequence, K id lists of one length a (K, T, D) batch."""
+    lengths = [len(ids) for ids in token_ids if not np.isscalar(ids)]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"token id lists differ in length: {lengths}")
     ids = np.asarray(token_ids, dtype=np.intp)
     if np.any((ids < 0) | (ids >= config.vocab_size)):
         raise ValueError(f"token id out of range for vocab {config.vocab_size}")
@@ -187,26 +170,12 @@ def _project(weights, name, rows):
 
 
 def encode_texts(weights, config, seqs):
-    """Encode embedded token sequences to a K x proj_dim Tensor of unit rows.
+    """Encode a (K, T, D) batch of embedded token sequences to a
+    K x proj_dim Tensor of unit rows.
 
-    seqs is a (K, T, D) batch or a list of K (T_k, D) sequences; a list
-    is encoded in one pass per distinct length, and its rows come back
-    in input order.  Causal attention, feature read from the last
-    position.  The gradient path into the input sequences is what
-    test-time tuning relies on.
+    Causal attention, feature read from the last position.  The gradient
+    path into the input sequences is what test-time tuning relies on.
     """
-    if isinstance(seqs, list):
-        lengths = [s.data.shape[0] for s in seqs]
-        groups = [[i for i, n in enumerate(lengths) if n == t]
-                  for t in sorted(set(lengths))]
-        feats = [encode_texts(weights, config, ad.reshape(
-                    ad.concat_rows([seqs[i] for i in g]),
-                    (len(g),) + seqs[g[0]].data.shape))
-                 for g in groups]
-        if len(feats) == 1:
-            return feats[0]
-        order = np.argsort(np.concatenate(groups), kind="stable")
-        return ad.gather_rows(ad.concat_rows(feats), order)
     t = seqs.data.shape[-2]
     if t > config.max_text_len:
         raise ValueError(f"sequence length {t} exceeds max_text_len {config.max_text_len}")
@@ -234,8 +203,7 @@ def patchify(images, patch_size):
 def encode_images(weights, config, images):
     """Encode N (C, H, W) images to an N x proj_dim Tensor of unit rows,
     in one pass; mean-pooled patches."""
-    imgs = np.stack([im.data if isinstance(im, Tensor) else np.asarray(im, dtype=np.float64)
-                     for im in images])
+    imgs = np.asarray(images, dtype=np.float64)
     if imgs.shape[1:] != config.image_shape:
         raise ValueError(f"image shape {imgs.shape[1:]} != config {config.image_shape}")
     if not np.all(np.isfinite(imgs)):
@@ -394,23 +362,17 @@ def load_weights(path, config=None):
     must match weight_shapes(config); errors name the file and tensor."""
     weights = {}
     with open(path, "rb") as f:
-        def read(n, what):
-            buf = f.read(n)
-            if len(buf) != n:
-                raise ValueError(f"{path}: file truncated in {what}")
-            return buf
-
         if f.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path}: bad magic, not a weights file")
-        (count,) = struct.unpack("<I", read(4, "the header"))
+        (count,) = struct.unpack("<I", read_exact(f, 4, "the header"))
         for i in range(count):
-            (nlen,) = struct.unpack("<H", read(2, f"the name of tensor #{i}"))
-            name = read(nlen, f"the name of tensor #{i}").decode("utf-8")
+            (nlen,) = struct.unpack("<H", read_exact(f, 2, f"the name of tensor #{i}"))
+            name = read_exact(f, nlen, f"the name of tensor #{i}").decode("utf-8")
             what = f"tensor {name!r}"
-            (rank,) = struct.unpack("<B", read(1, what))
-            shape = struct.unpack(f"<{rank}I", read(4 * rank, what))
+            (rank,) = struct.unpack("<B", read_exact(f, 1, what))
+            shape = struct.unpack(f"<{rank}I", read_exact(f, 4 * rank, what))
             n = int(np.prod(shape)) if rank else 1
-            data = np.frombuffer(read(8 * n, what), dtype="<f8").reshape(shape)
+            data = np.frombuffer(read_exact(f, 8 * n, what), dtype="<f8").reshape(shape)
             weights[name] = Tensor(data.copy())
     if config is not None:
         expected = weight_shapes(config)

@@ -9,10 +9,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .model import embed_tokens
 
 
 class PromptState:
-    """Prompt token embeddings, optional binary class tokens, and a snapshot."""
+    """Prompt token embeddings, optional (2, 1, D) binary class tokens,
+    and a snapshot."""
 
     def __init__(self, prompt_embeddings, cls_embeddings=None):
         arr = np.asarray(prompt_embeddings, dtype=np.float64)
@@ -23,19 +25,12 @@ class PromptState:
         self.prompt = Tensor(arr.copy(), requires_grad=True)
         self.cls = None
         if cls_embeddings is not None:
-            self.cls = tuple(Tensor(np.asarray(c, dtype=np.float64).reshape(1, -1),
-                                    requires_grad=True) for c in cls_embeddings)
+            self.cls = Tensor(np.array(cls_embeddings, dtype=np.float64),
+                              requires_grad=True)
         self._snapshot = [p.data.copy() for p in self.params()]
 
-    @property
-    def length(self):
-        return self.prompt.data.shape[0]
-
     def params(self):
-        ps = [self.prompt]
-        if self.cls is not None:
-            ps.extend(self.cls)
-        return ps
+        return [self.prompt] if self.cls is None else [self.prompt, self.cls]
 
     def reset(self):
         """Restore all learnable tensors bit-exactly to the init snapshot."""
@@ -49,10 +44,7 @@ def init_from_template(weights, config, template_token_ids):
     ids = list(template_token_ids)
     if not ids:
         raise ValueError("template must have at least one token")
-    if any(i >= config.vocab_size or i < 0 for i in ids):
-        raise ValueError(f"token id out of range for vocab {config.vocab_size}")
-    rows = weights["token_embedding"].data[ids].copy()
-    return PromptState(rows)
+    return PromptState(embed_tokens(weights, config, ids).data)
 
 
 def init_gaussian(length, dim, sigma, seed, with_cls=False):
@@ -61,37 +53,12 @@ def init_gaussian(length, dim, sigma, seed, with_cls=False):
         raise ValueError("sigma must be positive")
     rng = np.random.default_rng(seed)
     rows = rng.normal(0.0, sigma, size=(length, dim))
-    cls = None
-    if with_cls:
-        cls = (rng.normal(0.0, sigma, size=(1, dim)),
-               rng.normal(0.0, sigma, size=(1, dim)))
+    cls = rng.normal(0.0, sigma, size=(2, 1, dim)) if with_cls else None
     return PromptState(rows, cls)
 
 
-def assemble(prompt_state, weights, config, class_tokens=None, cls_index=None):
-    """K tape-attached sequences [prompt ; class token embeddings] or
-    [prompt ; cls^i].
-
-    class_tokens is a list of K token-id lists; cls_index is a list of K
-    1-based indices of the two binary label tokens.  Returns a (K, T, D)
-    batch, or a list of K sequences when the class token lists differ in
-    length; encode_texts takes either.
-    """
-    if (class_tokens is None) == (cls_index is None):
-        raise ValueError("pass exactly one of class_tokens or cls_index")
-    if cls_index is not None:
-        if prompt_state.cls is None:
-            raise ValueError("prompt state has no class tokens")
-        tails = ad.concat_rows([prompt_state.cls[i - 1] for i in cls_index])
-        tails = ad.reshape(tails, (len(cls_index), 1, tails.data.shape[-1]))
-        longest = 1
-    else:
-        from .model import embed_tokens
-        tails = embed_tokens(weights, config, class_tokens)
-        longest = max(len(ids) for ids in class_tokens)
-    if prompt_state.length + longest > config.max_text_len:
-        raise ValueError(f"assembled length {prompt_state.length + longest} exceeds "
-                         f"max_text_len {config.max_text_len}")
-    if isinstance(tails, list):
-        return [ad.concat_rows([prompt_state.prompt, t]) for t in tails]
+def assemble(prompt_state, tails):
+    """K tape-attached sequences [prompt ; tail_k] from a (K, L, D)
+    batch of tails: class-name token embeddings or the binary class
+    tokens."""
     return ad.concat_rows([prompt_state.prompt, tails])

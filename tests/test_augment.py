@@ -14,30 +14,28 @@ def image():
 
 
 def test_single_view_is_original(image):
-    batch = generate_views(image, 1, AugmentPolicy(), seed=0)
-    assert len(batch) == 1
-    np.testing.assert_array_equal(batch.views[0], image)
+    views = generate_views(image, 1, AugmentPolicy(), seed=0)
+    assert len(views) == 1
+    np.testing.assert_array_equal(views[0], image)
 
 
 def test_64_views_original_plus_63_augmented(image):
-    batch = generate_views(image, 64, AugmentPolicy(), seed=5)
-    assert len(batch) == 64
-    assert batch.original_index == 0
-    np.testing.assert_array_equal(batch.views[0], image)
-    assert any(not np.array_equal(v, image) for v in batch.views[1:])
+    views = generate_views(image, 64, AugmentPolicy(), seed=5)
+    assert len(views) == 64
+    np.testing.assert_array_equal(views[0], image)
+    assert any(not np.array_equal(v, image) for v in views[1:])
 
 
 def test_deterministic_batches(image):
     a = generate_views(image, 16, AugmentPolicy(), seed=9)
     b = generate_views(image, 16, AugmentPolicy(), seed=9)
-    for va, vb in zip(a.views, b.views):
+    for va, vb in zip(a, b):
         np.testing.assert_array_equal(va, vb)
 
 
 def test_views_keep_shape_and_range(image):
     policy = AugmentPolicy(kind="augmix")
-    batch = generate_views(image, 32, policy, seed=2)
-    for v in batch.views:
+    for v in generate_views(image, 32, policy, seed=2):
         assert v.shape == image.shape
         assert v.min() >= 0.0 and v.max() <= 1.0
 
@@ -54,23 +52,19 @@ def test_full_frame_crop_is_identity(image):
     np.testing.assert_allclose(out, image, atol=1e-12)
 
 
-def test_per_view_seeds_are_splittable_hashes():
-    batch_seeds = generate_views(np.zeros((3, 32, 32)), 8, AugmentPolicy(), 42).seeds
-    assert batch_seeds == [split_seed(42, i) for i in range(8)]
-    assert len(set(batch_seeds)) == 8
+def test_per_view_seeds_are_splittable_hashes(image):
+    for policy in (AugmentPolicy(), AugmentPolicy(kind="augmix")):
+        views = generate_views(image, 8, policy, 42)
+        for i in range(1, 8):
+            np.testing.assert_array_equal(
+                views[i], make_view(image, policy, split_seed(42, i)))
+    assert len({split_seed(42, i) for i in range(8)}) == 8
 
 
 class TestAugmix:
     def test_requires_augmix_policy(self, image):
         with pytest.raises(ValueError):
             augmix_view(image, AugmentPolicy(kind="rrc"), seed=0)
-
-    def test_high_alpha_weights_near_uniform(self):
-        policy = AugmentPolicy(kind="augmix", alpha=100.0)
-        rng_draws = [np.random.default_rng(s).dirichlet(np.full(3, 100.0))
-                     for s in range(200)]
-        draws = np.array(rng_draws)
-        assert np.all(np.abs(draws - 1.0 / 3.0) <= 0.15)
 
     def test_forced_blend_one_returns_original(self, image):
         policy = AugmentPolicy(kind="augmix")
@@ -109,8 +103,7 @@ class TestSmooth:
 
 def test_smooth_prob_one_yields_smooth_views(image):
     policy = AugmentPolicy(smooth_prob=1.0, smooth_scale_range=(1.0, 1.0))
-    batch = generate_views(image, 8, policy, seed=4)
-    for v in batch.views[1:]:
+    for v in generate_views(image, 8, policy, seed=4)[1:]:
         # every non-original view is the blurred full frame or its mirror
         target = smooth(image)
         assert (np.allclose(v, target, atol=1e-12)
@@ -125,7 +118,7 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         AugmentPolicy(smooth_prob=1.5)
     with pytest.raises(ValueError):
-        AugmentPolicy(width=0)
+        AugmentPolicy(noise_patch_prob=-0.1)
 
 
 def test_make_view_dispatches(image):

@@ -95,6 +95,36 @@ class TestShifts:
             dat.ShiftSpec.parse("fog:1")
 
 
+class TestShiftParameters:
+    """Each kind accepts only parameters apply_shift reads as given."""
+
+    @staticmethod
+    def check(kind, good, bad):
+        for param in good:
+            assert dat.ShiftSpec(kind, param).param == param
+        for param in bad:
+            with pytest.raises(ValueError, match=f"shift '{kind}' takes"):
+                dat.ShiftSpec.parse(f"{kind}:{param}")
+
+    def test_noise(self):
+        self.check("noise", good=(0.0, 0.3, 2), bad=(-0.1, "nan"))
+
+    def test_channel_drop(self):
+        self.check("channel_drop", good=(0, 1, 2.0), bad=(1.5, -1, 3))
+
+    def test_blur(self):
+        self.check("blur", good=(0, 2, 3.0), bad=(-1, 1.7, "inf"))
+
+    def test_none(self):
+        self.check("none", good=(0,), bad=(1, -0.5))
+
+    def test_invert(self):
+        self.check("invert", good=(0,), bad=(5,))
+
+    def test_style(self):
+        self.check("style", good=(0,), bad=(2,))
+
+
 class TestCaptions:
     def test_every_caption_names_its_class(self):
         ds = dat.generate(small_spec(), seed=4)
@@ -119,6 +149,17 @@ class TestPersistence:
         dat.save_image(img, path)
         np.testing.assert_array_equal(dat.load_image(path), img)
 
+    def test_truncated_image_names_file_and_field(self, tmp_path):
+        path = tmp_path / "x.tptimg"
+        dat.save_image(np.random.default_rng(1).random((3, 2, 2)), path)
+        blob = path.read_bytes()
+        cut_path = tmp_path / "cut.tptimg"
+        for cut in range(len(blob)):
+            cut_path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match=r"cut\.tptimg: (bad magic|file "
+                                                 r"truncated in the (shape|pixels))"):
+                dat.load_image(cut_path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.tptimg"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
@@ -128,7 +169,7 @@ class TestPersistence:
     def test_dataset_roundtrip(self, tmp_path):
         ds = dat.generate(small_spec(samples_per_class=3), seed=6)
         dat.save_dataset(ds, tmp_path / "d")
-        back = dat.load_dataset(tmp_path / "d", spec=ds.spec)
+        back = dat.load_dataset(tmp_path / "d")
         np.testing.assert_array_equal(back.images, ds.images)
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert back.class_names == ds.class_names

@@ -275,6 +275,16 @@ class TestCli:
         assert (tmp_path / "dist.before.csv").exists()
         assert (tmp_path / "dist.after.csv").exists()
 
+    def test_dump_dist_rejects_sample_out_of_range(self, tmp_path, weights):
+        wpath = tmp_path / "w.tptw"
+        mdl.save_weights(weights, wpath)
+        for sample in ("-1", "2"):
+            with pytest.raises(SystemExit, match=f"--sample {sample} is out of range: "
+                                                 "the dataset has 2 samples, 0 to 1"):
+                cli.main(["dump-dist", "--weights", str(wpath), "--sample", sample,
+                          "--samples", "2", "--out", str(tmp_path / "dist")])
+        assert not (tmp_path / "dist.before.csv").exists()
+
     def test_bongard_csv(self, tmp_path, weights):
         wpath = tmp_path / "w.tptw"
         mdl.save_weights(weights, wpath)

@@ -292,17 +292,11 @@ class TestBatchInvariance:
             np.testing.assert_array_equal(
                 single, mdl.encode_text(weights, config, Tensor(seq)).data)
 
-    def test_unequal_lengths_encode_in_input_order(self, weights, config):
-        rng = np.random.default_rng(7)
-        seqs = [Tensor(rng.normal(0.0, 0.02, size=(t, config.embed_dim)),
-                       requires_grad=True) for t in (3, 5, 3, 4)]
-        with Tape() as tape:
-            feats = mdl.encode_texts(weights, config, seqs)
-            tape.backward(ad.sum_all(feats))
-        assert feats.data.shape == (4, config.proj_dim)
-        for row, seq in zip(feats.data, seqs):
-            np.testing.assert_array_equal(row, mdl.encode_text(weights, config, seq).data[0])
-            assert np.any(seq.grad != 0.0)
+    def test_ragged_id_lists_rejected(self, weights, config):
+        with pytest.raises(ValueError, match=r"differ in length: \[1, 2, 1\]"):
+            mdl.embed_tokens(weights, config, [[16], [17, 18], [19]])
+        batch = mdl.embed_tokens(weights, config, [[16, 17], [18, 19]])
+        assert batch.data.shape == (2, 2, config.embed_dim)
 
     def _grads(self, config, loss_fn):
         weights = mdl.init_weights(config, seed=3)

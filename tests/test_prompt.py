@@ -31,7 +31,7 @@ class TestPromptState:
         state = pr.PromptState(np.zeros((2, 4)))
         for p in state.params():
             assert isinstance(p, Tensor)
-            assert p.requires_grad and p.is_leaf
+            assert p.requires_grad and not p.grad.any()
 
     def test_reset_is_bit_exact(self):
         rng = np.random.default_rng(0)
@@ -42,13 +42,15 @@ class TestPromptState:
         np.testing.assert_array_equal(state.prompt.data, init)
 
     def test_reset_restores_cls_tokens(self):
+        # the reasoning state: one (2, 1, D) tensor holds both class tokens
         state = pr.init_gaussian(2, 8, 0.02, seed=1, with_cls=True)
-        before = [c.data.copy() for c in state.cls]
-        for c in state.cls:
-            c.data += 1.0
+        assert state.params() == [state.prompt, state.cls]
+        before = state.cls.data.copy()
+        state.cls.data += 1.0
+        state.cls.grad += 1.0
         state.reset()
-        for c, b in zip(state.cls, before):
-            np.testing.assert_array_equal(c.data, b)
+        np.testing.assert_array_equal(state.cls.data, before)
+        assert not state.cls.grad.any()
 
 
 class TestInitFromTemplate:
@@ -77,11 +79,18 @@ class TestInitGaussian:
     def test_shapes_and_scale(self):
         state = pr.init_gaussian(4, 32, 0.02, seed=0, with_cls=True)
         assert state.prompt.data.shape == (4, 32)
-        assert len(state.cls) == 2
-        assert all(c.data.shape == (1, 32) for c in state.cls)
+        assert state.cls.data.shape == (2, 1, 32)
         draws = np.concatenate([pr.init_gaussian(4, 32, 0.02, seed=s).prompt.data
                                 for s in range(50)]).ravel()
         assert abs(draws.std() - 0.02) / 0.02 < 0.1
+
+    def test_cls_draw_equals_two_row_draws(self):
+        # one (2, 1, D) draw takes the values two (1, D) draws would
+        state = pr.init_gaussian(4, 32, 0.02, seed=3, with_cls=True)
+        rng = np.random.default_rng(3)
+        rng.normal(0.0, 0.02, size=(4, 32))
+        rows = [rng.normal(0.0, 0.02, size=(1, 32)) for _ in range(2)]
+        np.testing.assert_array_equal(state.cls.data, np.stack(rows))
 
     def test_seed_determinism(self):
         a = pr.init_gaussian(4, 32, 0.02, seed=7)
@@ -96,56 +105,39 @@ class TestInitGaussian:
 class TestAssemble:
     def test_concatenates_prompt_and_class_tokens(self, weights, config):
         state = pr.init_from_template(weights, config, dat.template_ids())
+        n = len(state.prompt.data)
         class_ids = [[16, 17], [18, 19], [20, 21]]
-        seqs = pr.assemble(state, weights, config, class_tokens=class_ids)
-        assert seqs.data.shape == (3, state.length + 2, config.embed_dim)
+        seqs = pr.assemble(state, mdl.embed_tokens(weights, config, class_ids))
+        assert seqs.data.shape == (3, n + 2, config.embed_dim)
         for seq, ids in zip(seqs.data, class_ids):
-            np.testing.assert_array_equal(seq[:state.length], state.prompt.data)
-            np.testing.assert_array_equal(
-                seq[state.length:], weights["token_embedding"].data[ids])
+            np.testing.assert_array_equal(seq[:n], state.prompt.data)
+            np.testing.assert_array_equal(seq[n:], weights["token_embedding"].data[ids])
 
-    def test_unequal_lengths_give_one_sequence_each(self, weights, config):
-        state = pr.init_from_template(weights, config, dat.template_ids())
-        class_ids = [[16], [17, 18], [19]]
-        seqs = pr.assemble(state, weights, config, class_tokens=class_ids)
-        assert [s.data.shape[0] for s in seqs] == [state.length + 1,
-                                                   state.length + 2,
-                                                   state.length + 1]
-        for seq, ids in zip(seqs, class_ids):
-            np.testing.assert_array_equal(seq.data[:state.length], state.prompt.data)
-            np.testing.assert_array_equal(
-                seq.data[state.length:], weights["token_embedding"].data[ids])
-
-    def test_cls_index_selects_token(self, weights, config):
+    def test_cls_tokens_as_tails(self, config):
         state = pr.init_gaussian(2, config.embed_dim, 0.02, seed=0, with_cls=True)
-        seqs = pr.assemble(state, weights, config, cls_index=[1, 2, 1])
-        assert seqs.data.shape == (3, 3, config.embed_dim)
-        np.testing.assert_array_equal(seqs.data[0, -1], state.cls[0].data[0])
-        np.testing.assert_array_equal(seqs.data[1, -1], state.cls[1].data[0])
-        np.testing.assert_array_equal(seqs.data[2, -1], state.cls[0].data[0])
+        seqs = pr.assemble(state, state.cls)
+        assert seqs.data.shape == (2, 3, config.embed_dim)
+        np.testing.assert_array_equal(seqs.data[:, -1:], state.cls.data)
         np.testing.assert_array_equal(seqs.data[1, :2], state.prompt.data)
-
-    def test_exactly_one_mode(self, weights, config):
-        state = pr.init_gaussian(2, config.embed_dim, 0.02, seed=0, with_cls=True)
-        with pytest.raises(ValueError, match="exactly one"):
-            pr.assemble(state, weights, config)
-        with pytest.raises(ValueError, match="exactly one"):
-            pr.assemble(state, weights, config, class_tokens=[[16]], cls_index=[1])
-
-    def test_cls_without_cls_tokens(self, weights, config):
-        state = pr.init_gaussian(2, config.embed_dim, 0.02, seed=0)
-        with pytest.raises(ValueError, match="class tokens"):
-            pr.assemble(state, weights, config, cls_index=[1])
 
     def test_length_overflow(self, weights, config):
         state = pr.init_gaussian(config.max_text_len, config.embed_dim, 0.02, seed=0)
+        seqs = pr.assemble(state, mdl.embed_tokens(weights, config, [[16]]))
         with pytest.raises(ValueError, match="max_text_len"):
-            pr.assemble(state, weights, config, class_tokens=[[16]])
+            mdl.encode_texts(weights, config, seqs)
+
+    def test_gradient_reaches_prompt_and_cls(self, weights, config):
+        state = pr.init_gaussian(2, config.embed_dim, 0.02, seed=0, with_cls=True)
+        with Tape() as tape:
+            feats = mdl.encode_texts(weights, config, pr.assemble(state, state.cls))
+            tape.backward(ad.sum_all(feats))
+        assert np.any(state.prompt.grad != 0.0)
+        assert np.all(state.cls.grad.any(axis=-1))
 
     def test_gradient_reaches_prompt(self, weights, config):
         state = pr.init_from_template(weights, config, dat.template_ids())
         with Tape() as tape:
-            seqs = pr.assemble(state, weights, config, class_tokens=[[16], [17]])
+            seqs = pr.assemble(state, mdl.embed_tokens(weights, config, [[16], [17]]))
             feats = mdl.encode_texts(weights, config, seqs)
             loss = ad.sum_all(feats)
             tape.backward(loss)
@@ -161,10 +153,11 @@ class TestAssemble:
                 tape.backward(ad.sum_all(ad.mul(encode(state), r)))
             return state.prompt.grad
 
-        batched = prompt_grad(lambda s: mdl.encode_texts(
-            weights, config, pr.assemble(s, weights, config, class_tokens=class_ids)))
-        per_class = prompt_grad(lambda s: ad.concat_rows([
-            mdl.encode_texts(weights, config,
-                             pr.assemble(s, weights, config, class_tokens=[ids]))
-            for ids in class_ids]))
+        def features(state, ids):
+            return mdl.encode_texts(weights, config, pr.assemble(
+                state, mdl.embed_tokens(weights, config, ids)))
+
+        batched = prompt_grad(lambda s: features(s, class_ids))
+        per_class = prompt_grad(lambda s: ad.concat_rows(
+            [features(s, [ids]) for ids in class_ids]))
         np.testing.assert_array_equal(batched, per_class)
