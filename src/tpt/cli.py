@@ -77,6 +77,8 @@ def _build_dataset(cfg, data_seed=1):
         ds = dat.apply_shift(ds, shift, seed=seed + 1)
     if "samples" in cfg:
         n = int(cfg["samples"])
+        if n < 1:
+            raise SystemExit(f"--samples {n}: need at least 1 sample")
         rng = np.random.default_rng(seed + 2)
         ds = ds.subset(np.sort(rng.permutation(len(ds))[:n]))
     return ds
@@ -231,7 +233,7 @@ def cmd_dump_dist(args):
     if not 0 <= i < len(ds):
         raise SystemExit(f"--sample {i} is out of range: the dataset has "
                          f"{len(ds)} samples, 0 to {len(ds) - 1}")
-    before, after, _ = hz.dump_distributions(
+    before, after = hz.dump_distributions(
         weights, mconfig, dat.template_ids(), classes, ds.images[i],
         _tpt_config(cfg))
     out = args.out or "distributions"

@@ -101,7 +101,12 @@ class ShiftSpec:
         """Parse 'kind' or 'kind:param', e.g. 'noise:0.3'."""
         if ":" in text:
             kind, param = text.split(":", 1)
-            return cls(kind, float(param))
+            try:
+                value = float(param)
+            except ValueError:
+                raise ValueError(f"--shift {text!r}: parameter {param!r} "
+                                 "is not a number") from None
+            return cls(kind, value)
         return cls(text)
 
 

@@ -33,17 +33,10 @@ def _template_text_features(weights, config, template_ids, classes):
     return ep.text_features(weights, config, state, classes)
 
 
-# images encoded per pass when classifying a dataset: the episode's view
-# count, which bounds the activations held at once
-_CHUNK = 64
-
-
 def _classify_images(weights, config, tfeats, dataset):
-    preds = np.concatenate([
-        np.argmax(mdl.class_probabilities(
-            tfeats, mdl.encode_images(weights, config, dataset.images[i:i + _CHUNK]),
-            config.logit_scale).data, axis=1)
-        for i in range(0, len(dataset), _CHUNK)])
+    feats = mdl.encode_images(weights, config, dataset.images)
+    preds = np.argmax(mdl.class_probabilities(tfeats, feats, config.logit_scale).data,
+                      axis=1)
     return float(np.mean(preds == dataset.labels)), preds
 
 
@@ -175,7 +168,7 @@ def dump_distributions(weights, config, template_ids, classes, image,
     state = init_from_template(weights, config, template_ids)
     _, _, trace = ep.tpt_classify(weights, config, state, classes, image,
                                   tpt_config, record_views=True)
-    return trace["pre_views"], trace["post_views"], trace
+    return trace["pre_views"], trace["post_views"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
+from scipy.ndimage import uniform_filter
 
 from tpt import data as dat
-from tpt.augment import (AugmentPolicy, augmix_view, crop_resize,
+from tpt.augment import (RESAMPLE_BLOCK, AugmentPolicy, augmix_view, crop_resize,
                          generate_views, make_view, smooth, split_seed)
+
+# policies that reach every branch of a random resized crop
+RRC_POLICIES = (
+    AugmentPolicy(),
+    AugmentPolicy(smooth_prob=1.0),
+    AugmentPolicy(noise_patch_prob=1.0),
+    AugmentPolicy(scale_range=(0.05, 1.0), smooth_scale_range=(0.2, 1.0),
+                  smooth_prob=0.5, noise_patch_prob=0.5),
+)
 
 
 @pytest.fixture
@@ -53,23 +63,64 @@ def test_full_frame_crop_is_identity(image):
 
 
 def test_per_view_seeds_are_splittable_hashes(image):
-    for policy in (AugmentPolicy(), AugmentPolicy(kind="augmix")):
-        views = generate_views(image, 8, policy, 42)
-        for i in range(1, 8):
-            np.testing.assert_array_equal(
-                views[i], make_view(image, policy, split_seed(42, i)))
+    for policy in RRC_POLICIES + (AugmentPolicy(kind="augmix"),):
+        # one view, then views that end in a part-filled resample block
+        for n in (2, RESAMPLE_BLOCK + 2, 2 * RESAMPLE_BLOCK + 3):
+            views = generate_views(image, n, policy, 42)
+            assert len(views) == n
+            for i in range(1, n):
+                np.testing.assert_array_equal(
+                    views[i], make_view(image, policy, split_seed(42, i)))
     assert len({split_seed(42, i) for i in range(8)}) == 8
+
+
+def reference_rrc_view(image, policy, seed):
+    """A random resized crop made one view at a time, written out: the
+    draws in their order, then crop, bilinear resize of rows and then
+    columns, box blur, noise patch, flip and clip."""
+    rng = np.random.default_rng(seed)
+    c, h, w = image.shape
+    smoothed = rng.random() < policy.smooth_prob
+    scale = rng.uniform(*(policy.smooth_scale_range if smoothed else policy.scale_range))
+    side = max(1, int(round(np.sqrt(scale) * h)))
+    y0 = rng.integers(0, h - side + 1)
+    x0 = rng.integers(0, w - side + 1)
+    out = image[:, y0:y0 + side, x0:x0 + side]
+    for axis, n in ((1, h), (2, w)):
+        src = np.clip((np.arange(n) + 0.5) * side / n - 0.5, 0.0, side - 1)
+        lo = np.floor(src).astype(int)
+        frac = (src - lo).reshape([n if a == axis else 1 for a in range(3)])
+        out = (np.take(out, lo, axis=axis) * (1.0 - frac)
+               + np.take(out, np.minimum(lo + 1, side - 1), axis=axis) * frac)
+    if smoothed:
+        out = uniform_filter(out, size=(1, 3, 3), mode="nearest")
+    if rng.random() < policy.noise_patch_prob:
+        bh = int(round(h * rng.uniform(0.3, 0.7)))
+        bw = int(round(w * rng.uniform(0.3, 0.7)))
+        py = rng.integers(0, h - bh + 1)
+        px = rng.integers(0, w - bw + 1)
+        sigma = rng.uniform(0.1, 0.3)
+        out[:, py:py + bh, px:px + bw] += rng.normal(0.0, sigma, size=(c, bh, bw))
+    if rng.random() < 0.5:
+        out = out[:, :, ::-1]
+    return np.clip(out, *dat.PIXEL_RANGE)
+
+
+def test_rrc_views_equal_the_per_view_reference(image):
+    """The blocked resample computes every pixel as the one-view code does."""
+    n = 3 * RESAMPLE_BLOCK + 2
+    for policy in RRC_POLICIES:
+        for seed in range(3):
+            views = generate_views(image, n, policy, seed)
+            for i in range(1, n):
+                np.testing.assert_array_equal(
+                    views[i], reference_rrc_view(image, policy, split_seed(seed, i)))
 
 
 class TestAugmix:
     def test_requires_augmix_policy(self, image):
         with pytest.raises(ValueError):
             augmix_view(image, AugmentPolicy(kind="rrc"), seed=0)
-
-    def test_forced_blend_one_returns_original(self, image):
-        policy = AugmentPolicy(kind="augmix")
-        out = augmix_view(image, policy, seed=7, blend_override=1.0)
-        np.testing.assert_array_equal(out, image)
 
     def test_pixel_range_fuzz(self, image):
         policy = AugmentPolicy(kind="augmix")

@@ -94,6 +94,13 @@ class TestShifts:
         with pytest.raises(ValueError):
             dat.ShiftSpec.parse("fog:1")
 
+    @pytest.mark.parametrize("text,param", [("noise:", ""), ("noise:high", "high"),
+                                            ("blur:1:2", "1:2"), ("noise: ", " ")])
+    def test_parse_names_a_bad_parameter(self, text, param):
+        with pytest.raises(ValueError, match=rf"^--shift '{text}': parameter "
+                                             rf"'{param}' is not a number$"):
+            dat.ShiftSpec.parse(text)
+
 
 class TestShiftParameters:
     """Each kind accepts only parameters apply_shift reads as given."""

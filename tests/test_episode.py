@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpt import data as dat
 from tpt import episode as ep
@@ -108,6 +110,37 @@ class TestSelectAndAverage:
         pred = ep.select_and_average(self.make_pred(probs), 1.0)
         np.testing.assert_allclose(pred.averaged.data[0], probs.mean(axis=0),
                                    atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.integers(0, 3), min_size=1, max_size=64),
+           rho=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_selects_exactly_k_ties_to_lower_index(self, rows, rho, seed):
+        """Rows drawn from four distributions, so entropies tie often."""
+        rng = np.random.default_rng(seed)
+        table = np.stack([softmax(3 * rng.normal(size=5)) for _ in range(4)])
+        probs = table[rows]
+        pred = ep.select_and_average(self.make_pred(probs), rho)
+        k = max(1, int(np.floor(rho * len(rows))))
+        chosen = pred.selected
+        assert len(chosen) == len(set(chosen.tolist())) == k
+        assert np.all(np.diff(chosen) > 0)
+        others = np.setdiff1d(np.arange(len(rows)), chosen)
+        ents = pred.entropies
+        assert pred.threshold == ents[chosen].max()
+        for j in others:
+            assert ents[j] >= pred.threshold
+            # a view that ties a selected one has a higher index
+            assert not np.any((ents[chosen] == ents[j]) & (chosen > j))
+        np.testing.assert_array_equal(pred.averaged.data[0], probs[chosen].mean(axis=0))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+    def test_rho_one_averages_every_row(self, n, seed):
+        rng = np.random.default_rng(seed)
+        probs = np.stack([softmax(rng.normal(size=8)) for _ in range(n)])
+        pred = ep.select_and_average(self.make_pred(probs), 1.0)
+        np.testing.assert_array_equal(pred.selected, np.arange(n))
+        np.testing.assert_array_equal(pred.averaged.data[0], probs.mean(axis=0))
 
     def test_loss_requires_selection(self):
         probs = np.array([[0.9, 0.1]])

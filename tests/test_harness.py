@@ -96,7 +96,7 @@ class TestBaselines:
                                             classes, dataset, FAST)
         for i in range(len(dataset)):
             cfg = replace(FAST, seed=split_seed(FAST.seed, int(dataset.ids[i])))
-            views, _, _ = hz.dump_distributions(varied_weights, config, TEMPLATE,
+            views, _ = hz.dump_distributions(varied_weights, config, TEMPLATE,
                                                 classes, dataset.images[i], cfg)
             assert avg[i] == np.argmax(views.mean(axis=0))
             votes = np.bincount(np.argmax(views, axis=1), minlength=len(classes))
@@ -284,6 +284,15 @@ class TestCli:
                 cli.main(["dump-dist", "--weights", str(wpath), "--sample", sample,
                           "--samples", "2", "--out", str(tmp_path / "dist")])
         assert not (tmp_path / "dist.before.csv").exists()
+
+    def test_samples_must_be_positive(self, tmp_path, weights):
+        wpath = tmp_path / "w.tptw"
+        mdl.save_weights(weights, wpath)
+        for samples in ("0", "-3"):
+            with pytest.raises(SystemExit, match=f"--samples {samples}: need at least 1"):
+                cli.main(["eval", "--weights", str(wpath), "--method", "zeroshot",
+                          "--samples", samples, "--out", str(tmp_path / "res.csv")])
+        assert not (tmp_path / "res.csv").exists()
 
     def test_bongard_csv(self, tmp_path, weights):
         wpath = tmp_path / "w.tptw"

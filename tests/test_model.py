@@ -1,8 +1,15 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpt import autodiff as ad
+from tpt import data as dat
 from tpt import model as mdl
+from tpt.augment import AugmentPolicy, make_view
 from tpt.autodiff import Tape, Tensor
 
 
@@ -80,6 +87,10 @@ class TestEncodeImage:
             img[1, 2, 3] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 mdl.encode_image(weights, config, img)
+
+    def test_no_images_rejected(self, weights, config):
+        with pytest.raises(ValueError, match="no images"):
+            mdl.encode_images(weights, config, [])
 
     def test_continuity_one_pixel(self, weights, config):
         rng = np.random.default_rng(2)
@@ -164,8 +175,6 @@ class TestCrossEntropy:
 
 @pytest.fixture(scope="module")
 def tiny_setup():
-    from tpt import data as dat
-
     spec = dat.DatasetSpec(samples_per_class=3)
     ds = dat.generate(spec, seed=1)
     return dat.caption_pairs(ds)
@@ -186,6 +195,29 @@ class TestPretrain:
                                              lr=0.0, batch=16, seed=0)
         assert 0.5 * np.log(16) <= losses[0] <= 2.0 * np.log(16)
 
+    def test_batch_views_equal_make_view_per_drawn_seed(self, config, tiny_setup,
+                                                        monkeypatch):
+        policy = AugmentPolicy(scale_range=(0.5, 1.0), smooth_prob=0.5,
+                               noise_patch_prob=0.5)
+        seen = []
+        encode = mdl.encode_images
+
+        def recording(weights, config, images):
+            seen.append(images)
+            return encode(weights, config, images)
+
+        monkeypatch.setattr(mdl, "encode_images", recording)
+        pairs = tiny_setup[:17]  # batches of 7, 7 and 3 views
+        mdl.pretrain_contrastive(mdl.init_weights(config, seed=1), config, pairs,
+                                 epochs=1, batch=7, seed=4, augment_policy=policy)
+        assert [len(views) for views in seen] == [7, 7, 3]
+        rng = np.random.default_rng(4)
+        order = rng.permutation(len(pairs))
+        for start, views in zip(range(0, len(pairs), 7), seen):
+            for i, view in zip(order[start:start + 7], views):
+                want = make_view(pairs[i][0], policy, int(rng.integers(2 ** 62)))
+                np.testing.assert_array_equal(view, want)
+
     def test_same_seed_identical_final_loss(self, config, tiny_setup):
         results = []
         for _ in range(2):
@@ -203,6 +235,33 @@ def test_weights_roundtrip_bit_exact(tmp_path, weights):
     assert set(back) == set(weights)
     for name in weights:
         np.testing.assert_array_equal(back[name].data, weights[name].data)
+
+
+tensor_sets = st.dictionaries(
+    st.text(min_size=1, max_size=12),
+    st.tuples(st.lists(st.integers(0, 4), max_size=3),
+              st.integers(0, 2 ** 32 - 1)),
+    max_size=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tensors=tensor_sets)
+def test_weights_roundtrip_any_tensor_set(tensors):
+    """Any names (UTF-8), ranks 0-3, empty dimensions and non-finite
+    values come back bit for bit and in order."""
+    weights = {}
+    for name, (shape, seed) in tensors.items():
+        data = np.random.default_rng(seed).normal(size=shape)
+        data.reshape(-1)[::3] = (np.nan, np.inf, -0.0)[seed % 3]
+        weights[name] = Tensor(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.tptw"
+        mdl.save_weights(weights, path)
+        back = mdl.load_weights(path)
+    assert list(back) == list(weights)
+    for name, t in weights.items():
+        assert back[name].data.shape == t.data.shape
+        assert back[name].data.tobytes() == t.data.tobytes()
 
 
 def test_weights_bad_magic(tmp_path):
@@ -271,11 +330,13 @@ class TestBatchInvariance:
 
     @pytest.fixture(scope="class")
     def images(self, config):
-        return list(np.random.default_rng(5).random((5,) + config.image_shape))
+        # more than one encode block, the last one part-filled
+        n = 2 * mdl.ENCODE_BLOCK + 3
+        return list(np.random.default_rng(5).random((n,) + config.image_shape))
 
     def test_image_rows_equal_single_image_encodes(self, weights, config, images):
         batched = mdl.encode_images(weights, config, images).data
-        assert batched.shape == (5, config.proj_dim)
+        assert batched.shape == (len(images), config.proj_dim)
         for i, img in enumerate(images):
             single = mdl.encode_images(weights, config, [img]).data
             np.testing.assert_array_equal(batched[i], single[0])
