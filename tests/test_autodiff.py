@@ -183,6 +183,19 @@ class TestFiniteDiffCheck:
 
         assert ad.finite_diff_check(f, x) <= 1e-4
 
+    def test_small_slope_under_large_loss(self):
+        # one input sits at x ≈ -0.752, where GELU's slope is ~1e-5, under a
+        # loss of about 14: two-point differences at h = 1e-5 read 1.9e-5
+        rng = np.random.default_rng(164)
+        x = Tensor(rng.normal(size=(2, 4, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=x.data.shape))
+
+        def f(t):
+            return ad.sum_all(ad.mul(ad.gelu(t), w))
+
+        assert np.abs(x.data + 0.752).min() < 1e-3
+        assert ad.finite_diff_check(f, x) <= 1e-6
+
 
 def test_data_stays_finite_through_ops():
     rng = np.random.default_rng(16)
