@@ -1,14 +1,17 @@
 """Command line interface.
 
 Subcommands: pretrain, gen-data, eval, fewshot-train, ablate, bongard,
-dump-dist, gradcheck.  A key=value config file may set any flag; CLI
-flags win.  Settings left unset keep the library defaults.
+dump-dist, gradcheck.  Every setting is a flag whose default is the
+library's (TPTConfig, ReasonConfig, model.PRETRAIN, ...).  `--config
+FILE` sets any flag of the subcommand from `key=value` lines, and a flag
+given on the command line wins.  eval and ablate write CSV under a
+header that records every setting the command used; bongard and
+dump-dist write plain CSV.
 """
 
 import argparse
 import csv
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -19,68 +22,44 @@ from . import model as mdl
 from .augment import AugmentPolicy
 from .episode import TPTConfig
 
+_DATA_SEED = 1  # the evaluation set; pretraining draws mdl.TRAIN_DATA_SEED
+_TPT = TPTConfig()
+_REASON = bg.ReasonConfig()
 
-def _add_common(p):
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", help="output path")
+
+def _comma_list(cast):
+    """argparse type: comma-separated values, each read by `cast`."""
+    def parse(text):
+        return [cast(x) for x in text.split(",")]
+    parse.__name__ = f"comma-separated {cast.__name__}"
+    return parse
 
 
 def _add_eval_flags(p):
     p.add_argument("--weights", required=True, help="trained weights file")
-    p.add_argument("--shift", default=None, help="KIND[:PARAM], e.g. noise:0.3")
-    p.add_argument("--aug", choices=["rrc", "augmix"], default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--views", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None,
-                   help="cap the number of evaluated samples")
+    p.add_argument("--shift", default="none", help="KIND[:PARAM], e.g. noise:0.3")
+    p.add_argument("--aug", choices=["rrc", "augmix"], default=_TPT.policy.kind)
+    p.add_argument("--rho", type=float, default=_TPT.rho)
+    p.add_argument("--views", type=int, default=_TPT.n_views)
+    p.add_argument("--steps", type=int, default=_TPT.steps)
+    p.add_argument("--lr", type=float, default=_TPT.lr)
+    p.add_argument("--samples", type=int, help="cap the number of evaluated samples")
 
 
-def _run_config(args):
-    file_cfg = hz.parse_config_file(args.config) if args.config else {}
-    flags = {k: v for k, v in vars(args).items()
-             if k not in ("config", "func", "command") and v is not None}
-    return hz.merge_run_config(file_cfg, {k: str(v) for k, v in flags.items()})
+def _settings(args):
+    """Every setting the command reads, for a results header."""
+    return {k: v for k, v in vars(args).items() if k not in ("config", "func")}
 
 
-def _get(cfg, key, cast, default):
-    return cast(cfg[key]) if key in cfg else default
-
-
-# config key -> (keyword it sets, type); unset keys keep library defaults
-_KEYS = {
-    "samples_per_class": ("samples_per_class", int),
-    "noise_sigma": ("noise_sigma", float), "contrast": ("contrast", float),
-    "contrast_min": ("contrast_min", float), "aug": ("kind", str),
-    "views": ("n_views", int), "rho": ("rho", float), "steps": ("steps", int),
-    "lr": ("lr", float), "seed": ("seed", int), "epochs": ("epochs", int),
-    "pretrain_lr": ("lr", float), "weight_decay": ("weight_decay", float),
-    "embed_rescale": ("embed_rescale", float),
-    "noise_patch_prob": ("noise_patch_prob", float),
-}
-
-
-def _pick(cfg, *keys):
-    """Keyword arguments from those of the config keys the user set."""
-    return {_KEYS[k][0]: _KEYS[k][1](cfg[k]) for k in keys if k in cfg}
-
-
-def _build_dataset(cfg, data_seed=1):
-    spec = dat.DatasetSpec(**_pick(cfg, "samples_per_class", "noise_sigma",
-                                   "contrast", "contrast_min"))
-    seed = _get(cfg, "data_seed", int, data_seed)
-    ds = dat.generate(spec, seed=seed)
-    if cfg.get("shift", "none") != "none":
-        shift = dat.ShiftSpec.parse(cfg["shift"])
-        ds = dat.apply_shift(ds, shift, seed=seed + 1)
-    if "samples" in cfg:
-        n = int(cfg["samples"])
-        if n < 1:
-            raise SystemExit(f"--samples {n}: need at least 1 sample")
+def _build_dataset(args, seed=_DATA_SEED):
+    ds = dat.generate(dat.DatasetSpec(), seed=seed)
+    if args.shift != "none":
+        ds = dat.apply_shift(ds, dat.ShiftSpec.parse(args.shift), seed=seed + 1)
+    if args.samples is not None:
+        if args.samples < 1:
+            raise SystemExit(f"--samples {args.samples}: need at least 1 sample")
         rng = np.random.default_rng(seed + 2)
-        ds = ds.subset(np.sort(rng.permutation(len(ds))[:n]))
+        ds = ds.subset(np.sort(rng.permutation(len(ds))[:args.samples]))
     return ds
 
 
@@ -90,46 +69,39 @@ def _load_model(args):
     return config, mdl.load_weights(args.weights, config)
 
 
-def _tpt_config(cfg):
-    return TPTConfig(policy=AugmentPolicy(**_pick(cfg, "aug")),
-                     **_pick(cfg, "views", "rho", "steps", "lr", "seed"))
+def _tpt_config(args, seed):
+    return TPTConfig(n_views=args.views, rho=args.rho, steps=args.steps,
+                     lr=args.lr, seed=seed, policy=AugmentPolicy(kind=args.aug))
 
 
 def cmd_pretrain(args):
-    cfg = _run_config(args)
-    recipe = {**mdl.PRETRAIN, **_pick(cfg, "epochs", "pretrain_lr", "seed",
-                                      "weight_decay", "embed_rescale")}
-    policy = {**mdl.PRETRAIN_POLICY, **_pick(cfg, "noise_patch_prob")}
-    if "pretrain_crop_min" in cfg:
-        policy["scale_range"] = (float(cfg["pretrain_crop_min"]), 1.0)
+    recipe = {**mdl.PRETRAIN, "epochs": args.epochs, "seed": args.seed}
     mconfig = mdl.ModelConfig()
-    pairs = dat.caption_pairs(_build_dataset(cfg, data_seed=mdl.TRAIN_DATA_SEED))
-    weights = mdl.init_weights(mconfig, seed=recipe["seed"])
+    pairs = dat.caption_pairs(dat.generate(dat.DatasetSpec(),
+                                           seed=mdl.TRAIN_DATA_SEED))
+    weights = mdl.init_weights(mconfig, seed=args.seed)
     weights, losses = mdl.pretrain_contrastive(
-        weights, mconfig, pairs, augment_policy=AugmentPolicy(**policy), **recipe)
-    out = args.out or "weights.tptw"
-    mdl.save_weights(weights, out)
+        weights, mconfig, pairs,
+        augment_policy=AugmentPolicy(**mdl.PRETRAIN_POLICY), **recipe)
+    mdl.save_weights(weights, args.out)
     top1 = mdl.retrieval_top1(weights, mconfig, pairs[:64])
-    print(f"final loss {losses[-1]:.4f}  retrieval@1 {top1:.3f}  -> {out}")
+    print(f"final loss {losses[-1]:.4f}  retrieval@1 {top1:.3f}  -> {args.out}")
     return 0
 
 
 def cmd_gen_data(args):
-    cfg = _run_config(args)
-    ds = _build_dataset(cfg)
-    out = args.out or "dataset"
-    manifest = dat.save_dataset(ds, out)
+    ds = _build_dataset(args, seed=args.seed)
+    manifest = dat.save_dataset(ds, args.out)
     print(f"{len(ds)} images -> {manifest}")
     return 0
 
 
 def cmd_eval(args):
-    cfg = _run_config(args)
     mconfig, weights = _load_model(args)
-    ds = _build_dataset(cfg)
+    ds = _build_dataset(args)
     classes = hz.class_set(ds)
     template = dat.template_ids()
-    tcfg = _tpt_config(cfg)
+    tcfg = _tpt_config(args, args.seed)
     method = args.method
     traces = None
     if method == "zeroshot":
@@ -146,12 +118,10 @@ def cmd_eval(args):
     elif method == "vote":
         acc, _ = hz.baseline_majority_vote(weights, mconfig, template,
                                            classes, ds, tcfg)
-    else:
-        raise SystemExit(f"unknown method {method}")
-    row = {"method": method, "shift": cfg.get("shift", "none"),
-           "accuracy": acc, "n": len(ds), "seed": tcfg.seed}
+    row = {"method": method, "shift": args.shift, "accuracy": acc,
+           "n": len(ds), "seed": args.seed}
     if args.out:
-        hz.write_results(args.out, [row], cfg)
+        hz.write_results(args.out, [row], _settings(args))
         if traces is not None:
             hz.write_traces(args.out + ".traces.jsonl", traces)
     print(f"{method}: accuracy {acc:.4f} on {len(ds)} samples")
@@ -159,75 +129,65 @@ def cmd_eval(args):
 
 
 def cmd_fewshot_train(args):
-    cfg = _run_config(args)
     mconfig, weights = _load_model(args)
-    ds = _build_dataset(cfg)
+    ds = dat.generate(dat.DatasetSpec(), seed=_DATA_SEED)
     classes = hz.class_set(ds)
-    shots = _get(cfg, "shots", int, 16)
-    rng = np.random.default_rng(_get(cfg, "seed", int, 0))
+    rng = np.random.default_rng(args.seed)
     idx = []
     for k in range(len(classes)):
         pool = np.flatnonzero(ds.labels == k)
-        idx.extend(rng.choice(pool, size=min(shots, len(pool)), replace=False))
+        idx.extend(rng.choice(pool, size=min(args.shots, len(pool)), replace=False))
     sub = ds.subset(np.sort(idx))
-    state = hz.fewshot_train_prompt(
-        weights, mconfig, classes, sub.images, sub.labels,
-        **_pick(cfg, "epochs", "lr"))
-    out = args.out or "prompt.tptw"
-    mdl.save_weights({"prompt": state.prompt}, out)
-    print(f"few-shot prompt ({shots}-shot) -> {out}")
+    state = hz.fewshot_train_prompt(weights, mconfig, classes, sub.images,
+                                    sub.labels, epochs=args.epochs, lr=args.lr)
+    mdl.save_weights({"prompt": state.prompt}, args.out)
+    print(f"few-shot prompt ({args.shots}-shot) -> {args.out}")
     return 0
 
 
 def cmd_ablate(args):
-    cfg = _run_config(args)
     mconfig, weights = _load_model(args)
-    ds = _build_dataset(cfg)
+    ds = _build_dataset(args)
     classes = hz.class_set(ds)
-    flags = {"rho": (float, args.grid_rho), "n_views": (int, args.grid_views),
-             "steps": (int, args.grid_steps),
-             "parameter_group": (str, args.grid_group)}
-    grid = {field: [cast(x) for x in value.split(",")]
-            for field, (cast, value) in flags.items() if value}
-    seeds = [int(s) for s in (args.seeds or "0").split(",")]
+    grid = {field: values for field, values in (
+        ("rho", args.grid_rho), ("n_views", args.grid_views),
+        ("steps", args.grid_steps), ("parameter_group", args.grid_group))
+        if values}
+    # the base config's seed is replaced by each of --seeds
     rows = hz.ablate(weights, mconfig, dat.template_ids(), classes, ds,
-                     _tpt_config(cfg), grid, seeds=seeds,
-                     shift_label=cfg.get("shift", "none"))
-    out = args.out or "ablation.csv"
-    hz.write_results(out, rows, cfg)
+                     _tpt_config(args, args.seeds[0]), grid, seeds=args.seeds,
+                     shift_label=args.shift)
+    hz.write_results(args.out, rows, _settings(args))
     for row in rows:
         print(f"{row['method']}: {row['accuracy']:.4f} (seed {row['seed']})")
     return 0
 
 
 def cmd_bongard(args):
-    cfg = _run_config(args)
+    if args.tasks < 1:
+        raise SystemExit(f"--tasks {args.tasks}: need at least 1 task")
     mconfig, weights = _load_model(args)
-    seed = _get(cfg, "seed", int, 0)
-    rcfg = bg.ReasonConfig(**_pick(cfg, "steps", "lr"))
-    tasks = bg.generate_tasks(args.tasks, seed=seed)
+    tasks = bg.generate_tasks(args.tasks, seed=args.seed)
     by_split = {s: [] for s in bg.SPLITS}
     for i, task in enumerate(tasks):
-        pred, _ = bg.tpt_reason(weights, mconfig, task,
-                                replace(rcfg, seed=seed + i))
+        rcfg = bg.ReasonConfig(steps=args.steps, lr=args.lr, seed=args.seed + i)
+        pred, _ = bg.tpt_reason(weights, mconfig, task, rcfg)
         by_split[task.concept["split"]].append(pred == task.query_label)
-    out = args.out or "bongard.csv"
-    with open(out, "w", newline="") as f:
+    with open(args.out, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["split", "accuracy", "n", "prompt_len", "steps", "lr", "seed"])
         for split in bg.SPLITS:
             hits = by_split[split]
             acc = float(np.mean(hits)) if hits else float("nan")
             writer.writerow([split, f"{acc:.4f}", len(hits), bg.PROMPT_LEN,
-                             rcfg.steps, rcfg.lr, seed])
+                             args.steps, args.lr, args.seed])
             print(f"{split}: {acc:.4f} ({len(hits)} tasks)")
     return 0
 
 
 def cmd_dump_dist(args):
-    cfg = _run_config(args)
     mconfig, weights = _load_model(args)
-    ds = _build_dataset(cfg)
+    ds = _build_dataset(args)
     classes = hz.class_set(ds)
     i = args.sample
     if not 0 <= i < len(ds):
@@ -235,10 +195,9 @@ def cmd_dump_dist(args):
                          f"{len(ds)} samples, 0 to {len(ds) - 1}")
     before, after = hz.dump_distributions(
         weights, mconfig, dat.template_ids(), classes, ds.images[i],
-        _tpt_config(cfg))
-    out = args.out or "distributions"
+        _tpt_config(args, args.seed))
     for tag, mat in (("before", before), ("after", after)):
-        path = f"{out}.{tag}.csv"
+        path = f"{args.out}.{tag}.csv"
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["view"] + list(ds.class_names))
@@ -249,8 +208,7 @@ def cmd_dump_dist(args):
 
 
 def cmd_gradcheck(args):
-    cfg = _run_config(args)
-    checks = hz.gradcheck_report(**_pick(cfg, "seed"))
+    checks = hz.gradcheck_report(seed=args.seed)
     worst = 0.0
     for name, err in checks:
         status = "ok" if err <= 1e-4 else "FAIL"
@@ -259,65 +217,89 @@ def cmd_gradcheck(args):
     return 0 if worst <= 1e-4 else 1
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(prog="tpt")
+def _build_parser():
+    parser = argparse.ArgumentParser(prog="tpt", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pretrain", help="contrastive pretraining")
-    _add_common(p)
-    p.add_argument("--epochs", type=int, default=None)
-    p.set_defaults(func=cmd_pretrain)
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.add_argument("--config", help="file of key=value lines, each "
+                                        "setting the flag --key")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    _add_common(p)
-    p.add_argument("--shift", default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.set_defaults(func=cmd_gen_data)
+    p = command("pretrain", cmd_pretrain, "contrastive pretraining")
+    p.add_argument("--epochs", type=int, default=mdl.PRETRAIN["epochs"])
+    p.add_argument("--seed", type=int, default=mdl.PRETRAIN["seed"])
+    p.add_argument("--out", default="weights.tptw")
 
-    p = sub.add_parser("eval", help="evaluate a method")
-    _add_common(p)
+    p = command("gen-data", cmd_gen_data, "generate a synthetic dataset")
+    p.add_argument("--seed", type=int, default=_DATA_SEED, help="data seed")
+    p.add_argument("--shift", default="none")
+    p.add_argument("--samples", type=int)
+    p.add_argument("--out", default="dataset")
+
+    p = command("eval", cmd_eval, "evaluate a method")
     _add_eval_flags(p)
     p.add_argument("--method", required=True,
                    choices=["zeroshot", "tpt", "ensemble", "avgpred", "vote"])
-    p.set_defaults(func=cmd_eval)
+    p.add_argument("--seed", type=int, default=_TPT.seed)
+    p.add_argument("--out", help="results CSV; none prints the accuracy only")
 
-    p = sub.add_parser("fewshot-train", help="train a prompt on labeled shots")
-    _add_common(p)
+    p = command("fewshot-train", cmd_fewshot_train,
+                "train a prompt on labeled shots")
     p.add_argument("--weights", required=True)
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.set_defaults(func=cmd_fewshot_train)
+    p.add_argument("--shots", type=int, default=16)
+    p.add_argument("--epochs", type=int, default=hz.FEWSHOT["epochs"])
+    p.add_argument("--lr", type=float, default=hz.FEWSHOT["lr"])
+    p.add_argument("--seed", type=int, default=0, help="seed of the shot draw")
+    p.add_argument("--out", default="prompt.tptw")
 
-    p = sub.add_parser("ablate", help="grid sweeps")
-    _add_common(p)
+    p = command("ablate", cmd_ablate, "grid sweeps")
     _add_eval_flags(p)
-    p.add_argument("--grid-rho")
-    p.add_argument("--grid-views")
-    p.add_argument("--grid-steps")
-    p.add_argument("--grid-group")
-    p.add_argument("--seeds")
-    p.set_defaults(func=cmd_ablate)
+    p.add_argument("--grid-rho", type=_comma_list(float))
+    p.add_argument("--grid-views", type=_comma_list(int))
+    p.add_argument("--grid-steps", type=_comma_list(int))
+    p.add_argument("--grid-group", type=_comma_list(str))
+    p.add_argument("--seeds", type=_comma_list(int), default=[_TPT.seed])
+    p.add_argument("--out", default="ablation.csv")
 
-    p = sub.add_parser("bongard", help="context-dependent reasoning tasks")
-    _add_common(p)
+    p = command("bongard", cmd_bongard, "context-dependent reasoning tasks")
     p.add_argument("--weights", required=True)
     p.add_argument("--tasks", type=int, default=100)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.set_defaults(func=cmd_bongard)
+    p.add_argument("--steps", type=int, default=_REASON.steps)
+    p.add_argument("--lr", type=float, default=_REASON.lr)
+    p.add_argument("--seed", type=int, default=_REASON.seed)
+    p.add_argument("--out", default="bongard.csv")
 
-    p = sub.add_parser("dump-dist", help="per-view distributions before/after")
-    _add_common(p)
+    p = command("dump-dist", cmd_dump_dist, "per-view distributions before/after")
     _add_eval_flags(p)
     p.add_argument("--sample", type=int, default=0)
-    p.set_defaults(func=cmd_dump_dist)
+    p.add_argument("--seed", type=int, default=_TPT.seed)
+    p.add_argument("--out", default="distributions")
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient report")
-    _add_common(p)
-    p.set_defaults(func=cmd_gradcheck)
+    p = command("gradcheck", cmd_gradcheck, "finite-difference gradient report")
+    p.add_argument("--seed", type=int, default=0)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def _with_config_flags(argv):
+    """argv with each key=value line of its --config file turned into the
+    flag --key=value, placed after the subcommand and before the given
+    flags.  argparse then types and checks file settings like any flag,
+    and a flag given on both wins, because argparse keeps the last."""
+    pre = argparse.ArgumentParser(prog="tpt", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    flags = [f"--{key}={value}" for key, value in hz.parse_config_file(path).items()]
+    return argv[:1] + flags + argv[1:]
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_with_config_flags(argv))
     return args.func(args)
 
 

@@ -81,7 +81,7 @@ class ShiftSpec:
     # kind -> (test of the parameter, what the kind takes)
     _PARAMS = {
         "none": (lambda p: p == 0, "no parameter"),
-        "noise": (lambda p: p >= 0, "a noise std of 0 or more"),
+        "noise": (lambda p: 0 <= p < np.inf, "a finite noise std of 0 or more"),
         "invert": (lambda p: p == 0, "no parameter"),
         "channel_drop": (lambda p: p in (0, 1, 2), "a channel index 0, 1 or 2"),
         "blur": (lambda p: p >= 0 and float(p).is_integer(),

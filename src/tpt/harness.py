@@ -20,6 +20,7 @@ from .optim import AdamW
 from .prompt import PromptState, init_from_template
 
 VERSION = "tpt-0.1.0"
+FEWSHOT = dict(epochs=50, lr=0.01)  # fewshot_train_prompt's defaults
 
 
 def class_set(dataset):
@@ -71,8 +72,9 @@ def evaluate_tpt(weights, config, template_ids, classes, dataset, tpt_config,
             traces if record_traces else None)
 
 
-def fewshot_train_prompt(weights, config, classes, images, labels, epochs=50,
-                         lr=0.01, template_ids=dat.template_ids()):
+def fewshot_train_prompt(weights, config, classes, images, labels,
+                         epochs=FEWSHOT["epochs"], lr=FEWSHOT["lr"],
+                         template_ids=dat.template_ids()):
     """Cross-entropy prompt tuning on labeled shots; prompt only.
 
     Returns a PromptState whose init snapshot is the tuned prompt, so it
@@ -267,25 +269,20 @@ def parse_config_file(path):
     """Plain key=value lines; '#' starts a comment."""
     out = {}
     with open(path) as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, _, value = line.partition("=")
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ValueError(f"{path}:{number}: expected key=value, got {line!r}")
             out[key.strip()] = value.strip()
     return out
 
 
-def merge_run_config(file_config, flag_config):
-    """File values overridden by CLI flags (flags win)."""
-    merged = dict(file_config)
-    merged.update({k: v for k, v in flag_config.items() if v is not None})
-    return merged
-
-
 def write_results(path, rows, run_config):
-    """CSV rows under '#'-prefixed header lines carrying the full run
-    config and code version."""
+    """CSV rows under '# key=value' header lines: the code version, then
+    every setting of the run."""
     with open(path, "w", newline="") as f:
         f.write(f"# version={VERSION}\n")
         for key in sorted(run_config):
@@ -306,8 +303,6 @@ def read_results(path):
             if line.startswith("# "):
                 key, _, value = line[2:].strip().partition("=")
                 header[key] = value
-            elif line.startswith("#"):
-                header["version"] = line[1:].strip().partition("=")[2]
             else:
                 body.append(line)
         for row in csv.DictReader(io.StringIO("".join(body))):

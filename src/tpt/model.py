@@ -313,34 +313,36 @@ def pretrain_contrastive(weights, config, pairs, epochs=PRETRAIN["epochs"],
         raise ValueError("need at least 2 (image, caption) pairs")
     rng = np.random.default_rng(seed)
     set_trainable(weights, True)
-    opt = AdamW(list(weights.values()), lr=lr, weight_decay=weight_decay)
-    epoch_losses = []
-    for _ in range(epochs):
-        order = rng.permutation(len(pairs))
-        losses = []
-        for start in range(0, len(order), batch):
-            idx = order[start:start + batch]
-            if len(idx) < 2:
-                continue
-            images = [pairs[i][0] for i in idx]
-            if augment_policy is not None:
-                images = make_views(images, augment_policy,
-                                    [int(rng.integers(2 ** 62)) for _ in idx])
-            with ad.Tape() as tape:
-                img_feats = encode_images(weights, config, images)
-                txt_feats = encode_texts(weights, config, embed_tokens(
-                    weights, config, [pairs[i][1] for i in idx]))
-                sims = class_logits(txt_feats, img_feats, config.logit_scale)
-                matched = Tensor(np.eye(len(idx)))  # pair i is image i, caption i
-                li, _ = cross_entropy(sims, matched)
-                lt, _ = cross_entropy(ad.transpose(sims), matched)
-                loss = ad.scale(ad.add(li, lt), 0.5)
-                opt.zero_grad()
-                tape.backward(loss)
-            opt.step()
-            losses.append(loss.item())
-        epoch_losses.append(float(np.mean(losses)))
-    set_trainable(weights, False)
+    try:
+        opt = AdamW(list(weights.values()), lr=lr, weight_decay=weight_decay)
+        epoch_losses = []
+        for _ in range(epochs):
+            order = rng.permutation(len(pairs))
+            losses = []
+            for start in range(0, len(order), batch):
+                idx = order[start:start + batch]
+                if len(idx) < 2:
+                    continue
+                images = [pairs[i][0] for i in idx]
+                if augment_policy is not None:
+                    images = make_views(images, augment_policy,
+                                        [int(rng.integers(2 ** 62)) for _ in idx])
+                with ad.Tape() as tape:
+                    img_feats = encode_images(weights, config, images)
+                    txt_feats = encode_texts(weights, config, embed_tokens(
+                        weights, config, [pairs[i][1] for i in idx]))
+                    sims = class_logits(txt_feats, img_feats, config.logit_scale)
+                    matched = Tensor(np.eye(len(idx)))  # pair i is image i, caption i
+                    li, _ = cross_entropy(sims, matched)
+                    lt, _ = cross_entropy(ad.transpose(sims), matched)
+                    loss = ad.scale(ad.add(li, lt), 0.5)
+                    opt.zero_grad()
+                    tape.backward(loss)
+                opt.step()
+                losses.append(loss.item())
+            epoch_losses.append(float(np.mean(losses)))
+    finally:
+        set_trainable(weights, False)
     if embed_rescale != 1.0:
         rescale_text_embeddings(weights, embed_rescale)
     return weights, epoch_losses

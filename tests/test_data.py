@@ -114,7 +114,7 @@ class TestShiftParameters:
                 dat.ShiftSpec.parse(f"{kind}:{param}")
 
     def test_noise(self):
-        self.check("noise", good=(0.0, 0.3, 2), bad=(-0.1, "nan"))
+        self.check("noise", good=(0.0, 0.3, 2), bad=(-0.1, "nan", "inf"))
 
     def test_channel_drop(self):
         self.check("channel_drop", good=(0, 1, 2.0), bad=(1.5, -1, 3))

@@ -1,4 +1,6 @@
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,16 +195,82 @@ class TestResultsFiles:
         assert back[0]["method"] == "tpt"
         assert float(back[0]["accuracy"]) == 0.75
 
-    def test_config_file_parsing(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("# comment\nrho = 0.1\nviews=8  # trailing\n\nshift=noise:0.3\n")
-        cfg = hz.parse_config_file(p)
-        assert cfg == {"rho": "0.1", "views": "8", "shift": "noise:0.3"}
 
-    def test_flags_override_file(self):
-        merged = hz.merge_run_config({"rho": "0.1", "views": "8"},
-                                     {"rho": "0.5", "steps": None})
-        assert merged == {"rho": "0.5", "views": "8"}
+def write_config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+class TestConfigFile:
+    """`--config FILE`: each key=value line sets the flag --key, parsed
+    by argparse together with the command line."""
+
+    @staticmethod
+    def parse_eval(monkeypatch, argv):
+        """The typed args that `tpt eval ARGV` hands to cmd_eval."""
+        seen = []
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args) or 0)
+        assert cli.main(["eval", *argv]) == 0
+        return seen[0]
+
+    def test_file_lines_become_flags(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, "# comment\nrho = 0.5\nviews=8  # trailing\n"
+                                     "\nshift=noise:0.3\naug=augmix\n")
+        args = self.parse_eval(monkeypatch, ["--weights", "w", "--method", "tpt",
+                                             "--config", cfg])
+        assert (args.rho, args.views, args.shift, args.aug) == (0.5, 8, "noise:0.3",
+                                                                "augmix")
+        assert args.steps == TPTConfig().steps and args.samples is None
+
+    def test_command_line_wins(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, "rho=0.1\nviews=8\n")
+        for argv in (["--config", cfg, "--rho", "0.5"],
+                     ["--rho", "0.5", "--config", cfg]):
+            args = self.parse_eval(monkeypatch,
+                                   ["--weights", "w", "--method", "tpt", *argv])
+            assert (args.rho, args.views) == (0.5, 8)
+
+    def test_required_flags_from_the_file(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, "weights=w.tptw\nmethod=vote\n")
+        args = self.parse_eval(monkeypatch, ["--config", cfg])
+        assert (args.weights, args.method) == ("w.tptw", "vote")
+
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, "roh=0.5\n")
+        with pytest.raises(SystemExit) as exit_:
+            self.parse_eval(monkeypatch, ["--weights", "w", "--method", "tpt",
+                                          "--config", cfg])
+        assert exit_.value.code == 2
+        assert "--roh=0.5" in capsys.readouterr().err
+
+    def test_value_is_typed_like_the_flag(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, "views=abc\n")
+        with pytest.raises(SystemExit) as exit_:
+            self.parse_eval(monkeypatch, ["--weights", "w", "--method", "tpt",
+                                          "--config", cfg])
+        assert exit_.value.code == 2
+        assert "argument --views: invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_line_without_equals_names_the_file(self, tmp_path):
+        cfg = write_config(tmp_path, "rho=0.1\nviews\n")
+        with pytest.raises(ValueError,
+                           match=r"run\.cfg:2: expected key=value, got 'views'"):
+            cli.main(["eval", "--weights", "w", "--method", "tpt", "--config", cfg])
+
+    def test_header_records_every_setting_read(self, tmp_path, weights):
+        wpath = tmp_path / "w.tptw"
+        mdl.save_weights(weights, wpath)
+        out = tmp_path / "res.csv"
+        cfg = write_config(tmp_path, "views=2\n")
+        assert cli.main(["eval", "--weights", str(wpath), "--method", "tpt",
+                         "--samples", "1", "--config", cfg, "--out", str(out)]) == 0
+        header, _ = hz.read_results(out)
+        assert header == {
+            "version": hz.VERSION, "command": "eval", "weights": str(wpath),
+            "method": "tpt", "shift": "none", "aug": "rrc", "rho": "0.1",
+            "views": "2", "steps": "1", "lr": "0.005", "samples": "1", "seed": "0",
+            "out": str(out)}
 
 
 class TestCli:
@@ -294,6 +362,31 @@ class TestCli:
                           "--samples", samples, "--out", str(tmp_path / "res.csv")])
         assert not (tmp_path / "res.csv").exists()
 
+    def test_tasks_must_be_positive(self, tmp_path, weights):
+        wpath = tmp_path / "w.tptw"
+        mdl.save_weights(weights, wpath)
+        out = tmp_path / "bongard.csv"
+        for tasks in ("0", "-3"):
+            with pytest.raises(SystemExit, match=f"--tasks {tasks}: need at least 1"):
+                cli.main(["bongard", "--weights", str(wpath), "--tasks", tasks,
+                          "--out", str(out)])
+        assert not out.exists()
+
+    def test_gen_data_seed_is_the_data_seed(self, tmp_path):
+        def images(*flags):
+            out = tmp_path / "-".join(("ds",) + flags)
+            assert cli.main(["gen-data", "--samples", "4", *flags,
+                             "--out", str(out)]) == 0
+            return dat.load_dataset(str(out)).images
+
+        np.testing.assert_array_equal(images(), images("--seed", "1"))
+        assert not np.array_equal(images("--seed", "5"), images("--seed", "9"))
+
+    def test_gradcheck_takes_no_out(self):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["gradcheck", "--out", "report.txt"])
+        assert exit_.value.code == 2
+
     def test_bongard_csv(self, tmp_path, weights):
         wpath = tmp_path / "w.tptw"
         mdl.save_weights(weights, wpath)
@@ -303,3 +396,28 @@ class TestCli:
         assert rc == 0
         text = out.read_text()
         assert text.startswith("split,")
+
+
+def readme_commands():
+    """Every `tpt ...` line of README's CLI block, as an argv list."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("tpt ")]
+
+
+def test_readme_shows_every_subcommand():
+    assert {argv[0] for argv in readme_commands()} == {
+        "pretrain", "gen-data", "eval", "fewshot-train", "ablate", "bongard",
+        "dump-dist", "gradcheck"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_parses(argv, monkeypatch):
+    called = []
+    for name in list(vars(cli)):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cli, name, lambda args, name=name: called.append(name))
+    cli.main(argv)
+    assert called == ["cmd_" + argv[0].replace("-", "_")]

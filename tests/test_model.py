@@ -186,6 +186,17 @@ class TestPretrain:
         with pytest.raises(ValueError, match="at least 2"):
             mdl.pretrain_contrastive(w, config, tiny_setup, epochs=1, batch=1)
 
+    def test_failure_leaves_weights_frozen_and_unrescaled(self, config, tiny_setup):
+        pairs = list(tiny_setup[:8])
+        pairs[5] = (np.full_like(pairs[5][0], np.nan), pairs[5][1])
+        w = mdl.init_weights(config, seed=1)
+        before = {name: t.data.copy() for name, t in w.items()}
+        with pytest.raises(ValueError, match="non-finite pixels"):
+            mdl.pretrain_contrastive(w, config, pairs, epochs=1, batch=8)
+        assert not any(t.requires_grad or t.grad is not None for t in w.values())
+        for name, t in w.items():
+            np.testing.assert_array_equal(t.data, before[name])
+
     def test_initial_loss_order_of_ln_batch(self, tiny_setup):
         # at moderate temperature untrained features are nearly collinear,
         # so the batch softmax is close to uniform and loss ~ ln(batch)
