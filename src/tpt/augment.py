@@ -260,10 +260,28 @@ def make_view(image, policy, seed):
 
 
 def generate_views(image, n, policy, seed):
-    """N views of one image: view 0 is the untouched original, view i
-    is make_view with seed split_seed(seed, i)."""
+    """N views of one image, each distinct view made once.
+
+    Returns (views, index): view i of the batch is views[index[i]].
+    View 0 is the untouched original, view i is make_view with seed
+    split_seed(seed, i).  Random resized crops without a noise patch and
+    with equal (smoothed, side, y0, x0, flip) draws are one view; a view
+    with a noise patch and an AugMix view are their own.  A full-frame
+    crop stays apart from view 0: the view is clipped to the pixel
+    range, the original is not."""
     if n < 1:
         raise ValueError("need at least one view")
     image = np.asarray(image, dtype=np.float64)
-    return [image.copy()] + make_views([image] * (n - 1), policy,
-                                       [split_seed(seed, i) for i in range(1, n)])
+    seeds = [split_seed(seed, i) for i in range(1, n)]
+    if policy.kind == "augmix":
+        return [image.copy()] + make_views([image] * (n - 1), policy, seeds), np.arange(n)
+    slots, kept, index = {}, [], [0]
+    for draw in (_draw_rrc(policy, s, image.shape) for s in seeds):
+        smoothed, crop, patch, flip = draw
+        key = (smoothed, *crop, flip) if patch is None else len(index)
+        if key not in slots:
+            slots[key] = len(kept) + 1
+            kept.append(draw)
+        index.append(slots[key])
+    views = _rrc_views([image] * len(kept), kept) if kept else []
+    return [image.copy()] + views, np.array(index)

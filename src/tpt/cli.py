@@ -5,8 +5,8 @@ dump-dist, gradcheck.  Every setting is a flag whose default is the
 library's (TPTConfig, ReasonConfig, model.PRETRAIN, ...).  `--config
 FILE` sets any flag of the subcommand from `key=value` lines, and a flag
 given on the command line wins.  eval and ablate write CSV under a
-header that records every setting the command used; bongard and
-dump-dist write plain CSV.
+header that records every setting the command used (for eval, those its
+method reads); bongard and dump-dist write plain CSV.
 """
 
 import argparse
@@ -46,9 +46,19 @@ def _add_eval_flags(p):
     p.add_argument("--samples", type=int, help="cap the number of evaluated samples")
 
 
-def _settings(args):
+# The eval flags a method does not read: zero-shot and the ensemble
+# classify the image alone, and the pooling baselines do not tune.
+_VIEW_FLAGS = ("aug", "views", "seed")
+_TUNING_FLAGS = ("rho", "steps", "lr")
+_UNREAD = {"zeroshot": _VIEW_FLAGS + _TUNING_FLAGS,
+           "ensemble": _VIEW_FLAGS + _TUNING_FLAGS,
+           "avgpred": _TUNING_FLAGS, "vote": _TUNING_FLAGS, "tpt": ()}
+
+
+def _settings(args, unread=()):
     """Every setting the command reads, for a results header."""
-    return {k: v for k, v in vars(args).items() if k not in ("config", "func")}
+    return {k: v for k, v in vars(args).items()
+            if k not in ("config", "func", *unread)}
 
 
 def _build_dataset(args, seed=_DATA_SEED):
@@ -118,10 +128,11 @@ def cmd_eval(args):
     elif method == "vote":
         acc, _ = hz.baseline_majority_vote(weights, mconfig, template,
                                            classes, ds, tcfg)
+    unread = _UNREAD[method]
     row = {"method": method, "shift": args.shift, "accuracy": acc,
-           "n": len(ds), "seed": args.seed}
+           "n": len(ds), "seed": "" if "seed" in unread else args.seed}
     if args.out:
-        hz.write_results(args.out, [row], _settings(args))
+        hz.write_results(args.out, [row], _settings(args, unread))
         if traces is not None:
             hz.write_traces(args.out + ".traces.jsonl", traces)
     print(f"{method}: accuracy {acc:.4f} on {len(ds)} samples")
@@ -178,7 +189,9 @@ def cmd_bongard(args):
         writer.writerow(["split", "accuracy", "n", "prompt_len", "steps", "lr", "seed"])
         for split in bg.SPLITS:
             hits = by_split[split]
-            acc = float(np.mean(hits)) if hits else float("nan")
+            if not hits:
+                continue
+            acc = float(np.mean(hits))
             writer.writerow([split, f"{acc:.4f}", len(hits), bg.PROMPT_LEN,
                              args.steps, args.lr, args.seed])
             print(f"{split}: {acc:.4f} ({len(hits)} tasks)")

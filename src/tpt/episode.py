@@ -133,22 +133,28 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
     """One full episode; returns (predicted class, final averaged dist, trace).
 
     The final prediction is the argmax on the original image under the
-    tuned prompt.  The trace keeps per-step loss/threshold/mask and the
-    pre/post distributions of the original view.
+    tuned prompt.  The trace keeps per-step loss/threshold/mask, the
+    pre/post distributions of the original view, and the number of
+    distinct images among the N views and among the k views the first
+    step selected.
     """
     cfg = tpt_config
     group_prefixes = PARAMETER_GROUPS[cfg.parameter_group]
-    views = generate_views(image, cfg.n_views, cfg.policy, cfg.seed)
+    views, index = generate_views(image, cfg.n_views, cfg.policy, cfg.seed)
 
-    # encoding rejects bad input, so it runs before any tuned state changes;
-    # a tuned image encoder encodes afresh at every use
+    # encoding rejects bad input, so it runs before any tuned state changes.
+    # Untuned, each distinct view is encoded once and its row repeated for
+    # every view that is a copy of it (a row does not depend on its batch).
+    # A tuned image encoder encodes all N views afresh at every use, so its
+    # gradients sum over the N views in the order they always have.
     image_grads = any(p.startswith(("image", "patch")) for p in group_prefixes)
-    cached_feats = None if image_grads else mdl.encode_images(weights, config, views)
+    cached_feats = None if image_grads else Tensor(
+        mdl.encode_images(weights, config, views).data[index])
 
     def view_features():
         if cached_feats is not None:
             return cached_feats
-        return mdl.encode_images(weights, config, views)
+        return mdl.encode_images(weights, config, [views[i] for i in index])
 
     weight_snapshot = None
     weight_params = []
@@ -162,7 +168,8 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
     trace = {"losses": [], "thresholds": [], "k": None, "mask_indices": [],
              "pre_original": None, "post_original": None,
              "pre_views": None, "post_views": None,
-             "pre_averaged": None, "post_averaged": None}
+             "pre_averaged": None, "post_averaged": None,
+             "distinct_views": len(views), "distinct_selected": None}
     try:
         for step in range(cfg.steps):
             with ad.Tape() as tape:
@@ -176,6 +183,7 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
                 trace["pre_original"] = pred.probs.data[0].copy()
                 trace["pre_averaged"] = pred.averaged.data[0].copy()
                 trace["k"] = len(pred.selected)
+                trace["distinct_selected"] = len(np.unique(index[pred.selected]))
                 if record_views:
                     trace["pre_views"] = pred.probs.data.copy()
             trace["losses"].append(loss.item())

@@ -64,7 +64,8 @@ def evaluate_tpt(weights, config, template_ids, classes, dataset, tpt_config,
         if record_traces:
             traces.append({
                 "sample_id": int(sample_id), "label": int(label), "prediction": pred,
-                **{k: trace[k] for k in ("losses", "k", "thresholds", "mask_indices")},
+                **{k: trace[k] for k in ("losses", "k", "thresholds", "mask_indices",
+                                         "distinct_views", "distinct_selected")},
                 **{k: trace[k].tolist() for k in ("pre_original", "post_original",
                                                   "pre_averaged", "post_averaged")}})
     preds = np.array(preds)
@@ -113,8 +114,8 @@ def _pool_views(weights, config, template_ids, classes, dataset, tpt_config,
     preds = []
     for image, sample_id in zip(dataset.images, dataset.ids):
         seed = split_seed(tpt_config.seed, int(sample_id))
-        views = generate_views(image, tpt_config.n_views, tpt_config.policy, seed)
-        feats = mdl.encode_images(weights, config, views)
+        views, index = generate_views(image, tpt_config.n_views, tpt_config.policy, seed)
+        feats = Tensor(mdl.encode_images(weights, config, views).data[index])
         probs = mdl.class_probabilities(tfeats, feats, config.logit_scale).data
         preds.append(int(pool(probs)))
     preds = np.array(preds)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import uniform_filter
 
 from tpt import data as dat
@@ -23,29 +25,38 @@ def image():
                    0.0, 1.0)
 
 
+def expanded_views(image, n, policy, seed):
+    """The N views of the batch generate_views describes."""
+    views, index = generate_views(image, n, policy, seed)
+    return [views[i] for i in index]
+
+
 def test_single_view_is_original(image):
-    views = generate_views(image, 1, AugmentPolicy(), seed=0)
+    views, index = generate_views(image, 1, AugmentPolicy(), seed=0)
     assert len(views) == 1
+    assert index.tolist() == [0]
     np.testing.assert_array_equal(views[0], image)
 
 
 def test_64_views_original_plus_63_augmented(image):
-    views = generate_views(image, 64, AugmentPolicy(), seed=5)
-    assert len(views) == 64
+    views, index = generate_views(image, 64, AugmentPolicy(), seed=5)
+    assert len(index) == 64
+    assert index[0] == 0 and 0 not in index[1:]
     np.testing.assert_array_equal(views[0], image)
     assert any(not np.array_equal(v, image) for v in views[1:])
 
 
 def test_deterministic_batches(image):
-    a = generate_views(image, 16, AugmentPolicy(), seed=9)
-    b = generate_views(image, 16, AugmentPolicy(), seed=9)
-    for va, vb in zip(a, b):
+    a, a_index = generate_views(image, 16, AugmentPolicy(), seed=9)
+    b, b_index = generate_views(image, 16, AugmentPolicy(), seed=9)
+    np.testing.assert_array_equal(a_index, b_index)
+    for va, vb in zip(a, b, strict=True):
         np.testing.assert_array_equal(va, vb)
 
 
 def test_views_keep_shape_and_range(image):
     policy = AugmentPolicy(kind="augmix")
-    for v in generate_views(image, 32, policy, seed=2):
+    for v in generate_views(image, 32, policy, seed=2)[0]:
         assert v.shape == image.shape
         assert v.min() >= 0.0 and v.max() <= 1.0
 
@@ -66,12 +77,30 @@ def test_per_view_seeds_are_splittable_hashes(image):
     for policy in RRC_POLICIES + (AugmentPolicy(kind="augmix"),):
         # one view, then views that end in a part-filled resample block
         for n in (2, RESAMPLE_BLOCK + 2, 2 * RESAMPLE_BLOCK + 3):
-            views = generate_views(image, n, policy, 42)
+            views = expanded_views(image, n, policy, 42)
             assert len(views) == n
             for i in range(1, n):
                 np.testing.assert_array_equal(
                     views[i], make_view(image, policy, split_seed(42, i)))
     assert len({split_seed(42, i) for i in range(8)}) == 8
+
+
+def reference_crop(rng, policy, h, w):
+    """(smoothed, side, y0, x0): a view's first draws, in their order."""
+    smoothed = rng.random() < policy.smooth_prob
+    scale = rng.uniform(*(policy.smooth_scale_range if smoothed else policy.scale_range))
+    side = max(1, int(round(np.sqrt(scale) * h)))
+    return smoothed, side, rng.integers(0, h - side + 1), rng.integers(0, w - side + 1)
+
+
+def reference_key(policy, seed, shape):
+    """(smoothed, side, y0, x0, flip) of a view without a noise patch,
+    None for a view with one."""
+    rng = np.random.default_rng(seed)
+    crop = reference_crop(rng, policy, *shape[1:])
+    if rng.random() < policy.noise_patch_prob:
+        return None
+    return (*crop, rng.random() < 0.5)
 
 
 def reference_rrc_view(image, policy, seed):
@@ -80,11 +109,7 @@ def reference_rrc_view(image, policy, seed):
     columns, box blur, noise patch, flip and clip."""
     rng = np.random.default_rng(seed)
     c, h, w = image.shape
-    smoothed = rng.random() < policy.smooth_prob
-    scale = rng.uniform(*(policy.smooth_scale_range if smoothed else policy.scale_range))
-    side = max(1, int(round(np.sqrt(scale) * h)))
-    y0 = rng.integers(0, h - side + 1)
-    x0 = rng.integers(0, w - side + 1)
+    smoothed, side, y0, x0 = reference_crop(rng, policy, h, w)
     out = image[:, y0:y0 + side, x0:x0 + side]
     for axis, n in ((1, h), (2, w)):
         src = np.clip((np.arange(n) + 0.5) * side / n - 0.5, 0.0, side - 1)
@@ -111,10 +136,32 @@ def test_rrc_views_equal_the_per_view_reference(image):
     n = 3 * RESAMPLE_BLOCK + 2
     for policy in RRC_POLICIES:
         for seed in range(3):
-            views = generate_views(image, n, policy, seed)
+            views = expanded_views(image, n, policy, seed)
             for i in range(1, n):
                 np.testing.assert_array_equal(
                     views[i], reference_rrc_view(image, policy, split_seed(seed, i)))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(policy=st.sampled_from(RRC_POLICIES + (AugmentPolicy(kind="augmix"),)),
+       n=st.integers(1, 70), seed=st.integers(0, 2 ** 64 - 1))
+def test_each_distinct_view_is_made_once(image, policy, n, seed):
+    """The index expands the distinct views into the N views make_view
+    makes one by one, and a random resized crop is made once per draw
+    key; a view with a noise patch and an AugMix view are their own."""
+    views, index = generate_views(image, n, policy, seed)
+    seeds = [split_seed(seed, i) for i in range(1, n)]
+    want = [image] + [make_view(image, policy, s) for s in seeds]
+    assert len(index) == n
+    for i, view in zip(index, want, strict=True):
+        np.testing.assert_array_equal(views[i], view)
+    if policy.kind == "augmix":
+        assert len(views) == n
+    else:
+        keys = [reference_key(policy, s, image.shape) for s in seeds]
+        patched = keys.count(None)
+        assert len(views) - 1 == len(set(keys) - {None}) + patched
 
 
 class TestAugmix:
@@ -154,7 +201,7 @@ class TestSmooth:
 
 def test_smooth_prob_one_yields_smooth_views(image):
     policy = AugmentPolicy(smooth_prob=1.0, smooth_scale_range=(1.0, 1.0))
-    for v in generate_views(image, 8, policy, seed=4)[1:]:
+    for v in generate_views(image, 8, policy, seed=4)[0][1:]:
         # every non-original view is the blurred full frame or its mirror
         target = smooth(image)
         assert (np.allclose(v, target, atol=1e-12)

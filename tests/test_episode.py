@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tpt import data as dat
 from tpt import episode as ep
 from tpt import model as mdl
+from tpt.augment import generate_views
 from tpt.autodiff import Tensor
 from tpt.prompt import init_from_template
 
@@ -234,6 +235,31 @@ class TestTptClassify:
         assert trace["pre_views"].shape == (8, len(classes))
         assert abs(averaged.sum() - 1.0) <= 1e-10
         assert abs(trace["pre_original"].sum() - 1.0) <= 1e-10
+
+    def test_view_distributions_are_those_of_all_n_views(
+            self, weights, config, classes, prompt, image, monkeypatch):
+        """Each distinct view is encoded once, yet every view's
+        distribution equals that of encoding all N views, bit for bit."""
+        text = []
+        text_features = ep.text_features
+
+        def recording(*args):
+            tfeats = text_features(*args)
+            text.append(tfeats.data.copy())
+            return tfeats
+
+        monkeypatch.setattr(ep, "text_features", recording)
+        cfg = ep.TPTConfig(steps=2, seed=3)
+        _, _, trace = ep.tpt_classify(weights, config, prompt, classes, image, cfg,
+                                      record_views=True)
+        views, index = generate_views(image, cfg.n_views, cfg.policy, cfg.seed)
+        assert len(views) < cfg.n_views
+        feats = mdl.encode_images(weights, config, [views[i] for i in index])
+        for tag, tfeats in (("pre_views", text[0]), ("post_views", text[-1])):
+            want = mdl.class_probabilities(Tensor(tfeats), feats, config.logit_scale)
+            np.testing.assert_array_equal(trace[tag], want.data)
+        assert trace["distinct_views"] == len(views)
+        assert trace["distinct_selected"] == len(set(index[trace["mask_indices"][0]]))
 
     def test_same_seed_same_outcome(self, weights, config, classes, prompt, image):
         cfg = self.small_cfg(seed=11)

@@ -1,3 +1,4 @@
+import csv
 import shlex
 from dataclasses import replace
 from pathlib import Path
@@ -81,6 +82,8 @@ class TestEvaluateTpt:
             assert t["prediction"] == preds[i]
             assert t["sample_id"] == int(dataset.ids[i])
             assert len(t["pre_original"]) == len(classes)
+            assert 1 <= t["distinct_selected"] <= t["k"]
+            assert t["distinct_selected"] <= t["distinct_views"] <= FAST.n_views
 
 
 class TestBaselines:
@@ -104,6 +107,20 @@ class TestBaselines:
             votes = np.bincount(np.argmax(views, axis=1), minlength=len(classes))
             assert vote[i] == np.argmax(votes)
         assert len(set(avg.tolist())) > 1
+
+    def test_pooled_rows_are_the_episode_view_distributions(
+            self, varied_weights, config, classes, dataset):
+        """Each distinct view is encoded once, yet the pool sees all N
+        views' distributions, bit for bit, copies included."""
+        cfg = TPTConfig()
+        pooled = []
+        hz._pool_views(varied_weights, config, TEMPLATE, classes, dataset.subset([0, 5]),
+                       cfg, lambda probs: pooled.append(probs) or 0)
+        for i, probs in zip((0, 5), pooled, strict=True):
+            seeded = replace(cfg, seed=split_seed(cfg.seed, int(dataset.ids[i])))
+            views, _ = hz.dump_distributions(varied_weights, config, TEMPLATE,
+                                             classes, dataset.images[i], seeded)
+            np.testing.assert_array_equal(probs, views)
 
     def test_single_view_baselines_agree(self, weights, config, classes,
                                          dataset):
@@ -396,6 +413,38 @@ class TestCli:
         assert rc == 0
         text = out.read_text()
         assert text.startswith("split,")
+
+    def test_bongard_reports_only_splits_with_tasks(self, tmp_path, weights, capsys):
+        wpath = tmp_path / "w.tptw"
+        mdl.save_weights(weights, wpath)
+        out = tmp_path / "bongard.csv"
+        assert cli.main(["bongard", "--weights", str(wpath), "--tasks", "2",
+                         "--steps", "1", "--out", str(out)]) == 0
+        with open(out, newline="") as f:
+            rows = list(csv.DictReader(f))
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == len(rows) >= 1
+        assert sum(int(r["n"]) for r in rows) == 2
+        for row, line in zip(rows, printed):
+            assert int(row["n"]) >= 1 and row["accuracy"] != "nan"
+            assert line.startswith(row["split"] + ": ") and "nan" not in line
+
+    @pytest.mark.parametrize("method, read", [
+        ("zeroshot", {}), ("ensemble", {}),
+        ("avgpred", {"aug": "rrc", "views": "4", "seed": "0"}),
+        ("vote", {"aug": "rrc", "views": "4", "seed": "0"})])
+    def test_header_records_only_what_the_method_reads(self, tmp_path, weights,
+                                                       method, read):
+        wpath = tmp_path / "w.tptw"
+        mdl.save_weights(weights, wpath)
+        out = tmp_path / "res.csv"
+        assert cli.main(["eval", "--weights", str(wpath), "--method", method,
+                         "--views", "4", "--samples", "2", "--out", str(out)]) == 0
+        header, rows = hz.read_results(out)
+        assert header == {"version": hz.VERSION, "command": "eval",
+                          "weights": str(wpath), "method": method, "shift": "none",
+                          "samples": "2", "out": str(out), **read}
+        assert rows[0]["seed"] == read.get("seed", "")
 
 
 def readme_commands():
