@@ -85,6 +85,8 @@ def _tpt_config(args, seed):
 
 
 def cmd_pretrain(args):
+    if args.epochs < 1:
+        raise SystemExit(f"--epochs {args.epochs}: need at least 1 epoch")
     recipe = {**mdl.PRETRAIN, "epochs": args.epochs, "seed": args.seed}
     mconfig = mdl.ModelConfig()
     pairs = dat.caption_pairs(dat.generate(dat.DatasetSpec(),
@@ -118,7 +120,7 @@ def cmd_eval(args):
         acc, _ = hz.evaluate_zero_shot(weights, mconfig, template, classes, ds)
     elif method == "tpt":
         acc, _, traces = hz.evaluate_tpt(weights, mconfig, template, classes,
-                                         ds, tcfg, record_traces=True)
+                                         ds, tcfg)
     elif method == "ensemble":
         templates = [dat.tokenize(t) for t in dat.CAPTION_TEMPLATES]
         acc, _ = hz.prompt_ensemble(weights, mconfig, templates, classes, ds)
@@ -140,6 +142,8 @@ def cmd_eval(args):
 
 
 def cmd_fewshot_train(args):
+    if args.shots < 1:
+        raise SystemExit(f"--shots {args.shots}: need at least 1 shot per class")
     mconfig, weights = _load_model(args)
     ds = dat.generate(dat.DatasetSpec(), seed=_DATA_SEED)
     classes = hz.class_set(ds)

@@ -283,7 +283,8 @@ def save_dataset(dataset, out_dir, split="test"):
         for i in range(len(dataset)):
             rel = f"img_{int(dataset.ids[i]):05d}.tptimg"
             save_image(dataset.images[i], os.path.join(out_dir, rel))
-            mf.write(json.dumps({"path": rel, "class_id": int(dataset.labels[i]),
+            mf.write(json.dumps({"path": rel, "id": int(dataset.ids[i]),
+                                 "class_id": int(dataset.labels[i]),
                                  "split": split}) + "\n")
     return manifest_path
 
@@ -296,4 +297,4 @@ def load_dataset(out_dir):
     images = np.array([load_image(os.path.join(out_dir, r["path"])) for r in records])
     labels = np.array([r["class_id"] for r in records])
     return Dataset(images, labels, tuple(header["class_names"]),
-                   header["class_token_ids"])
+                   header["class_token_ids"], np.array([r["id"] for r in records]))

@@ -3,8 +3,9 @@
 One episode: augment the test image into N views, predict each view,
 keep the lowest-entropy fraction rho, minimize the entropy of their
 averaged distribution by updating the prompt, then classify the
-original image with the tuned prompt.  All tuned state (prompt rows,
-optimizer moments) is reset before the function returns.
+original image with the tuned prompt.  All tuned state (prompt rows, the
+parameter group's weights, optimizer moments) is reset before the
+function returns.
 """
 
 from dataclasses import dataclass, field
@@ -18,13 +19,11 @@ from .autodiff import Tensor
 from .optim import AdamW
 from .prompt import assemble
 
-PARAMETER_GROUPS = {
-    "prompt": (),
-    "text_encoder": ("text.", "text_pos", "text_proj"),
-    "image_encoder": ("image.", "image_pos", "image_proj", "patch_"),
-    "all": ("text.", "text_pos", "text_proj", "image.", "image_pos",
-            "image_proj", "patch_"),
-}
+_TEXT = ("text.", "text_pos", "text_proj")
+_IMAGE = ("image.", "image_pos", "image_proj", "patch_")
+# weight-name prefixes tuned besides the prompt
+PARAMETER_GROUPS = {"prompt": (), "text_encoder": _TEXT, "image_encoder": _IMAGE,
+                    "all": _TEXT + _IMAGE}
 
 
 @dataclass
@@ -76,13 +75,18 @@ def text_features(weights, config, prompt_state, classes):
         prompt_state, mdl.embed_tokens(weights, config, classes)))
 
 
-def predict_views(weights, config, prompt_state, classes, image_features):
-    """Per-view class probabilities from the current prompt.
+def view_features(weights, config, views, index):
+    """N x proj_dim features of the N views, row i that of views[index[i]].
 
-    image_features is an N x proj_dim Tensor; it is constant under the
-    default parameter group, so it is computed once per episode and
-    reused across optimization steps.
+    Each distinct view is encoded once.  On a tape, the gradient rows of
+    a view's copies sum in the gather before the encoder's backward pass.
     """
+    return ad.gather_rows(mdl.encode_images(weights, config, views), index)
+
+
+def predict_views(weights, config, prompt_state, classes, image_features):
+    """Per-view class probabilities from the current prompt; image_features
+    is an N x proj_dim Tensor."""
     tfeats = text_features(weights, config, prompt_state, classes)
     probs = mdl.class_probabilities(tfeats, image_features, config.logit_scale)
     return PredictionSet(probs=probs, entropies=row_entropies(probs.data))
@@ -132,39 +136,25 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
                  record_views=False):
     """One full episode; returns (predicted class, final averaged dist, trace).
 
-    The final prediction is the argmax on the original image under the
-    tuned prompt.  The trace keeps per-step loss/threshold/mask, the
-    pre/post distributions of the original view, and the number of
-    distinct images among the N views and among the k views the first
-    step selected.
+    The prompt and the parameter group's weights are tuned.  The view
+    features are computed once, before any tuned state changes (encoding
+    rejects bad input), unless the group holds image weights; then on
+    each step's tape and for the final prediction.  The final prediction
+    is the argmax on the original image under the tuned state.  The trace
+    keeps per-step loss/threshold/mask, the pre/post distributions of the
+    original view, and the number of distinct images among the N views
+    and among the k views the first step selected.
     """
     cfg = tpt_config
-    group_prefixes = PARAMETER_GROUPS[cfg.parameter_group]
+    prefixes = PARAMETER_GROUPS[cfg.parameter_group]
+    image_tuned = any(p in _IMAGE for p in prefixes)
     views, index = generate_views(image, cfg.n_views, cfg.policy, cfg.seed)
+    feats = None if image_tuned else view_features(weights, config, views, index)
 
-    # encoding rejects bad input, so it runs before any tuned state changes.
-    # Untuned, each distinct view is encoded once and its row repeated for
-    # every view that is a copy of it (a row does not depend on its batch).
-    # A tuned image encoder encodes all N views afresh at every use, so its
-    # gradients sum over the N views in the order they always have.
-    image_grads = any(p.startswith(("image", "patch")) for p in group_prefixes)
-    cached_feats = None if image_grads else Tensor(
-        mdl.encode_images(weights, config, views).data[index])
-
-    def view_features():
-        if cached_feats is not None:
-            return cached_feats
-        return mdl.encode_images(weights, config, [views[i] for i in index])
-
-    weight_snapshot = None
-    weight_params = []
-    if group_prefixes:
-        weight_snapshot = {name: t.data.copy() for name, t in weights.items()
-                           if any(name.startswith(p) for p in group_prefixes)}
-        mdl.set_trainable(weights, True, prefixes=group_prefixes)
-        weight_params = [weights[name] for name in sorted(weight_snapshot)]
-
-    opt = AdamW(prompt_state.params() + weight_params, lr=cfg.lr)
+    tuned = [weights[name] for name in sorted(weights) if name.startswith(prefixes)]
+    snapshot = [t.data.copy() for t in tuned]
+    mdl.set_trainable(tuned, True)
+    opt = AdamW(prompt_state.params() + tuned, lr=cfg.lr)
     trace = {"losses": [], "thresholds": [], "k": None, "mask_indices": [],
              "pre_original": None, "post_original": None,
              "pre_views": None, "post_views": None,
@@ -173,8 +163,9 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
     try:
         for step in range(cfg.steps):
             with ad.Tape() as tape:
-                pred = predict_views(weights, config, prompt_state, classes,
-                                     view_features())
+                if image_tuned:
+                    feats = view_features(weights, config, views, index)
+                pred = predict_views(weights, config, prompt_state, classes, feats)
                 select_and_average(pred, cfg.rho)
                 loss = marginal_entropy_loss(pred)
                 opt.zero_grad()
@@ -191,8 +182,10 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
             trace["mask_indices"].append(pred.selected.tolist())
             opt.step()
 
-        # inference with the tuned prompt, no tape
-        final = predict_views(weights, config, prompt_state, classes, view_features())
+        # inference with the tuned state, no tape
+        if image_tuned:
+            feats = view_features(weights, config, views, index)
+        final = predict_views(weights, config, prompt_state, classes, feats)
         select_and_average(final, cfg.rho)
         trace["post_original"] = final.probs.data[0].copy()
         trace["post_averaged"] = final.averaged.data[0].copy()
@@ -202,8 +195,7 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
         final_averaged = final.averaged.data[0].copy()
     finally:
         prompt_state.reset()
-        if weight_snapshot is not None:
-            for name, snap in weight_snapshot.items():
-                weights[name].data[...] = snap
-            mdl.set_trainable(weights, False, prefixes=group_prefixes)
+        for t, snap in zip(tuned, snapshot):
+            t.data[...] = snap
+        mdl.set_trainable(tuned, False)
     return prediction, final_averaged, trace

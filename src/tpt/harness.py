@@ -49,8 +49,7 @@ def evaluate_zero_shot(weights, config, template_ids, classes, dataset):
     return _classify_images(weights, config, tfeats, dataset)
 
 
-def evaluate_tpt(weights, config, template_ids, classes, dataset, tpt_config,
-                 record_traces=False):
+def evaluate_tpt(weights, config, template_ids, classes, dataset, tpt_config):
     """Per-sample episodic tuning.  The episode seed is derived from the
     sample's stable id, so evaluation order cannot change any prediction.
 
@@ -61,16 +60,14 @@ def evaluate_tpt(weights, config, template_ids, classes, dataset, tpt_config,
         cfg = replace(tpt_config, seed=split_seed(tpt_config.seed, int(sample_id)))
         pred, _, trace = ep.tpt_classify(weights, config, state, classes, image, cfg)
         preds.append(pred)
-        if record_traces:
-            traces.append({
-                "sample_id": int(sample_id), "label": int(label), "prediction": pred,
-                **{k: trace[k] for k in ("losses", "k", "thresholds", "mask_indices",
-                                         "distinct_views", "distinct_selected")},
-                **{k: trace[k].tolist() for k in ("pre_original", "post_original",
-                                                  "pre_averaged", "post_averaged")}})
+        traces.append({
+            "sample_id": int(sample_id), "label": int(label), "prediction": pred,
+            **{k: trace[k] for k in ("losses", "k", "thresholds", "mask_indices",
+                                     "distinct_views", "distinct_selected")},
+            **{k: trace[k].tolist() for k in ("pre_original", "post_original",
+                                              "pre_averaged", "post_averaged")}})
     preds = np.array(preds)
-    return (float(np.mean(preds == dataset.labels)), preds,
-            traces if record_traces else None)
+    return float(np.mean(preds == dataset.labels)), preds, traces
 
 
 def fewshot_train_prompt(weights, config, classes, images, labels,
@@ -115,7 +112,7 @@ def _pool_views(weights, config, template_ids, classes, dataset, tpt_config,
     for image, sample_id in zip(dataset.images, dataset.ids):
         seed = split_seed(tpt_config.seed, int(sample_id))
         views, index = generate_views(image, tpt_config.n_views, tpt_config.policy, seed)
-        feats = Tensor(mdl.encode_images(weights, config, views).data[index])
+        feats = ep.view_features(weights, config, views, index)
         probs = mdl.class_probabilities(tfeats, feats, config.logit_scale).data
         preds.append(int(pool(probs)))
     preds = np.array(preds)

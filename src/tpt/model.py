@@ -103,11 +103,9 @@ def init_weights(config, seed=0):
     return weights
 
 
-def set_trainable(weights, trainable, prefixes=None):
-    """Toggle requires_grad (and grad buffers) on a weight subset."""
-    for name, t in weights.items():
-        if prefixes is not None and not any(name.startswith(p) for p in prefixes):
-            continue
+def set_trainable(tensors, trainable):
+    """Toggle requires_grad (and grad buffers) on the given Tensors."""
+    for t in tensors:
         t.requires_grad = trainable
         t.grad = np.zeros_like(t.data) if trainable else None
 
@@ -312,7 +310,7 @@ def pretrain_contrastive(weights, config, pairs, epochs=PRETRAIN["epochs"],
     if len(pairs) < 2:
         raise ValueError("need at least 2 (image, caption) pairs")
     rng = np.random.default_rng(seed)
-    set_trainable(weights, True)
+    set_trainable(weights.values(), True)
     try:
         opt = AdamW(list(weights.values()), lr=lr, weight_decay=weight_decay)
         epoch_losses = []
@@ -342,7 +340,7 @@ def pretrain_contrastive(weights, config, pairs, epochs=PRETRAIN["epochs"],
                 losses.append(loss.item())
             epoch_losses.append(float(np.mean(losses)))
     finally:
-        set_trainable(weights, False)
+        set_trainable(weights.values(), False)
     if embed_rescale != 1.0:
         rescale_text_embeddings(weights, embed_rescale)
     return weights, epoch_losses

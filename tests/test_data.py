@@ -174,9 +174,11 @@ class TestPersistence:
             dat.load_image(path)
 
     def test_dataset_roundtrip(self, tmp_path):
-        ds = dat.generate(small_spec(samples_per_class=3), seed=6)
-        dat.save_dataset(ds, tmp_path / "d")
-        back = dat.load_dataset(tmp_path / "d")
-        np.testing.assert_array_equal(back.images, ds.images)
-        np.testing.assert_array_equal(back.labels, ds.labels)
-        assert back.class_names == ds.class_names
+        full = dat.generate(small_spec(samples_per_class=3), seed=6)
+        for name, ds in (("full", full), ("subset", full.subset([1, 4, 7]))):
+            dat.save_dataset(ds, tmp_path / name)
+            back = dat.load_dataset(tmp_path / name)
+            np.testing.assert_array_equal(back.images, ds.images)
+            np.testing.assert_array_equal(back.labels, ds.labels)
+            np.testing.assert_array_equal(back.ids, ds.ids)
+            assert back.class_names == ds.class_names

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tpt import autodiff as ad
 from tpt import data as dat
 from tpt import episode as ep
 from tpt import model as mdl
@@ -260,6 +261,52 @@ class TestTptClassify:
             np.testing.assert_array_equal(trace[tag], want.data)
         assert trace["distinct_views"] == len(views)
         assert trace["distinct_selected"] == len(set(index[trace["mask_indices"][0]]))
+
+    @pytest.mark.parametrize("group", sorted(ep.PARAMETER_GROUPS))
+    def test_each_encode_takes_the_distinct_views(
+            self, weights, config, classes, prompt, image, monkeypatch, group):
+        """Every group encodes the distinct views, never all N: once when
+        no image weight is tuned, else on each step and for the final
+        prediction."""
+        sizes = []
+        encode_images = mdl.encode_images
+
+        def recording(w, c, images):
+            sizes.append(len(images))
+            return encode_images(w, c, images)
+
+        monkeypatch.setattr(mdl, "encode_images", recording)
+        cfg = ep.TPTConfig(steps=2, seed=3, parameter_group=group)
+        _, _, trace = ep.tpt_classify(weights, config, prompt, classes, image, cfg)
+        assert trace["distinct_views"] < cfg.n_views
+        image_tuned = group in ("image_encoder", "all")
+        assert sizes == [trace["distinct_views"]] * (cfg.steps + 1 if image_tuned else 1)
+
+    def test_view_feature_gradients_equal_those_of_all_n_views(self, config, image):
+        """Summing a view's copies in the gather before the encoder's
+        backward pass moves the image weights' gradients only by
+        summation order."""
+        views, index = generate_views(image, 16, ep.TPTConfig().policy, 3)
+        assert len(views) < len(index)
+        r = Tensor(np.random.default_rng(4).normal(size=(len(index), config.proj_dim)))
+
+        def image_grads(features):
+            weights = mdl.init_weights(config, seed=1)
+            tuned = {n: t for n, t in weights.items() if n.startswith(ep._IMAGE)}
+            mdl.set_trainable(tuned.values(), True)
+            with ad.Tape() as tape:
+                tape.backward(ad.sum_all(ad.mul(features(weights), r)))
+            return {n: t.grad for n, t in tuned.items()}
+
+        got = image_grads(lambda w: ep.view_features(w, config, views, index))
+        want = image_grads(
+            lambda w: mdl.encode_images(w, config, [views[i] for i in index]))
+        assert got.keys() == want.keys() and len(want) > 4
+        # relative to the largest entry of the whole gradient: a key bias's
+        # gradient is zero up to roundoff (softmax ignores a shift)
+        scale = max(np.abs(g).max() for g in want.values())
+        for name, g in want.items():
+            assert np.abs(got[name] - g).max() <= 1e-12 * scale, name
 
     def test_same_seed_same_outcome(self, weights, config, classes, prompt, image):
         cfg = self.small_cfg(seed=11)

@@ -76,7 +76,7 @@ class TestEvaluateTpt:
     def test_traces_align_with_predictions(self, weights, config, classes,
                                            dataset):
         _, preds, traces = hz.evaluate_tpt(weights, config, TEMPLATE, classes,
-                                           dataset, FAST, record_traces=True)
+                                           dataset, FAST)
         assert len(traces) == len(dataset)
         for i, t in enumerate(traces):
             assert t["prediction"] == preds[i]
@@ -378,6 +378,23 @@ class TestCli:
                 cli.main(["eval", "--weights", str(wpath), "--method", "zeroshot",
                           "--samples", samples, "--out", str(tmp_path / "res.csv")])
         assert not (tmp_path / "res.csv").exists()
+
+    def test_epochs_must_be_positive(self, tmp_path):
+        out = tmp_path / "w.tptw"
+        for epochs in ("0", "-1"):
+            with pytest.raises(SystemExit, match=f"--epochs {epochs}: need at least 1"):
+                cli.main(["pretrain", "--epochs", epochs, "--out", str(out)])
+        assert not out.exists()
+
+    def test_shots_must_be_positive(self, tmp_path, weights):
+        wpath = tmp_path / "w.tptw"
+        mdl.save_weights(weights, wpath)
+        out = tmp_path / "prompt.tptw"
+        for shots in ("0", "-2"):
+            with pytest.raises(SystemExit, match=f"--shots {shots}: need at least 1"):
+                cli.main(["fewshot-train", "--weights", str(wpath), "--shots", shots,
+                          "--out", str(out)])
+        assert not out.exists()
 
     def test_tasks_must_be_positive(self, tmp_path, weights):
         wpath = tmp_path / "w.tptw"

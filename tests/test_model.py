@@ -372,7 +372,7 @@ class TestBatchInvariance:
 
     def _grads(self, config, loss_fn):
         weights = mdl.init_weights(config, seed=3)
-        mdl.set_trainable(weights, True)
+        mdl.set_trainable(weights.values(), True)
         with Tape() as tape:
             tape.backward(loss_fn(weights))
         return {name: t.grad.copy() for name, t in weights.items()}
