@@ -27,21 +27,23 @@ RESAMPLE_BLOCK = 4
 
 @dataclass(frozen=True)
 class AugmentPolicy:
+    """The view kind, crop area fraction and noise-patch share, which the
+    episode and pretraining set differently.  The box-blurred share of
+    random resized crops and their crop range are class constants; the
+    range is not scale_range, as pretraining crops its other views wider."""
+
     kind: str = "rrc"  # rrc | augmix
     scale_range: tuple = (0.9, 1.0)  # crop area fraction
-    smooth_prob: float = 0.2  # fraction of denoising (box-blurred) views
-    smooth_scale_range: tuple = (0.9, 1.0)  # crop range used for smooth views
     noise_patch_prob: float = 0.0  # random-erasing-style noise block
+    smooth_prob = 0.2  # fraction of denoising (box-blurred) views
+    smooth_scale_range = (0.9, 1.0)  # crop range used for smooth views
 
     def __post_init__(self):
         if self.kind not in ("rrc", "augmix"):
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
-        for rng in (self.scale_range, self.smooth_scale_range):
-            lo, hi = rng
-            if not (0.0 < lo <= hi <= 1.0):
-                raise ValueError("scale range must be within (0, 1]")
-        if not 0.0 <= self.smooth_prob <= 1.0:
-            raise ValueError("smooth_prob must be within [0, 1]")
+        lo, hi = self.scale_range
+        if not (0.0 < lo <= hi <= 1.0):
+            raise ValueError("scale range must be within (0, 1]")
         if not 0.0 <= self.noise_patch_prob <= 1.0:
             raise ValueError("noise_patch_prob must be within [0, 1]")
 
@@ -125,29 +127,28 @@ def hflip(image):
     return image[:, :, ::-1].copy()
 
 
-def smooth(image, radius=1):
-    """Box blur over the last two (spatial) axes. Averaging a (2r+1)^2
+def smooth(image):
+    """3 x 3 box blur over the last two (spatial) axes. Averaging a
     neighborhood attenuates per-pixel noise far more than the
     low-frequency class patterns, so smoothed views of a corrupted image
     are the most reliable (and most confident) members of a view batch."""
-    size = 2 * radius + 1
-    return uniform_filter(image, size=(1,) * (image.ndim - 2) + (size, size),
+    return uniform_filter(image, size=(1,) * (image.ndim - 2) + (3, 3),
                           mode="nearest")
 
 
-def brightness(image, rng, limit=0.3):
-    return image + rng.uniform(-limit, limit)
+def brightness(image, rng):
+    return image + rng.uniform(-0.3, 0.3)
 
 
-def contrast(image, rng, lo=0.7, hi=1.3):
-    f = rng.uniform(lo, hi)
+def contrast(image, rng):
+    f = rng.uniform(0.7, 1.3)
     mean = image.mean()
     return (image - mean) * f + mean
 
 
-def translate(image, rng, max_px=4):
-    dy = int(rng.integers(-max_px, max_px + 1))
-    dx = int(rng.integers(-max_px, max_px + 1))
+def translate(image, rng):
+    dy = int(rng.integers(-4, 5))  # up to 4 pixels each way
+    dx = int(rng.integers(-4, 5))
     out = np.zeros_like(image)
     _, h, w = image.shape
     ys, yd = (dy, 0) if dy >= 0 else (0, -dy)

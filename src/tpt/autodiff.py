@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import erf as _erf
 
 _EPS_CLAMP = 1e-12
+LAYER_NORM_EPS = 1e-5  # added to the variance under the square root
 
 _TAPES = []  # active tapes, innermost last
 
@@ -335,14 +336,14 @@ def l2_normalize_rows(x):
     return _record(out, (x,), bw)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias):
     """Per-row zero mean / unit variance, then affine by gain and bias."""
     if gain.data.shape[-1] != x.data.shape[-1] or bias.data.shape[-1] != x.data.shape[-1]:
         raise ValueError("layer_norm gain/bias must match the last dimension")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    sigma = np.sqrt(var + eps)
+    sigma = np.sqrt(var + LAYER_NORM_EPS)
     y = xc / sigma
     out = Tensor(y * gain.data + bias.data)
 
@@ -364,7 +365,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
 # gradient verification
 
 
-def finite_diff_check(f, x, h=3e-4):
+def finite_diff_check(f, x):
     """Max relative error of analytic grad of f(x) vs five-point central
     differences.
 
@@ -380,6 +381,7 @@ def finite_diff_check(f, x, h=3e-4):
     are indistinguishable from zero and demanding relative agreement would
     only compare noise against noise.
     """
+    h = 3e-4
     x.zero_grad()
     with Tape() as tape:
         loss = f(x)

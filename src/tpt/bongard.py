@@ -20,6 +20,7 @@ from .prompt import assemble, init_gaussian
 SPLITS = ("pp", "pn", "np", "nn")  # generator-defined, for report format only
 PROMPT_LEN = 4  # learnable prompt rows
 SIGMA = 0.02  # std of the Gaussian init of the prompt and class tokens
+SUPPORT_PER_SIDE = 3  # support images of each side of a task
 
 
 @dataclass
@@ -41,11 +42,16 @@ class ReasonConfig:
     lr: float = 0.005
     seed: int = 0
 
+    def __post_init__(self):
+        if self.steps < 0 or not np.isfinite(self.lr):
+            raise ValueError(f"need steps >= 0 and a finite lr: {self!r}")
 
-def generate_tasks(n_tasks, seed=0, spec=None, support_per_side=3):
+
+def generate_tasks(n_tasks, seed=0):
     """Synthetic concept tasks: the hidden concept is one pattern class;
-    positives and negatives differ only in that class."""
-    spec = spec or dat.DatasetSpec()
+    positives and negatives differ only in that class.  Images follow the
+    DatasetSpec recipe at its highest contrast."""
+    spec = dat.DatasetSpec
     rng = np.random.default_rng(seed)
     names = spec.class_names
     tasks = []
@@ -58,8 +64,8 @@ def generate_tasks(n_tasks, seed=0, spec=None, support_per_side=3):
             img = proto + rng.normal(0.0, spec.noise_sigma, size=proto.shape)
             return np.clip(img, *dat.PIXEL_RANGE)
 
-        positives = [noisy(proto_pos) for _ in range(support_per_side)]
-        negatives = [noisy(proto_neg) for _ in range(support_per_side)]
+        positives = [noisy(proto_pos) for _ in range(SUPPORT_PER_SIDE)]
+        negatives = [noisy(proto_neg) for _ in range(SUPPORT_PER_SIDE)]
         query_label = t % 2  # balanced across tasks
         query = noisy(proto_pos if query_label == 1 else proto_neg)
         half = len(names) // 2
@@ -78,7 +84,7 @@ def tpt_reason(weights, config, sample, reason_config=None):
     accuracy).  Class column 0 is the negative token, column 1 positive.
     """
     cfg = reason_config or ReasonConfig()
-    state = init_gaussian(PROMPT_LEN, config.embed_dim, SIGMA, cfg.seed, with_cls=True)
+    state = init_gaussian(PROMPT_LEN, config.embed_dim, SIGMA, cfg.seed)
     support = list(sample.negatives) + list(sample.positives)
     labels = np.array([0] * len(sample.negatives) + [1] * len(sample.positives))
     encoded = mdl.encode_images(weights, config, support + [sample.query]).data

@@ -20,11 +20,29 @@ from . import data as dat
 from . import harness as hz
 from . import model as mdl
 from .augment import AugmentPolicy
-from .episode import TPTConfig
+from .episode import PARAMETER_GROUPS, TPTConfig
 
 _DATA_SEED = 1  # the evaluation set; pretraining draws mdl.TRAIN_DATA_SEED
 _TPT = TPTConfig()
 _REASON = bg.ReasonConfig()
+
+
+def _checked(cast, valid, takes):
+    """argparse type: `cast` of the text, rejected unless it is `valid`."""
+    def parse(text):
+        if not valid(value := cast(text)):
+            raise argparse.ArgumentTypeError(f"takes {takes}, got {text!r}")
+        return value
+    parse.__name__ = cast.__name__
+    return parse
+
+
+_COUNT = _checked(int, lambda n: n >= 1, "an integer of 1 or more")
+_NONNEGATIVE = _checked(int, lambda n: n >= 0, "an integer of 0 or more")
+_RHO = _checked(float, lambda r: 0.0 < r <= 1.0, "a fraction in (0, 1]")
+_LR = _checked(float, lambda r: 0.0 <= r < np.inf, "a finite rate of 0 or more")
+_GROUP = _checked(str, lambda g: g in PARAMETER_GROUPS,
+                  "one of " + ", ".join(PARAMETER_GROUPS))
 
 
 def _comma_list(cast):
@@ -39,11 +57,11 @@ def _add_eval_flags(p):
     p.add_argument("--weights", required=True, help="trained weights file")
     p.add_argument("--shift", default="none", help="KIND[:PARAM], e.g. noise:0.3")
     p.add_argument("--aug", choices=["rrc", "augmix"], default=_TPT.policy.kind)
-    p.add_argument("--rho", type=float, default=_TPT.rho)
-    p.add_argument("--views", type=int, default=_TPT.n_views)
-    p.add_argument("--steps", type=int, default=_TPT.steps)
-    p.add_argument("--lr", type=float, default=_TPT.lr)
-    p.add_argument("--samples", type=int, help="cap the number of evaluated samples")
+    p.add_argument("--rho", type=_RHO, default=_TPT.rho)
+    p.add_argument("--views", type=_COUNT, default=_TPT.n_views)
+    p.add_argument("--steps", type=_COUNT, default=_TPT.steps)
+    p.add_argument("--lr", type=_LR, default=_TPT.lr)
+    p.add_argument("--samples", type=_COUNT, help="cap the number of evaluated samples")
 
 
 # The eval flags a method does not read: zero-shot and the ensemble
@@ -66,8 +84,6 @@ def _build_dataset(args, seed=_DATA_SEED):
     if args.shift != "none":
         ds = dat.apply_shift(ds, dat.ShiftSpec.parse(args.shift), seed=seed + 1)
     if args.samples is not None:
-        if args.samples < 1:
-            raise SystemExit(f"--samples {args.samples}: need at least 1 sample")
         rng = np.random.default_rng(seed + 2)
         ds = ds.subset(np.sort(rng.permutation(len(ds))[:args.samples]))
     return ds
@@ -85,8 +101,6 @@ def _tpt_config(args, seed):
 
 
 def cmd_pretrain(args):
-    if args.epochs < 1:
-        raise SystemExit(f"--epochs {args.epochs}: need at least 1 epoch")
     recipe = {**mdl.PRETRAIN, "epochs": args.epochs, "seed": args.seed}
     mconfig = mdl.ModelConfig()
     pairs = dat.caption_pairs(dat.generate(dat.DatasetSpec(),
@@ -142,8 +156,6 @@ def cmd_eval(args):
 
 
 def cmd_fewshot_train(args):
-    if args.shots < 1:
-        raise SystemExit(f"--shots {args.shots}: need at least 1 shot per class")
     mconfig, weights = _load_model(args)
     ds = dat.generate(dat.DatasetSpec(), seed=_DATA_SEED)
     classes = hz.class_set(ds)
@@ -179,8 +191,6 @@ def cmd_ablate(args):
 
 
 def cmd_bongard(args):
-    if args.tasks < 1:
-        raise SystemExit(f"--tasks {args.tasks}: need at least 1 task")
     mconfig, weights = _load_model(args)
     tasks = bg.generate_tasks(args.tasks, seed=args.seed)
     by_split = {s: [] for s in bg.SPLITS}
@@ -246,14 +256,14 @@ def _build_parser():
         return p
 
     p = command("pretrain", cmd_pretrain, "contrastive pretraining")
-    p.add_argument("--epochs", type=int, default=mdl.PRETRAIN["epochs"])
+    p.add_argument("--epochs", type=_COUNT, default=mdl.PRETRAIN["epochs"])
     p.add_argument("--seed", type=int, default=mdl.PRETRAIN["seed"])
     p.add_argument("--out", default="weights.tptw")
 
     p = command("gen-data", cmd_gen_data, "generate a synthetic dataset")
     p.add_argument("--seed", type=int, default=_DATA_SEED, help="data seed")
     p.add_argument("--shift", default="none")
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=_COUNT)
     p.add_argument("--out", default="dataset")
 
     p = command("eval", cmd_eval, "evaluate a method")
@@ -266,26 +276,26 @@ def _build_parser():
     p = command("fewshot-train", cmd_fewshot_train,
                 "train a prompt on labeled shots")
     p.add_argument("--weights", required=True)
-    p.add_argument("--shots", type=int, default=16)
-    p.add_argument("--epochs", type=int, default=hz.FEWSHOT["epochs"])
-    p.add_argument("--lr", type=float, default=hz.FEWSHOT["lr"])
+    p.add_argument("--shots", type=_COUNT, default=16)
+    p.add_argument("--epochs", type=_NONNEGATIVE, default=hz.FEWSHOT["epochs"])
+    p.add_argument("--lr", type=_LR, default=hz.FEWSHOT["lr"])
     p.add_argument("--seed", type=int, default=0, help="seed of the shot draw")
     p.add_argument("--out", default="prompt.tptw")
 
     p = command("ablate", cmd_ablate, "grid sweeps")
     _add_eval_flags(p)
-    p.add_argument("--grid-rho", type=_comma_list(float))
-    p.add_argument("--grid-views", type=_comma_list(int))
-    p.add_argument("--grid-steps", type=_comma_list(int))
-    p.add_argument("--grid-group", type=_comma_list(str))
+    p.add_argument("--grid-rho", type=_comma_list(_RHO))
+    p.add_argument("--grid-views", type=_comma_list(_COUNT))
+    p.add_argument("--grid-steps", type=_comma_list(_COUNT))
+    p.add_argument("--grid-group", type=_comma_list(_GROUP))
     p.add_argument("--seeds", type=_comma_list(int), default=[_TPT.seed])
     p.add_argument("--out", default="ablation.csv")
 
     p = command("bongard", cmd_bongard, "context-dependent reasoning tasks")
     p.add_argument("--weights", required=True)
-    p.add_argument("--tasks", type=int, default=100)
-    p.add_argument("--steps", type=int, default=_REASON.steps)
-    p.add_argument("--lr", type=float, default=_REASON.lr)
+    p.add_argument("--tasks", type=_COUNT, default=100)
+    p.add_argument("--steps", type=_NONNEGATIVE, default=_REASON.steps)
+    p.add_argument("--lr", type=_LR, default=_REASON.lr)
     p.add_argument("--seed", type=int, default=_REASON.seed)
     p.add_argument("--out", default="bongard.csv")
 

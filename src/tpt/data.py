@@ -24,15 +24,11 @@ VOCAB = {
     "diagonal": 20, "dots": 21, "cross": 22, "waves": 23,
 }
 
-DEFAULT_TEMPLATE = ("a", "photo", "of", "a")
-CAPTION_TEMPLATES = (
+CAPTION_TEMPLATES = (  # the first is the default prompt template
     ("a", "photo", "of", "a"),
     ("an", "image", "of", "a"),
     ("a", "picture", "of", "the"),
 )
-
-DEFAULT_CLASS_NAMES = ("stripes", "checker", "rings", "bars",
-                       "diagonal", "dots", "cross", "waves")
 
 # colors are shared between class pairs on purpose: the pattern, not the
 # palette, has to carry the class signal, so pixel shifts actually hurt
@@ -52,25 +48,22 @@ def tokenize(words):
     return [VOCAB[w] for w in words]
 
 
-def template_ids(template=DEFAULT_TEMPLATE):
-    return tokenize(template)
+def template_ids():
+    return tokenize(CAPTION_TEMPLATES[0])
 
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    class_names: tuple = DEFAULT_CLASS_NAMES
-    samples_per_class: int = 64
-    noise_sigma: float = 0.05
-    contrast: float = 0.35  # max prototype amplitude around mid-gray
-    contrast_min: float = 0.15  # per-sample contrast ~ U(contrast_min, contrast)
+    """Images per class of a generated dataset.  The image recipe (the
+    classes, pixel noise and per-sample contrast range) is the same for
+    every dataset and Bongard task, so it is class constants."""
 
-    def __post_init__(self):
-        if len(self.class_names) < 2:
-            raise ValueError("need at least 2 classes")
-        if self.noise_sigma < 0:
-            raise ValueError("noise sigma must be >= 0")
-        if not (0.0 < self.contrast_min <= self.contrast):
-            raise ValueError("need 0 < contrast_min <= contrast")
+    class_names = ("stripes", "checker", "rings", "bars",
+                   "diagonal", "dots", "cross", "waves")
+    noise_sigma = 0.05
+    contrast = 0.35  # max prototype amplitude around mid-gray
+    contrast_min = 0.15  # per-sample contrast ~ U(contrast_min, contrast)
+    samples_per_class: int = 64
 
 
 @dataclass(frozen=True)
@@ -158,7 +151,7 @@ def _pattern_mask(name):
     raise ValueError(f"no prototype for class {name!r}")
 
 
-def class_prototype(name, contrast=0.4):
+def class_prototype(name, contrast):
     """Noise-free (3, IMAGE_SIZE, IMAGE_SIZE) prototype image for a class.
 
     Full-contrast pattern lerped toward mid-gray so the class signal
@@ -270,7 +263,7 @@ def load_image(path):
         return data.reshape(c, h, w).copy()
 
 
-def save_dataset(dataset, out_dir, split="test"):
+def save_dataset(dataset, out_dir):
     """Write every image plus a JSON-lines manifest; returns manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
@@ -285,7 +278,7 @@ def save_dataset(dataset, out_dir, split="test"):
             save_image(dataset.images[i], os.path.join(out_dir, rel))
             mf.write(json.dumps({"path": rel, "id": int(dataset.ids[i]),
                                  "class_id": int(dataset.labels[i]),
-                                 "split": split}) + "\n")
+                                 "split": "test"}) + "\n")
     return manifest_path
 
 

@@ -50,6 +50,8 @@ class TPTConfig:
             raise ValueError("n_views and steps must be >= 1")
         if not (0.0 < self.rho <= 1.0):
             raise ValueError("rho must be in (0, 1]")
+        if not np.isfinite(self.lr):
+            raise ValueError(f"lr must be finite, got {self.lr}")
         if self.parameter_group not in PARAMETER_GROUPS:
             raise ValueError(f"unknown parameter group {self.parameter_group!r}")
 
@@ -58,7 +60,7 @@ def entropy(p):
     """Self-entropy -sum p_i ln max(p_i, 1e-12) of a distribution."""
     p = p.data if isinstance(p, Tensor) else np.asarray(p, dtype=np.float64)
     p = p.reshape(-1)
-    if abs(p.sum() - 1.0) > 1e-8 or np.any(p < 0):
+    if not np.all(np.isfinite(p)) or abs(p.sum() - 1.0) > 1e-8 or np.any(p < 0):
         raise ValueError("input is not a probability distribution")
     return float(-(p * np.log(np.maximum(p, 1e-12))).sum())
 

@@ -71,15 +71,14 @@ def evaluate_tpt(weights, config, template_ids, classes, dataset, tpt_config):
 
 
 def fewshot_train_prompt(weights, config, classes, images, labels,
-                         epochs=FEWSHOT["epochs"], lr=FEWSHOT["lr"],
-                         template_ids=dat.template_ids()):
-    """Cross-entropy prompt tuning on labeled shots; prompt only.
+                         epochs=FEWSHOT["epochs"], lr=FEWSHOT["lr"]):
+    """Cross-entropy tuning of the default template prompt on labeled shots.
 
     Returns a PromptState whose init snapshot is the tuned prompt, so it
     can seed episodic test-time tuning afterwards."""
-    state = init_from_template(weights, config, template_ids)
-    if epochs == 0:
-        return state
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    state = init_from_template(weights, config, dat.template_ids())
     feats = mdl.encode_images(weights, config, images)
     onehot = Tensor(np.eye(len(classes))[np.asarray(labels)])
     opt = AdamW(state.params(), lr=lr)

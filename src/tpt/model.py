@@ -15,41 +15,32 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import read_exact
+from .data import IMAGE_SIZE, read_exact
 from .optim import AdamW
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    embed_dim: int = 32
-    text_layers: int = 2
-    image_layers: int = 2
-    heads: int = 2
-    vocab_size: int = 64
-    max_text_len: int = 16
-    image_shape: tuple = (3, 32, 32)
-    patch_size: int = 8
-    logit_scale: float = 100.0  # softmax temperature, fixed (not learned)
-    proj_dim: int = 32
+    """The model shape, the same for every model here, so its sizes are
+    class constants.  logit_scale, the softmax temperature (fixed, not
+    learned), is a field: the gradient check lowers it."""
+
+    embed_dim = 32
+    text_layers = 2
+    image_layers = 2
+    heads = 2
+    vocab_size = 64
+    max_text_len = 16
+    image_shape = (3, IMAGE_SIZE, IMAGE_SIZE)
+    patch_size = 8
+    proj_dim = 32
+    num_patches = (IMAGE_SIZE // patch_size) ** 2
+    patch_dim = 3 * patch_size * patch_size
+    logit_scale: float = 100.0
 
     def __post_init__(self):
-        c, h, w = self.image_shape
-        if h % self.patch_size or w % self.patch_size:
-            raise ValueError("image height/width must be divisible by patch_size")
-        if self.embed_dim % self.heads:
-            raise ValueError("embed_dim must be divisible by heads")
         if self.logit_scale <= 0:
             raise ValueError("logit_scale must be positive")
-
-    @property
-    def num_patches(self):
-        _, h, w = self.image_shape
-        return (h // self.patch_size) * (w // self.patch_size)
-
-    @property
-    def patch_dim(self):
-        c, _, _ = self.image_shape
-        return c * self.patch_size * self.patch_size
 
 
 def _layer_names(prefix, n_layers, d):

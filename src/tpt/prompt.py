@@ -47,14 +47,13 @@ def init_from_template(weights, config, template_token_ids):
     return PromptState(embed_tokens(weights, config, ids).data)
 
 
-def init_gaussian(length, dim, sigma, seed, with_cls=False):
-    """All learnable tokens drawn from N(0, sigma^2)."""
+def init_gaussian(length, dim, sigma, seed):
+    """`length` prompt rows and the two binary class tokens, all N(0, sigma^2)."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     rng = np.random.default_rng(seed)
     rows = rng.normal(0.0, sigma, size=(length, dim))
-    cls = rng.normal(0.0, sigma, size=(2, 1, dim)) if with_cls else None
-    return PromptState(rows, cls)
+    return PromptState(rows, rng.normal(0.0, sigma, size=(2, 1, dim)))
 
 
 def assemble(prompt_state, tails):

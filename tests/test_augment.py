@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,20 +10,32 @@ from tpt import data as dat
 from tpt.augment import (RESAMPLE_BLOCK, AugmentPolicy, augmix_view, crop_resize,
                          generate_views, make_view, smooth, split_seed)
 
-# policies that reach every branch of a random resized crop
+# policies that reach every branch of a random resized crop, each with
+# the values it gives AugmentPolicy's smooth constants
 RRC_POLICIES = (
-    AugmentPolicy(),
-    AugmentPolicy(smooth_prob=1.0),
-    AugmentPolicy(noise_patch_prob=1.0),
-    AugmentPolicy(scale_range=(0.05, 1.0), smooth_scale_range=(0.2, 1.0),
-                  smooth_prob=0.5, noise_patch_prob=0.5),
+    (AugmentPolicy(), {}),
+    (AugmentPolicy(), {"smooth_prob": 1.0}),
+    (AugmentPolicy(noise_patch_prob=1.0), {}),
+    (AugmentPolicy(scale_range=(0.05, 1.0), noise_patch_prob=0.5),
+     {"smooth_scale_range": (0.2, 1.0), "smooth_prob": 0.5}),
 )
+AUGMIX = (AugmentPolicy(kind="augmix"), {})
+
+
+@contextlib.contextmanager
+def smooth_constants(values):
+    """AugmentPolicy's class constants set to `values` inside the block;
+    views read them at call time."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in values.items():
+            mp.setattr(AugmentPolicy, name, value)
+        yield
 
 
 @pytest.fixture
 def image():
     rng = np.random.default_rng(3)
-    return np.clip(dat.class_prototype("checker") + rng.normal(0, 0.05, (3, 32, 32)),
+    return np.clip(dat.class_prototype("checker", 0.4) + rng.normal(0, 0.05, (3, 32, 32)),
                    0.0, 1.0)
 
 
@@ -74,14 +88,15 @@ def test_full_frame_crop_is_identity(image):
 
 
 def test_per_view_seeds_are_splittable_hashes(image):
-    for policy in RRC_POLICIES + (AugmentPolicy(kind="augmix"),):
-        # one view, then views that end in a part-filled resample block
-        for n in (2, RESAMPLE_BLOCK + 2, 2 * RESAMPLE_BLOCK + 3):
-            views = expanded_views(image, n, policy, 42)
-            assert len(views) == n
-            for i in range(1, n):
-                np.testing.assert_array_equal(
-                    views[i], make_view(image, policy, split_seed(42, i)))
+    for policy, constants in RRC_POLICIES + (AUGMIX,):
+        with smooth_constants(constants):
+            # one view, then views that end in a part-filled resample block
+            for n in (2, RESAMPLE_BLOCK + 2, 2 * RESAMPLE_BLOCK + 3):
+                views = expanded_views(image, n, policy, 42)
+                assert len(views) == n
+                for i in range(1, n):
+                    np.testing.assert_array_equal(
+                        views[i], make_view(image, policy, split_seed(42, i)))
     assert len({split_seed(42, i) for i in range(8)}) == 8
 
 
@@ -134,34 +149,37 @@ def reference_rrc_view(image, policy, seed):
 def test_rrc_views_equal_the_per_view_reference(image):
     """The blocked resample computes every pixel as the one-view code does."""
     n = 3 * RESAMPLE_BLOCK + 2
-    for policy in RRC_POLICIES:
-        for seed in range(3):
-            views = expanded_views(image, n, policy, seed)
-            for i in range(1, n):
-                np.testing.assert_array_equal(
-                    views[i], reference_rrc_view(image, policy, split_seed(seed, i)))
+    for policy, constants in RRC_POLICIES:
+        with smooth_constants(constants):
+            for seed in range(3):
+                views = expanded_views(image, n, policy, seed)
+                for i in range(1, n):
+                    np.testing.assert_array_equal(
+                        views[i], reference_rrc_view(image, policy, split_seed(seed, i)))
 
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(policy=st.sampled_from(RRC_POLICIES + (AugmentPolicy(kind="augmix"),)),
+@given(case=st.sampled_from(RRC_POLICIES + (AUGMIX,)),
        n=st.integers(1, 70), seed=st.integers(0, 2 ** 64 - 1))
-def test_each_distinct_view_is_made_once(image, policy, n, seed):
+def test_each_distinct_view_is_made_once(image, case, n, seed):
     """The index expands the distinct views into the N views make_view
     makes one by one, and a random resized crop is made once per draw
     key; a view with a noise patch and an AugMix view are their own."""
-    views, index = generate_views(image, n, policy, seed)
-    seeds = [split_seed(seed, i) for i in range(1, n)]
-    want = [image] + [make_view(image, policy, s) for s in seeds]
-    assert len(index) == n
-    for i, view in zip(index, want, strict=True):
-        np.testing.assert_array_equal(views[i], view)
-    if policy.kind == "augmix":
-        assert len(views) == n
-    else:
-        keys = [reference_key(policy, s, image.shape) for s in seeds]
-        patched = keys.count(None)
-        assert len(views) - 1 == len(set(keys) - {None}) + patched
+    policy, constants = case
+    with smooth_constants(constants):
+        views, index = generate_views(image, n, policy, seed)
+        seeds = [split_seed(seed, i) for i in range(1, n)]
+        want = [image] + [make_view(image, policy, s) for s in seeds]
+        assert len(index) == n
+        for i, view in zip(index, want, strict=True):
+            np.testing.assert_array_equal(views[i], view)
+        if policy.kind == "augmix":
+            assert len(views) == n
+        else:
+            keys = [reference_key(policy, s, image.shape) for s in seeds]
+            patched = keys.count(None)
+            assert len(views) - 1 == len(set(keys) - {None}) + patched
 
 
 class TestAugmix:
@@ -199,9 +217,10 @@ class TestSmooth:
         np.testing.assert_array_equal(out[2], 0.0)
 
 
-def test_smooth_prob_one_yields_smooth_views(image):
-    policy = AugmentPolicy(smooth_prob=1.0, smooth_scale_range=(1.0, 1.0))
-    for v in generate_views(image, 8, policy, seed=4)[0][1:]:
+def test_smooth_prob_one_yields_smooth_views(image, monkeypatch):
+    monkeypatch.setattr(AugmentPolicy, "smooth_prob", 1.0)
+    monkeypatch.setattr(AugmentPolicy, "smooth_scale_range", (1.0, 1.0))
+    for v in generate_views(image, 8, AugmentPolicy(), seed=4)[0][1:]:
         # every non-original view is the blurred full frame or its mirror
         target = smooth(image)
         assert (np.allclose(v, target, atol=1e-12)
@@ -213,8 +232,6 @@ def test_policy_validation():
         AugmentPolicy(kind="mixup")
     with pytest.raises(ValueError):
         AugmentPolicy(scale_range=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        AugmentPolicy(smooth_prob=1.5)
     with pytest.raises(ValueError):
         AugmentPolicy(noise_patch_prob=-0.1)
 

@@ -68,10 +68,10 @@ class TestLayerNorm:
         out = ad.layer_norm(x, Tensor(np.ones((1, 4))), Tensor(np.zeros((1, 4))))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
-    def test_already_normalized(self):
+    def test_already_normalized(self, monkeypatch):
+        monkeypatch.setattr(ad, "LAYER_NORM_EPS", 1e-15)
         x = Tensor(np.array([[1.0, -1.0]]))
-        out = ad.layer_norm(x, Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2))),
-                            eps=1e-15)
+        out = ad.layer_norm(x, Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2))))
         np.testing.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-7)
 
     def test_gradcheck(self):

@@ -21,7 +21,7 @@ def weights(config):
 
 class TestGenerateTasks:
     def test_count_and_structure(self):
-        tasks = bg.generate_tasks(10, seed=0, support_per_side=3)
+        tasks = bg.generate_tasks(10, seed=0)
         assert len(tasks) == 10
         for t in tasks:
             assert len(t.positives) == 3 and len(t.negatives) == 3
@@ -47,10 +47,20 @@ class TestGenerateTasks:
             bg.BongardSample([], [img], img, 0)
 
 
+def test_reason_config_validation():
+    with pytest.raises(ValueError, match="steps=-1"):
+        bg.ReasonConfig(steps=-1)
+    for lr in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="a finite lr"):
+            bg.ReasonConfig(lr=lr)
+    assert bg.ReasonConfig(steps=0).steps == 0
+
+
 @pytest.fixture(scope="module")
 def task():
-    spec = dat.DatasetSpec(noise_sigma=0.02)
-    return bg.generate_tasks(1, seed=3, spec=spec)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dat.DatasetSpec, "noise_sigma", 0.02)
+        return bg.generate_tasks(1, seed=3)[0]
 
 
 class TestTptReason:

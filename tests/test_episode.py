@@ -56,6 +56,9 @@ class TestEntropy:
             ep.entropy(np.array([0.5, 0.4]))
         with pytest.raises(ValueError):
             ep.entropy(np.array([1.5, -0.5]))
+        # a NaN sum passes any tolerance test on the sum
+        with pytest.raises(ValueError, match="not a probability distribution"):
+            ep.entropy(np.array([np.nan, 0.5, 0.5]))
 
     def test_row_entropies_matches_scalar(self):
         rng = np.random.default_rng(0)
@@ -171,6 +174,9 @@ class TestTPTConfig:
             ep.TPTConfig(rho=1.5)
         with pytest.raises(ValueError):
             ep.TPTConfig(parameter_group="logit_scale")
+        for lr in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="lr must be finite"):
+                ep.TPTConfig(lr=lr)
 
 
 @pytest.fixture(scope="module")

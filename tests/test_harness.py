@@ -11,6 +11,7 @@ from tpt import data as dat
 from tpt import harness as hz
 from tpt import model as mdl
 from tpt.augment import AugmentPolicy, split_seed
+from tpt.autodiff import Tensor
 from tpt.episode import TPTConfig
 
 
@@ -142,6 +143,11 @@ class TestFewshot:
                                         epochs=0)
         np.testing.assert_array_equal(
             state.prompt.data, weights["token_embedding"].data[list(TEMPLATE)])
+
+    def test_negative_epochs_rejected(self, weights, config, classes, dataset):
+        with pytest.raises(ValueError, match="epochs must be >= 0"):
+            hz.fewshot_train_prompt(weights, config, classes, dataset.images[:4],
+                                    dataset.labels[:4], epochs=-1)
 
     def test_training_reduces_support_loss(self, weights, config, classes,
                                            dataset):
@@ -319,9 +325,10 @@ class TestCli:
         back = dat.load_dataset(str(out))
         assert len(back) == 4
 
-    def test_eval_rejects_weights_of_another_config(self, tmp_path):
+    def test_eval_rejects_weights_of_another_config(self, tmp_path, weights):
         wpath = tmp_path / "w.tptw"
-        mdl.save_weights(mdl.init_weights(mdl.ModelConfig(embed_dim=16)), wpath)
+        mdl.save_weights({**weights, "token_embedding": Tensor(np.zeros((64, 16)))},
+                         wpath)
         with pytest.raises(ValueError, match="w.tptw: tensor"):
             cli.main(["eval", "--weights", str(wpath), "--method", "zeroshot",
                       "--samples", "2"])
@@ -370,40 +377,35 @@ class TestCli:
                           "--samples", "2", "--out", str(tmp_path / "dist")])
         assert not (tmp_path / "dist.before.csv").exists()
 
-    def test_samples_must_be_positive(self, tmp_path, weights):
-        wpath = tmp_path / "w.tptw"
-        mdl.save_weights(weights, wpath)
-        for samples in ("0", "-3"):
-            with pytest.raises(SystemExit, match=f"--samples {samples}: need at least 1"):
-                cli.main(["eval", "--weights", str(wpath), "--method", "zeroshot",
-                          "--samples", samples, "--out", str(tmp_path / "res.csv")])
-        assert not (tmp_path / "res.csv").exists()
-
-    def test_epochs_must_be_positive(self, tmp_path):
-        out = tmp_path / "w.tptw"
-        for epochs in ("0", "-1"):
-            with pytest.raises(SystemExit, match=f"--epochs {epochs}: need at least 1"):
-                cli.main(["pretrain", "--epochs", epochs, "--out", str(out)])
-        assert not out.exists()
-
-    def test_shots_must_be_positive(self, tmp_path, weights):
-        wpath = tmp_path / "w.tptw"
-        mdl.save_weights(weights, wpath)
-        out = tmp_path / "prompt.tptw"
-        for shots in ("0", "-2"):
-            with pytest.raises(SystemExit, match=f"--shots {shots}: need at least 1"):
-                cli.main(["fewshot-train", "--weights", str(wpath), "--shots", shots,
-                          "--out", str(out)])
-        assert not out.exists()
-
-    def test_tasks_must_be_positive(self, tmp_path, weights):
-        wpath = tmp_path / "w.tptw"
-        mdl.save_weights(weights, wpath)
-        out = tmp_path / "bongard.csv"
-        for tasks in ("0", "-3"):
-            with pytest.raises(SystemExit, match=f"--tasks {tasks}: need at least 1"):
-                cli.main(["bongard", "--weights", str(wpath), "--tasks", tasks,
-                          "--out", str(out)])
+    @pytest.mark.parametrize("command,flag,bad", [
+        *[(c, f, v) for c in ("eval", "ablate", "dump-dist")
+          for f in ("--samples", "--views", "--steps") for v in ("0", "-3")],
+        ("gen-data", "--samples", "0"),
+        ("pretrain", "--epochs", "0"), ("pretrain", "--epochs", "-1"),
+        ("fewshot-train", "--shots", "0"), ("fewshot-train", "--shots", "-2"),
+        ("bongard", "--tasks", "0"), ("bongard", "--tasks", "-3"),
+        ("ablate", "--grid-views", "2,0"), ("ablate", "--grid-steps", "1,-1"),
+        ("fewshot-train", "--epochs", "-3"), ("bongard", "--steps", "-1"),
+        *[(c, "--rho", v) for c in ("eval", "ablate", "dump-dist")
+          for v in ("0", "1.5", "nan")],
+        ("ablate", "--grid-rho", "0.1,0"),
+        *[(c, "--lr", v) for c in ("eval", "ablate", "dump-dist", "fewshot-train",
+                                   "bongard") for v in ("nan", "inf", "-0.01")],
+        ("ablate", "--grid-group", "prompt,logit_scale"),
+    ])
+    def test_bad_flag_value_exits_2_naming_the_flag(self, tmp_path, capsys,
+                                                    command, flag, bad):
+        """Every count, fraction, rate and group flag is checked by argparse,
+        before any file is read or written."""
+        out = tmp_path / "out"
+        required = {"eval": ["--method", "tpt"]}.get(command, [])
+        weights = [] if command in ("gen-data", "pretrain") else [
+            "--weights", str(tmp_path / "absent.tptw")]
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([command, *weights, *required, f"{flag}={bad}",
+                      "--out", str(out)])
+        assert exit_.value.code == 2
+        assert f"argument {flag}: takes " in capsys.readouterr().err
         assert not out.exists()
 
     def test_gen_data_seed_is_the_data_seed(self, tmp_path):

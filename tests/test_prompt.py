@@ -43,7 +43,7 @@ class TestPromptState:
 
     def test_reset_restores_cls_tokens(self):
         # the reasoning state: one (2, 1, D) tensor holds both class tokens
-        state = pr.init_gaussian(2, 8, 0.02, seed=1, with_cls=True)
+        state = pr.init_gaussian(2, 8, 0.02, seed=1)
         assert state.params() == [state.prompt, state.cls]
         before = state.cls.data.copy()
         state.cls.data += 1.0
@@ -77,7 +77,7 @@ class TestInitFromTemplate:
 
 class TestInitGaussian:
     def test_shapes_and_scale(self):
-        state = pr.init_gaussian(4, 32, 0.02, seed=0, with_cls=True)
+        state = pr.init_gaussian(4, 32, 0.02, seed=0)
         assert state.prompt.data.shape == (4, 32)
         assert state.cls.data.shape == (2, 1, 32)
         draws = np.concatenate([pr.init_gaussian(4, 32, 0.02, seed=s).prompt.data
@@ -86,7 +86,7 @@ class TestInitGaussian:
 
     def test_cls_draw_equals_two_row_draws(self):
         # one (2, 1, D) draw takes the values two (1, D) draws would
-        state = pr.init_gaussian(4, 32, 0.02, seed=3, with_cls=True)
+        state = pr.init_gaussian(4, 32, 0.02, seed=3)
         rng = np.random.default_rng(3)
         rng.normal(0.0, 0.02, size=(4, 32))
         rows = [rng.normal(0.0, 0.02, size=(1, 32)) for _ in range(2)]
@@ -114,7 +114,7 @@ class TestAssemble:
             np.testing.assert_array_equal(seq[n:], weights["token_embedding"].data[ids])
 
     def test_cls_tokens_as_tails(self, config):
-        state = pr.init_gaussian(2, config.embed_dim, 0.02, seed=0, with_cls=True)
+        state = pr.init_gaussian(2, config.embed_dim, 0.02, seed=0)
         seqs = pr.assemble(state, state.cls)
         assert seqs.data.shape == (2, 3, config.embed_dim)
         np.testing.assert_array_equal(seqs.data[:, -1:], state.cls.data)
@@ -127,7 +127,7 @@ class TestAssemble:
             mdl.encode_texts(weights, config, seqs)
 
     def test_gradient_reaches_prompt_and_cls(self, weights, config):
-        state = pr.init_gaussian(2, config.embed_dim, 0.02, seed=0, with_cls=True)
+        state = pr.init_gaussian(2, config.embed_dim, 0.02, seed=0)
         with Tape() as tape:
             feats = mdl.encode_texts(weights, config, pr.assemble(state, state.cls))
             tape.backward(ad.sum_all(feats))
