@@ -157,29 +157,6 @@ def reshape(a, shape):
     return _record(out, (a,), bw)
 
 
-def split_heads(x, heads):
-    """(..., T, heads * dh) -> (..., heads, T, dh): each head's columns,
-    as a view."""
-    *batch, t, d = x.data.shape
-    out = Tensor(np.swapaxes(x.data.reshape(*batch, t, heads, d // heads), -3, -2))
-
-    def bw():
-        x.grad += np.swapaxes(out.grad, -3, -2).reshape(x.data.shape)
-
-    return _record(out, (x,), bw)
-
-
-def merge_heads(x):
-    """(..., heads, T, dh) -> (..., T, heads * dh), the inverse of split_heads."""
-    *batch, heads, t, dh = x.data.shape
-    out = Tensor(np.swapaxes(x.data, -3, -2).reshape(*batch, t, heads * dh))
-
-    def bw():
-        x.grad += np.swapaxes(out.grad.reshape(*batch, t, heads, dh), -3, -2)
-
-    return _record(out, (x,), bw)
-
-
 def add(a, b):
     out = Tensor(a.data + b.data)
 
@@ -279,16 +256,26 @@ def gather_rows(a, indices):
     return _record(out, (a,), bw)
 
 
-def softmax_rows(x):
-    """Softmax over the last axis, max-subtracted for stability."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
+def _softmax(x):
+    """Row softmax of an array, max-subtracted for stability, and the map
+    from an output gradient to the input's."""
+    z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
+
+    def grad(g):
+        return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+    return y, grad
+
+
+def softmax_rows(x):
+    """Softmax over the last axis, max-subtracted for stability."""
+    y, grad = _softmax(x.data)
     out = Tensor(y)
 
     def bw():
-        g = out.grad
-        x.grad += y * (g - (g * y).sum(axis=-1, keepdims=True))
+        x.grad += grad(out.grad)
 
     return _record(out, (x,), bw)
 
@@ -324,13 +311,23 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def _gelu(x):
+    """GELU of an array, and the map from an output gradient to the input's."""
+    erf_term = _erf(x * _INV_SQRT2)
+
+    def grad(g):
+        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+        return g * (0.5 * (1.0 + erf_term) + x * pdf)
+
+    return 0.5 * x * (1.0 + erf_term), grad
+
+
 def gelu(x):
-    erf_term = _erf(x.data * _INV_SQRT2)
-    out = Tensor(0.5 * x.data * (1.0 + erf_term))
+    y, grad = _gelu(x.data)
+    out = Tensor(y)
 
     def bw():
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        x.grad += out.grad * (0.5 * (1.0 + erf_term) + x.data * pdf)
+        x.grad += grad(out.grad)
 
     return _record(out, (x,), bw)
 
@@ -374,6 +371,83 @@ def layer_norm(x, gain, bias):
             _accumulate(bias, g)
 
     return _record(out, (x, gain, bias), bw)
+
+
+# ---------------------------------------------------------------------------
+# transformer sublayers, one op each
+#
+# Each computes what its composition of the single ops above would, with
+# the same numpy expressions, and replays that composition's backward in
+# reverse by hand, so it rounds exactly as the composition does.  There
+# every gradient passes through a zero-initialised, C-contiguous buffer;
+# numpy's matmul and sums can round differently on a strided view, so a
+# gradient that a head split or merge leaves strided is made contiguous
+# before it meets either.
+
+
+def _affine_grads(x, w, b, g):
+    """Given g, the gradient of x @ w + b, accumulate those of the Tensors
+    w and b and return that of the array x."""
+    if b.requires_grad:
+        _accumulate(b, g)
+    if w.requires_grad:
+        _accumulate(w, np.matmul(np.swapaxes(x, -1, -2), g))
+    return np.matmul(g, np.swapaxes(w.data, -1, -2))
+
+
+def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask=None):
+    """Multi-head scaled dot-product self-attention over the rows of x.
+
+    Each projection is x @ w + b; the D columns split into `heads` heads
+    of D / heads.  `mask` is an array added to the (T, T) scores, a large
+    negative entry where a row may not attend, or None."""
+    *batch, t, d = x.data.shape
+    dh = d // heads
+    c = float(1.0 / np.sqrt(dh))
+
+    def split(a):  # (..., T, D) -> (..., heads, T, dh), a view
+        return np.swapaxes(a.reshape(*batch, t, heads, dh), -3, -2)
+
+    def merge(a):  # (..., heads, T, dh) -> (..., T, D)
+        return np.swapaxes(a, -3, -2).reshape(*batch, t, d)
+
+    q, k, v = (np.matmul(x.data, w.data) + b.data
+               for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * c
+    if mask is not None:
+        scores = scores + mask
+    p, softmax_grad = _softmax(scores)
+    ctx = merge(np.matmul(p, vh))
+    out = Tensor(np.matmul(ctx, wo.data) + bo.data)
+
+    def bw():
+        g_heads = np.ascontiguousarray(split(_affine_grads(ctx, wo, bo, out.grad)))
+        g_scores = softmax_grad(np.matmul(g_heads, np.swapaxes(vh, -1, -2))) * c
+        g_v = np.matmul(np.swapaxes(p, -1, -2), g_heads)
+        g_k = np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), g_scores), -1, -2)
+        g_q = np.matmul(g_scores, kh)
+        for g, w, b in ((g_v, wv, bv), (g_k, wk, bk), (g_q, wq, bq)):
+            g_x = _affine_grads(x.data, w, b, np.ascontiguousarray(merge(g)))
+            if x.requires_grad:
+                _accumulate(x, g_x)
+
+    return _record(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), bw)
+
+
+def mlp(x, w1, b1, w2, b2):
+    """GELU(x @ w1 + b1) @ w2 + b2."""
+    pre = np.matmul(x.data, w1.data) + b1.data
+    hidden, gelu_grad = _gelu(pre)
+    out = Tensor(np.matmul(hidden, w2.data) + b2.data)
+
+    def bw():
+        g_pre = gelu_grad(_affine_grads(hidden, w2, b2, out.grad))
+        g_x = _affine_grads(x.data, w1, b1, g_pre)
+        if x.requires_grad:
+            _accumulate(x, g_x)
+
+    return _record(out, (x, w1, b1, w2, b2), bw)
 
 
 # ---------------------------------------------------------------------------

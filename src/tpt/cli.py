@@ -22,7 +22,8 @@ from . import model as mdl
 from .augment import AugmentPolicy
 from .episode import PARAMETER_GROUPS, TPTConfig
 
-_DATA_SEED = 1  # the evaluation set; pretraining draws mdl.TRAIN_DATA_SEED
+# the evaluation set; pretraining and the few-shot shots draw mdl.TRAIN_DATA_SEED
+_DATA_SEED = 1
 _TPT = TPTConfig()
 _REASON = bg.ReasonConfig()
 
@@ -45,6 +46,16 @@ _GROUP = _checked(str, lambda g: g in PARAMETER_GROUPS,
                   "one of " + ", ".join(PARAMETER_GROUPS))
 
 
+def _shift(text):
+    """argparse type: a KIND[:PARAM] shift, checked by ShiftSpec and kept
+    as the text."""
+    try:
+        dat.ShiftSpec.parse(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return text
+
+
 def _comma_list(cast):
     """argparse type: comma-separated values, each read by `cast`."""
     def parse(text):
@@ -55,7 +66,8 @@ def _comma_list(cast):
 
 def _add_eval_flags(p):
     p.add_argument("--weights", required=True, help="trained weights file")
-    p.add_argument("--shift", default="none", help="KIND[:PARAM], e.g. noise:0.3")
+    p.add_argument("--shift", type=_shift, default="none",
+                   help="KIND[:PARAM], e.g. noise:0.3")
     p.add_argument("--aug", choices=["rrc", "augmix"], default=_TPT.policy.kind)
     p.add_argument("--rho", type=_RHO, default=_TPT.rho)
     p.add_argument("--views", type=_COUNT, default=_TPT.n_views)
@@ -157,7 +169,7 @@ def cmd_eval(args):
 
 def cmd_fewshot_train(args):
     mconfig, weights = _load_model(args)
-    ds = dat.generate(dat.DatasetSpec(), seed=_DATA_SEED)
+    ds = dat.generate(dat.DatasetSpec(), seed=mdl.TRAIN_DATA_SEED)
     classes = hz.class_set(ds)
     rng = np.random.default_rng(args.seed)
     idx = []
@@ -262,7 +274,7 @@ def _build_parser():
 
     p = command("gen-data", cmd_gen_data, "generate a synthetic dataset")
     p.add_argument("--seed", type=int, default=_DATA_SEED, help="data seed")
-    p.add_argument("--shift", default="none")
+    p.add_argument("--shift", type=_shift, default="none")
     p.add_argument("--samples", type=_COUNT)
     p.add_argument("--out", default="dataset")
 

@@ -244,17 +244,25 @@ def gradcheck_report(seed=0):
     checks.append(("marginal_entropy_loss_vs_prompt",
                    ad.finite_diff_check(episode_loss, state.prompt)))
 
-    # batched ops: a 2-D weight shared by every item of a batch, and the
-    # attention head split and merge
+    # batched ops: a 2-D weight shared by every item of a batch
     items = Tensor(rng.normal(size=(3, 2, 4)))
     w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     checks.append(("matmul_shared_weight", ad.finite_diff_check(
         scalarize(lambda t: ad.matmul(items, t), w), w)))
 
-    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    checks.append(("split_merge_heads", ad.finite_diff_check(
-        scalarize(lambda t: ad.merge_heads(ad.softmax_rows(ad.split_heads(t, 2))), x),
-        x)))
+    # the transformer sublayers on a (2, 3, 4) batch, each checked in the
+    # input and in its first weight (wq, w1), which every item shares
+    def attention(t, *weights):  # two heads, causal
+        return ad.attention(t, *weights, 2, np.triu(np.full((3, 3), -1e9), k=1))
+
+    for name, op, shapes in (("attention", attention, [(4, 4), (1, 4)] * 4),
+                             ("mlp", ad.mlp, [(4, 8), (1, 8), (8, 4), (1, 4)])):
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        err_x = ad.finite_diff_check(scalarize(lambda t: op(t, *params), x), x)
+        err_w = ad.finite_diff_check(
+            scalarize(lambda t: op(x, t, *params[1:]), params[0]), params[0])
+        checks.append((name, max(err_x, err_w)))
 
     x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     checks.append(("log_softmax_rows", ad.finite_diff_check(

@@ -113,37 +113,21 @@ def embed_tokens(weights, config, token_ids):
     return ad.gather_rows(weights["token_embedding"], ids)
 
 
-def _attention(weights, prefix, x, heads, mask=None):
-    q = ad.add(ad.matmul(x, weights[f"{prefix}.wq"]), weights[f"{prefix}.bq"])
-    k = ad.add(ad.matmul(x, weights[f"{prefix}.wk"]), weights[f"{prefix}.bk"])
-    v = ad.add(ad.matmul(x, weights[f"{prefix}.wv"]), weights[f"{prefix}.bv"])
-    dh = x.data.shape[-1] // heads
-    scores = ad.scale(ad.matmul(ad.split_heads(q, heads),
-                                ad.transpose(ad.split_heads(k, heads))),
-                      1.0 / np.sqrt(dh))
-    if mask is not None:
-        scores = ad.add(scores, mask)
-    ctx = ad.merge_heads(ad.matmul(ad.softmax_rows(scores), ad.split_heads(v, heads)))
-    return ad.add(ad.matmul(ctx, weights[f"{prefix}.wo"]), weights[f"{prefix}.bo"])
-
-
 def _transformer(weights, prefix, x, n_layers, heads, causal):
-    mask = None
-    if causal:
-        t = x.data.shape[-2]
-        m = np.triu(np.full((t, t), -1e9), k=1)
-        mask = Tensor(m)
+    t = x.data.shape[-2]
+    mask = np.triu(np.full((t, t), -1e9), k=1) if causal else None
     for i in range(n_layers):
         p = f"{prefix}.{i}"
-        h = ad.layer_norm(x, weights[f"{p}.ln1.gain"], weights[f"{p}.ln1.bias"])
-        x = ad.add(x, _attention(weights, f"{p}.attn", h, heads, mask))
-        h = ad.layer_norm(x, weights[f"{p}.ln2.gain"], weights[f"{p}.ln2.bias"])
-        h = ad.matmul(h, weights[f"{p}.mlp.w1"])
-        h = ad.add(h, weights[f"{p}.mlp.b1"])
-        h = ad.gelu(h)
-        h = ad.matmul(h, weights[f"{p}.mlp.w2"])
-        h = ad.add(h, weights[f"{p}.mlp.b2"])
-        x = ad.add(x, h)
+
+        def w(*names):
+            return [weights[f"{p}.{name}"] for name in names]
+
+        h = ad.layer_norm(x, *w("ln1.gain", "ln1.bias"))
+        x = ad.add(x, ad.attention(h, *w("attn.wq", "attn.bq", "attn.wk", "attn.bk",
+                                         "attn.wv", "attn.bv", "attn.wo", "attn.bo"),
+                                   heads, mask))
+        h = ad.layer_norm(x, *w("ln2.gain", "ln2.bias"))
+        x = ad.add(x, ad.mlp(h, *w("mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")))
     return ad.layer_norm(x, weights[f"{prefix}.final_ln.gain"],
                          weights[f"{prefix}.final_ln.bias"])
 

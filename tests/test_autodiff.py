@@ -217,6 +217,15 @@ def test_tensor_invariant_grad_shape():
 # 2-D inputs shared by every batch item (weight, bias, gain, prompt, table)
 
 
+def _attention(x, *weights):
+    """Two-head causal attention over 3 rows."""
+    return ad.attention(x, *weights, 2, np.triu(np.full((3, 3), -1e9), k=1))
+
+
+_SUBLAYER_SHAPES = {_attention: [(4, 4), (1, 4)] * 4,
+                    ad.mlp: [(4, 8), (1, 8), (8, 4), (1, 4)]}
+
+
 def _batched_cases():
     """name -> make(rng, batch) -> (op, x): op maps the Tensor x (the
     input differentiated) to a Tensor of any shape."""
@@ -259,6 +268,22 @@ def _batched_cases():
             return op, args[which]
         return make
 
+    def sublayer(op, which):
+        """op(x, *weights) on x of rows of 4, differentiated in x (which=0)
+        or in its first weight, a 2-D matrix every item shares (which=1).
+        Weights of std 0.5 keep GELU and the softmax off their flat tails,
+        where a slope can lie below the roundoff of the differences."""
+        def make(rng, batch):
+            args = [normal(rng, batch + (3, 4))]
+            args += [Tensor(0.5 * rng.normal(size=s)) for s in _SUBLAYER_SHAPES[op]]
+            args[which].requires_grad = True
+            args[which].grad = np.zeros_like(args[which].data)
+
+            def f(t):
+                return op(*(t if i == which else a for i, a in enumerate(args)))
+            return f, args[which]
+        return make
+
     return {
         "gelu": unary(ad.gelu),
         "log": unary(ad.log, positive=True),
@@ -268,9 +293,10 @@ def _batched_cases():
         "transpose": unary(ad.transpose),
         "scale": unary(lambda t: ad.scale(t, -1.7)),
         "reshape": unary(lambda t: ad.reshape(t, (-1,))),
-        "split_merge_heads": unary(
-            lambda t: ad.merge_heads(ad.softmax_rows(ad.split_heads(t, 2)))),
-        "split_heads": unary(lambda t: ad.split_heads(t, 2)),
+        "attention_input": sublayer(_attention, 0),
+        "attention_shared_weight": sublayer(_attention, 1),
+        "mlp_input": sublayer(ad.mlp, 0),
+        "mlp_shared_weight": sublayer(ad.mlp, 1),
         "matmul_input": per_item(ad.matmul, (2, 4), (4, 3)),
         "matmul_shared_weight": shared(ad.matmul, (4, 3), (2, 4)),
         "matmul_both_batched": per_item(
@@ -316,10 +342,12 @@ class TestBatchedOps:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=batch + (3, 4))
         w, gain, bias = rng.normal(size=(4, 5)), rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
+        attn = [Tensor(rng.normal(size=s)) for s in _SUBLAYER_SHAPES[_attention]]
+        mlp = [Tensor(rng.normal(size=s)) for s in _SUBLAYER_SHAPES[ad.mlp]]
 
         def chain(t):
             h = ad.layer_norm(t, Tensor(gain), Tensor(bias))
-            h = ad.merge_heads(ad.softmax_rows(ad.split_heads(h, 2)))
+            h = ad.mlp(_attention(h, *attn), *mlp)
             return ad.l2_normalize_rows(ad.matmul(ad.gelu(h), Tensor(w)))
 
         batched = chain(Tensor(x)).data
@@ -348,3 +376,85 @@ class TestBatchedOps:
     def test_batched_row_index_must_be_1d(self):
         with pytest.raises(ValueError, match="1-D"):
             ad.gather_rows(rand((2, 3, 4)), [[0], [1]])
+
+
+# ---------------------------------------------------------------------------
+# the fused transformer sublayers against the chain of single ops they
+# replace, written out here as the reference: attention split its
+# projections into heads and merged them back with these two ops
+
+
+def _split_heads(x, heads):
+    """(..., T, heads * dh) -> (..., heads, T, dh), as a view."""
+    *batch, t, d = x.data.shape
+    out = Tensor(np.swapaxes(x.data.reshape(*batch, t, heads, d // heads), -3, -2))
+
+    def bw():
+        x.grad += np.swapaxes(out.grad, -3, -2).reshape(x.data.shape)
+
+    return ad._record(out, (x,), bw)
+
+
+def _merge_heads(x):
+    """(..., heads, T, dh) -> (..., T, heads * dh), the inverse of _split_heads."""
+    *batch, heads, t, dh = x.data.shape
+    out = Tensor(np.swapaxes(x.data, -3, -2).reshape(*batch, t, heads * dh))
+
+    def bw():
+        x.grad += np.swapaxes(out.grad.reshape(*batch, t, heads, dh), -3, -2)
+
+    return ad._record(out, (x,), bw)
+
+
+def _attention_chain(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
+    q = ad.add(ad.matmul(x, wq), bq)
+    k = ad.add(ad.matmul(x, wk), bk)
+    v = ad.add(ad.matmul(x, wv), bv)
+    dh = x.data.shape[-1] // heads
+    scores = ad.scale(ad.matmul(_split_heads(q, heads),
+                                ad.transpose(_split_heads(k, heads))),
+                      1.0 / np.sqrt(dh))
+    if mask is not None:
+        scores = ad.add(scores, Tensor(mask))
+    ctx = _merge_heads(ad.matmul(ad.softmax_rows(scores), _split_heads(v, heads)))
+    return ad.add(ad.matmul(ctx, wo), bo)
+
+
+def _mlp_chain(x, w1, b1, w2, b2):
+    return ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(x, w1), b1)), w2), b2)
+
+
+class TestFusedSublayers:
+    @pytest.mark.parametrize("trainable", [False, True], ids=["frozen", "trainable"])
+    @pytest.mark.parametrize("shape, causal", [((8, 5, 32), True), ((2, 5, 32), True),
+                                               ((8, 16, 32), False)])
+    @pytest.mark.parametrize("sublayer", ["attention", "mlp"])
+    def test_bit_identical_to_the_op_chain(self, sublayer, shape, causal, trainable):
+        """Same output, input gradient and weight gradients to the last
+        bit, text (causal) and image shapes, weights frozen or tuned."""
+        rng = np.random.default_rng(20)
+        t, d = shape[-2:]
+        x0, r = rng.normal(size=shape), rng.normal(size=shape)
+        if sublayer == "attention":
+            fused, chain = ad.attention, _attention_chain
+            shapes = [(d, d), (1, d)] * 4
+            extra = (2, np.triu(np.full((t, t), -1e9), k=1) if causal else None)
+        else:
+            fused, chain = ad.mlp, _mlp_chain
+            shapes = [(d, 4 * d), (1, 4 * d), (4 * d, d), (1, d)]
+            extra = ()
+        weights = [rng.normal(0.0, 0.3, size=s) for s in shapes]
+
+        def run(op):
+            x = Tensor(x0, requires_grad=True)
+            ws = [Tensor(w, requires_grad=trainable) for w in weights]
+            with Tape() as tape:
+                out = op(x, *ws, *extra)
+                tape.backward(ad.sum_all(ad.mul(out, Tensor(r))))
+            return [out.data, x.grad] + [w.grad for w in ws if trainable]
+
+        got, want = run(fused), run(chain)
+        assert len(got) == len(want) == (2 + len(shapes) if trainable else 2)
+        for name, g, w in zip(["output", "x.grad"] + [f"weight {i}" for i in range(8)],
+                              got, want):
+            assert np.array_equal(g, w), name

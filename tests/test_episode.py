@@ -288,6 +288,21 @@ class TestTptClassify:
         image_tuned = group in ("image_encoder", "all")
         assert sizes == [trace["distinct_views"]] * (cfg.steps + 1 if image_tuned else 1)
 
+    def test_a_tuning_step_records_29_tape_entries(
+            self, weights, config, classes, prompt, image, monkeypatch):
+        """Each attention and MLP sublayer is one tape op: 13 per text
+        transformer pass, 16 for the rest of the step."""
+        records = []
+        record = ad.Tape.record
+
+        def counting(tape, out, backward_fn):
+            records.append(out)
+            record(tape, out, backward_fn)
+
+        monkeypatch.setattr(ad.Tape, "record", counting)
+        ep.tpt_classify(weights, config, prompt, classes, image, ep.TPTConfig())
+        assert len(records) == 29
+
     def test_view_feature_gradients_equal_those_of_all_n_views(self, config, image):
         """Summing a view's copies in the gather before the encoder's
         backward pass moves the image weights' gradients only by

@@ -408,6 +408,45 @@ class TestCli:
         assert f"argument {flag}: takes " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "eval", "ablate", "dump-dist"])
+    @pytest.mark.parametrize("bad", ["noise:-1", "noise:x", "fog", "channel_drop:3"])
+    def test_bad_shift_exits_2_naming_the_flag(self, tmp_path, capsys, command, bad):
+        """--shift is parsed and checked by argparse, before any file is
+        read or written."""
+        out = tmp_path / "out"
+        required = {"eval": ["--method", "tpt"]}.get(command, [])
+        weights = [] if command == "gen-data" else [
+            "--weights", str(tmp_path / "absent.tptw")]
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([command, *weights, *required, f"--shift={bad}", "--out", str(out)])
+        assert exit_.value.code == 2
+        assert "argument --shift: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fewshot_shots_come_from_the_training_images(self, tmp_path, weights,
+                                                         monkeypatch):
+        """No shot is an image that `tpt eval` scores."""
+        wpath = tmp_path / "w.tptw"
+        mdl.save_weights(weights, wpath)
+        shots = []
+        train = hz.fewshot_train_prompt
+
+        def recording(w, c, classes, images, labels, **kwargs):
+            shots.extend(images)
+            return train(w, c, classes, images, labels, **kwargs)
+
+        monkeypatch.setattr(hz, "fewshot_train_prompt", recording)
+        assert cli.main(["fewshot-train", "--weights", str(wpath), "--shots", "2",
+                         "--epochs", "0", "--out", str(tmp_path / "p.tptw")]) == 0
+        def images(seed):
+            return {im.tobytes()
+                    for im in dat.generate(dat.DatasetSpec(), seed=seed).images}
+
+        evaluated, training = images(cli._DATA_SEED), images(mdl.TRAIN_DATA_SEED)
+        assert len(shots) == 2 * len(dat.DatasetSpec.class_names)
+        assert all(im.tobytes() in training and im.tobytes() not in evaluated
+                   for im in shots)
+
     def test_gen_data_seed_is_the_data_seed(self, tmp_path):
         def images(*flags):
             out = tmp_path / "-".join(("ds",) + flags)
