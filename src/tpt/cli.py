@@ -1,12 +1,12 @@
 """Command line interface.
 
-Subcommands: pretrain, gen-data, eval, fewshot-train, ablate, bongard,
-dump-dist, gradcheck.  Every setting is a flag whose default is the
-library's (TPTConfig, ReasonConfig, model.PRETRAIN, ...).  `--config
-FILE` sets any flag of the subcommand from `key=value` lines, and a flag
-given on the command line wins.  eval and ablate write CSV under a
-header that records every setting the command used (for eval, those its
-method reads); bongard and dump-dist write plain CSV.
+Subcommands: pretrain, gen-data, eval, ablate, bongard, dump-dist,
+gradcheck.  Every setting is a flag whose default is the library's
+(TPTConfig, ReasonConfig, model.PRETRAIN, ...).  `--config FILE` sets
+any flag of the subcommand from `key=value` lines, and a flag given on
+the command line wins.  eval and ablate write CSV under a header that
+records every setting the command used (for eval, those its method
+reads); bongard and dump-dist write plain CSV.
 """
 
 import argparse
@@ -22,7 +22,7 @@ from . import model as mdl
 from .augment import AugmentPolicy
 from .episode import PARAMETER_GROUPS, TPTConfig
 
-# the evaluation set; pretraining and the few-shot shots draw mdl.TRAIN_DATA_SEED
+# the evaluation set; pretraining and CoOp's shots draw mdl.TRAIN_DATA_SEED
 _DATA_SEED = 1
 _TPT = TPTConfig()
 _REASON = bg.ReasonConfig()
@@ -76,12 +76,13 @@ def _add_eval_flags(p):
     p.add_argument("--samples", type=_COUNT, help="cap the number of evaluated samples")
 
 
-# The eval flags a method does not read: zero-shot and the ensemble
+# The eval flags a method does not read: zero-shot, the ensemble and CoOp
 # classify the image alone, and the pooling baselines do not tune.
 _VIEW_FLAGS = ("aug", "views", "seed")
 _TUNING_FLAGS = ("rho", "steps", "lr")
 _UNREAD = {"zeroshot": _VIEW_FLAGS + _TUNING_FLAGS,
            "ensemble": _VIEW_FLAGS + _TUNING_FLAGS,
+           "coop": ("aug", "views") + _TUNING_FLAGS,
            "avgpred": _TUNING_FLAGS, "vote": _TUNING_FLAGS, "tpt": ()}
 
 
@@ -150,6 +151,8 @@ def cmd_eval(args):
     elif method == "ensemble":
         templates = [dat.tokenize(t) for t in dat.CAPTION_TEMPLATES]
         acc, _ = hz.prompt_ensemble(weights, mconfig, templates, classes, ds)
+    elif method == "coop":
+        acc, _ = hz.evaluate_coop(weights, mconfig, classes, ds, args.seed)
     elif method == "avgpred":
         acc, _ = hz.baseline_averaged_prediction(weights, mconfig, template,
                                                  classes, ds, tcfg)
@@ -164,23 +167,6 @@ def cmd_eval(args):
         if traces is not None:
             hz.write_traces(args.out + ".traces.jsonl", traces)
     print(f"{method}: accuracy {acc:.4f} on {len(ds)} samples")
-    return 0
-
-
-def cmd_fewshot_train(args):
-    mconfig, weights = _load_model(args)
-    ds = dat.generate(dat.DatasetSpec(), seed=mdl.TRAIN_DATA_SEED)
-    classes = hz.class_set(ds)
-    rng = np.random.default_rng(args.seed)
-    idx = []
-    for k in range(len(classes)):
-        pool = np.flatnonzero(ds.labels == k)
-        idx.extend(rng.choice(pool, size=min(args.shots, len(pool)), replace=False))
-    sub = ds.subset(np.sort(idx))
-    state = hz.fewshot_train_prompt(weights, mconfig, classes, sub.images,
-                                    sub.labels, epochs=args.epochs, lr=args.lr)
-    mdl.save_weights({"prompt": state.prompt}, args.out)
-    print(f"few-shot prompt ({args.shots}-shot) -> {args.out}")
     return 0
 
 
@@ -281,18 +267,9 @@ def _build_parser():
     p = command("eval", cmd_eval, "evaluate a method")
     _add_eval_flags(p)
     p.add_argument("--method", required=True,
-                   choices=["zeroshot", "tpt", "ensemble", "avgpred", "vote"])
+                   choices=["zeroshot", "tpt", "ensemble", "coop", "avgpred", "vote"])
     p.add_argument("--seed", type=int, default=_TPT.seed)
     p.add_argument("--out", help="results CSV; none prints the accuracy only")
-
-    p = command("fewshot-train", cmd_fewshot_train,
-                "train a prompt on labeled shots")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--shots", type=_COUNT, default=16)
-    p.add_argument("--epochs", type=_NONNEGATIVE, default=hz.FEWSHOT["epochs"])
-    p.add_argument("--lr", type=_LR, default=hz.FEWSHOT["lr"])
-    p.add_argument("--seed", type=int, default=0, help="seed of the shot draw")
-    p.add_argument("--out", default="prompt.tptw")
 
     p = command("ablate", cmd_ablate, "grid sweeps")
     _add_eval_flags(p)

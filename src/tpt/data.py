@@ -97,7 +97,7 @@ class ShiftSpec:
             try:
                 value = float(param)
             except ValueError:
-                raise ValueError(f"--shift {text!r}: parameter {param!r} "
+                raise ValueError(f"shift {text!r}: parameter {param!r} "
                                  "is not a number") from None
             return cls(kind, value)
         return cls(text)
@@ -260,6 +260,8 @@ def load_image(path):
             raise ValueError(f"{path}: bad magic, not an image file")
         c, h, w = struct.unpack("<III", read_exact(f, 12, "the shape"))
         data = np.frombuffer(read_exact(f, 8 * c * h * w, "the pixels"), dtype="<f8")
+        if rest := f.read():
+            raise ValueError(f"{path}: {len(rest)} bytes after the pixels")
         return data.reshape(c, h, w).copy()
 
 

@@ -62,7 +62,7 @@ def entropy(p):
     p = p.reshape(-1)
     if not np.all(np.isfinite(p)) or abs(p.sum() - 1.0) > 1e-8 or np.any(p < 0):
         raise ValueError("input is not a probability distribution")
-    return float(-(p * np.log(np.maximum(p, 1e-12))).sum())
+    return float(row_entropies(p[None])[0])
 
 
 def row_entropies(probs):

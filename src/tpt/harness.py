@@ -1,5 +1,5 @@
 """Evaluation and orchestration: zero-shot, test-time tuning, baselines,
-few-shot prompt training, ablation sweeps, gradient checks, and results
+CoOp few-shot prompt training, ablation sweeps, gradient checks, and results
 files (CSV rows under a reproducibility header)."""
 
 import csv
@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import __version__
 from . import autodiff as ad
 from . import data as dat
 from . import episode as ep
@@ -19,8 +20,10 @@ from .autodiff import Tensor
 from .optim import AdamW
 from .prompt import PromptState, init_from_template
 
-VERSION = "tpt-0.1.0"
-FEWSHOT = dict(epochs=50, lr=0.01)  # fewshot_train_prompt's defaults
+VERSION = f"tpt-{__version__}"
+COOP_SHOTS = 16  # labelled images per class, drawn from the pretraining images
+COOP_EPOCHS = 50
+COOP_LR = 0.01
 
 
 def class_set(dataset):
@@ -70,19 +73,17 @@ def evaluate_tpt(weights, config, template_ids, classes, dataset, tpt_config):
     return float(np.mean(preds == dataset.labels)), preds, traces
 
 
-def fewshot_train_prompt(weights, config, classes, images, labels,
-                         epochs=FEWSHOT["epochs"], lr=FEWSHOT["lr"]):
-    """Cross-entropy tuning of the default template prompt on labeled shots.
+def fewshot_train_prompt(weights, config, classes, images, labels):
+    """CoOp: cross-entropy tuning of the default template prompt on labeled
+    shots, COOP_EPOCHS full-batch AdamW steps at COOP_LR.
 
     Returns a PromptState whose init snapshot is the tuned prompt, so it
     can seed episodic test-time tuning afterwards."""
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
     state = init_from_template(weights, config, dat.template_ids())
     feats = mdl.encode_images(weights, config, images)
     onehot = Tensor(np.eye(len(classes))[np.asarray(labels)])
-    opt = AdamW(state.params(), lr=lr)
-    for _ in range(epochs):
+    opt = AdamW(state.params(), lr=COOP_LR)
+    for _ in range(COOP_EPOCHS):
         with ad.Tape() as tape:
             tfeats = ep.text_features(weights, config, state, classes)
             loss, _ = mdl.cross_entropy(
@@ -93,13 +94,27 @@ def fewshot_train_prompt(weights, config, classes, images, labels,
     return PromptState(state.prompt.data)
 
 
+def evaluate_coop(weights, config, classes, dataset, seed):
+    """CoOp: a prompt trained on COOP_SHOTS labelled pretraining images per
+    class (drawn by `seed`), then frozen and used for zero-shot scoring.
+
+    Returns (accuracy, per-sample predictions)."""
+    train = dat.generate(dat.DatasetSpec(), seed=mdl.TRAIN_DATA_SEED)
+    rng = np.random.default_rng(seed)
+    idx = [rng.choice(np.flatnonzero(train.labels == k), COOP_SHOTS, replace=False)
+           for k in range(len(classes))]
+    shots = train.subset(np.sort(np.concatenate(idx)))
+    state = fewshot_train_prompt(weights, config, classes, shots.images, shots.labels)
+    tfeats = ep.text_features(weights, config, state, classes)
+    return _classify_images(weights, config, tfeats, dataset)
+
+
 def prompt_ensemble(weights, config, templates, classes, dataset):
     """Per-class feature = normalized mean of per-template text features."""
     per_template = [_template_text_features(weights, config, t, classes).data
                     for t in templates]
-    mean = np.mean(per_template, axis=0)
-    tfeats = mean / np.maximum(np.linalg.norm(mean, axis=1, keepdims=True), 1e-12)
-    return _classify_images(weights, config, Tensor(tfeats), dataset)
+    tfeats = ad.l2_normalize_rows(Tensor(np.mean(per_template, axis=0)))
+    return _classify_images(weights, config, tfeats, dataset)
 
 
 def _pool_views(weights, config, template_ids, classes, dataset, tpt_config,

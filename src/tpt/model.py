@@ -375,8 +375,9 @@ def save_weights(weights, path):
 
 
 def load_weights(path, config=None):
-    """Read a weights file.  With a config, every tensor name and shape
-    must match weight_shapes(config); errors name the file and tensor."""
+    """Read a weights file, which must end after its last tensor.  With a
+    config, every tensor name and shape must match weight_shapes(config)
+    and every value must be finite; errors name the file and tensor."""
     weights = {}
     with open(path, "rb") as f:
         if f.read(len(_MAGIC)) != _MAGIC:
@@ -391,6 +392,8 @@ def load_weights(path, config=None):
             n = int(np.prod(shape)) if rank else 1
             data = np.frombuffer(read_exact(f, 8 * n, what), dtype="<f8").reshape(shape)
             weights[name] = Tensor(data.copy())
+        if rest := f.read():
+            raise ValueError(f"{path}: {len(rest)} bytes after the last tensor")
     if config is not None:
         expected = weight_shapes(config)
         for name in {**expected, **weights}:
@@ -399,4 +402,6 @@ def load_weights(path, config=None):
             if got != want:
                 raise ValueError(f"{path}: tensor {name!r} is {got} in the file "
                                  f"but {want} in the model config")
+            if not np.all(np.isfinite(weights[name].data)):
+                raise ValueError(f"{path}: tensor {name!r} has a non-finite value")
     return weights

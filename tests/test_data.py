@@ -86,7 +86,7 @@ class TestShifts:
     @pytest.mark.parametrize("text,param", [("noise:", ""), ("noise:high", "high"),
                                             ("blur:1:2", "1:2"), ("noise: ", " ")])
     def test_parse_names_a_bad_parameter(self, text, param):
-        with pytest.raises(ValueError, match=rf"^--shift '{text}': parameter "
+        with pytest.raises(ValueError, match=rf"^shift '{text}': parameter "
                                              rf"'{param}' is not a number$"):
             dat.ShiftSpec.parse(text)
 
@@ -155,6 +155,13 @@ class TestPersistence:
             with pytest.raises(ValueError, match=r"cut\.tptimg: (bad magic|file "
                                                  r"truncated in the (shape|pixels))"):
                 dat.load_image(cut_path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.tptimg"
+        dat.save_image(np.zeros((3, 2, 2)), path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 7)
+        with pytest.raises(ValueError, match=r"long\.tptimg: 7 bytes after the pixels"):
+            dat.load_image(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.tptimg"

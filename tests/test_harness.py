@@ -13,6 +13,7 @@ from tpt import model as mdl
 from tpt.augment import AugmentPolicy, split_seed
 from tpt.autodiff import Tensor
 from tpt.episode import TPTConfig
+from tpt.prompt import init_from_template
 
 
 @pytest.fixture(scope="module")
@@ -136,19 +137,6 @@ class TestBaselines:
 
 
 class TestFewshot:
-    def test_zero_epochs_is_template_prompt(self, weights, config, classes,
-                                            dataset):
-        state = hz.fewshot_train_prompt(weights, config, classes,
-                                        dataset.images[:4], dataset.labels[:4],
-                                        epochs=0)
-        np.testing.assert_array_equal(
-            state.prompt.data, weights["token_embedding"].data[list(TEMPLATE)])
-
-    def test_negative_epochs_rejected(self, weights, config, classes, dataset):
-        with pytest.raises(ValueError, match="epochs must be >= 0"):
-            hz.fewshot_train_prompt(weights, config, classes, dataset.images[:4],
-                                    dataset.labels[:4], epochs=-1)
-
     def test_training_reduces_support_loss(self, weights, config, classes,
                                            dataset):
         import tpt.episode as ep
@@ -164,19 +152,15 @@ class TestFewshot:
             rows = p[np.arange(8), dataset.labels[:8]]
             return -np.log(np.maximum(rows, 1e-12)).mean()
 
-        before = hz.fewshot_train_prompt(weights, config, classes,
-                                         dataset.images[:8], dataset.labels[:8],
-                                         epochs=0)
+        before = init_from_template(weights, config, TEMPLATE)
         after = hz.fewshot_train_prompt(weights, config, classes,
-                                        dataset.images[:8], dataset.labels[:8],
-                                        epochs=25, lr=0.01)
+                                        dataset.images[:8], dataset.labels[:8])
         assert support_loss(after) < support_loss(before)
 
     def test_returned_state_resets_to_tuned_values(self, weights, config,
                                                    classes, dataset):
         state = hz.fewshot_train_prompt(weights, config, classes,
-                                        dataset.images[:4], dataset.labels[:4],
-                                        epochs=2)
+                                        dataset.images[:4], dataset.labels[:4])
         tuned = state.prompt.data.copy()
         state.prompt.data += 1.0
         state.reset()
@@ -382,15 +366,14 @@ class TestCli:
           for f in ("--samples", "--views", "--steps") for v in ("0", "-3")],
         ("gen-data", "--samples", "0"),
         ("pretrain", "--epochs", "0"), ("pretrain", "--epochs", "-1"),
-        ("fewshot-train", "--shots", "0"), ("fewshot-train", "--shots", "-2"),
         ("bongard", "--tasks", "0"), ("bongard", "--tasks", "-3"),
         ("ablate", "--grid-views", "2,0"), ("ablate", "--grid-steps", "1,-1"),
-        ("fewshot-train", "--epochs", "-3"), ("bongard", "--steps", "-1"),
+        ("bongard", "--steps", "-1"),
         *[(c, "--rho", v) for c in ("eval", "ablate", "dump-dist")
           for v in ("0", "1.5", "nan")],
         ("ablate", "--grid-rho", "0.1,0"),
-        *[(c, "--lr", v) for c in ("eval", "ablate", "dump-dist", "fewshot-train",
-                                   "bongard") for v in ("nan", "inf", "-0.01")],
+        *[(c, "--lr", v) for c in ("eval", "ablate", "dump-dist", "bongard")
+          for v in ("nan", "inf", "-0.01")],
         ("ablate", "--grid-group", "prompt,logit_scale"),
     ])
     def test_bad_flag_value_exits_2_naming_the_flag(self, tmp_path, capsys,
@@ -420,30 +403,34 @@ class TestCli:
         with pytest.raises(SystemExit) as exit_:
             cli.main([command, *weights, *required, f"--shift={bad}", "--out", str(out)])
         assert exit_.value.code == 2
-        assert "argument --shift: " in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert "argument --shift: " in err and err.count("--shift") == 1
         assert not out.exists()
 
     def test_fewshot_shots_come_from_the_training_images(self, tmp_path, weights,
                                                          monkeypatch):
-        """No shot is an image that `tpt eval` scores."""
+        """CoOp's shots are pretraining images, none of them one that
+        `tpt eval` scores."""
         wpath = tmp_path / "w.tptw"
         mdl.save_weights(weights, wpath)
         shots = []
         train = hz.fewshot_train_prompt
 
-        def recording(w, c, classes, images, labels, **kwargs):
+        def recording(w, c, classes, images, labels):
             shots.extend(images)
-            return train(w, c, classes, images, labels, **kwargs)
+            return train(w, c, classes, images, labels)
 
         monkeypatch.setattr(hz, "fewshot_train_prompt", recording)
-        assert cli.main(["fewshot-train", "--weights", str(wpath), "--shots", "2",
-                         "--epochs", "0", "--out", str(tmp_path / "p.tptw")]) == 0
+        assert cli.main(["eval", "--weights", str(wpath), "--method", "coop",
+                         "--samples", "2"]) == 0
+
         def images(seed):
             return {im.tobytes()
                     for im in dat.generate(dat.DatasetSpec(), seed=seed).images}
 
         evaluated, training = images(cli._DATA_SEED), images(mdl.TRAIN_DATA_SEED)
-        assert len(shots) == 2 * len(dat.DatasetSpec.class_names)
+        assert len(shots) == hz.COOP_SHOTS * len(dat.DatasetSpec.class_names)
+        assert len({im.tobytes() for im in shots}) == len(shots)
         assert all(im.tobytes() in training and im.tobytes() not in evaluated
                    for im in shots)
 
@@ -489,15 +476,17 @@ class TestCli:
 
     @pytest.mark.parametrize("method, read", [
         ("zeroshot", {}), ("ensemble", {}),
-        ("avgpred", {"aug": "rrc", "views": "4", "seed": "0"}),
-        ("vote", {"aug": "rrc", "views": "4", "seed": "0"})])
+        ("avgpred", {"aug": "rrc", "views": "4", "seed": "3"}),
+        ("vote", {"aug": "rrc", "views": "4", "seed": "3"}),
+        ("coop", {"seed": "3"})])
     def test_header_records_only_what_the_method_reads(self, tmp_path, weights,
                                                        method, read):
         wpath = tmp_path / "w.tptw"
         mdl.save_weights(weights, wpath)
         out = tmp_path / "res.csv"
         assert cli.main(["eval", "--weights", str(wpath), "--method", method,
-                         "--views", "4", "--samples", "2", "--out", str(out)]) == 0
+                         "--views", "4", "--seed", "3", "--samples", "2",
+                         "--out", str(out)]) == 0
         header, rows = hz.read_results(out)
         assert header == {"version": hz.VERSION, "command": "eval",
                           "weights": str(wpath), "method": method, "shift": "none",
@@ -516,8 +505,8 @@ def readme_commands():
 
 def test_readme_shows_every_subcommand():
     assert {argv[0] for argv in readme_commands()} == {
-        "pretrain", "gen-data", "eval", "fewshot-train", "ablate", "bongard",
-        "dump-dist", "gradcheck"}
+        "pretrain", "gen-data", "eval", "ablate", "bongard", "dump-dist",
+        "gradcheck"}
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)

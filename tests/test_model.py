@@ -380,6 +380,26 @@ class TestLoadWeightsChecked:
             mdl.load_weights(cut_path)
 
 
+    def test_trailing_bytes_rejected(self, tmp_path, weights, config):
+        path = tmp_path / "long.tptw"
+        mdl.save_weights(weights, path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 7)
+        for cfg in (None, config):
+            with pytest.raises(ValueError,
+                               match=r"long\.tptw: 7 bytes after the last tensor"):
+                mdl.load_weights(path, cfg)
+
+    def test_non_finite_value_names_file_and_tensor(self, tmp_path, weights,
+                                                     config):
+        proj = weights["text_proj"].data.copy()
+        proj[3, 5] = np.nan
+        path = tmp_path / "nan.tptw"
+        mdl.save_weights({**weights, "text_proj": Tensor(proj)}, path)
+        with pytest.raises(ValueError, match=r"nan\.tptw: tensor 'text_proj' "
+                                             r"has a non-finite value"):
+            mdl.load_weights(path, config)
+
+
 def test_no_grads_on_frozen_weights(weights, config):
     seq = Tensor(random_sequence(config), requires_grad=True)
     with Tape() as tape:
