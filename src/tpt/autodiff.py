@@ -33,7 +33,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self.grad = np.zeros(self.data.shape) if requires_grad else None
 
     @property
     def shape(self):
@@ -44,7 +44,7 @@ class Tensor:
             self.grad[...] = 0.0
 
     def item(self):
-        return float(self.data)
+        return self.data.item()
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -54,8 +54,11 @@ class Tape:
     """Ordered record of differentiable ops; a context manager.
 
     Backward traversal replays the record in exact reverse execution
-    order.  Tensors produced on the tape are re-zeroed per backward()
-    call; inputs from outside it keep accumulating across calls.
+    order.  Recording allocates nothing: each backward() call gives every
+    Tensor produced on the tape one fresh zero gradient buffer, laid out
+    as its data (an array taken from an earlier call keeps that call's
+    values), while inputs from outside the tape keep accumulating across
+    calls.
     """
 
     def __init__(self):
@@ -72,7 +75,6 @@ class Tape:
 
     def record(self, out, backward_fn):
         out.requires_grad = True
-        out.grad = np.zeros_like(out.data)
         self._records.append((out, backward_fn))
 
     def backward(self, loss):
@@ -82,7 +84,11 @@ class Tape:
         if id(loss) not in recorded:
             raise ValueError("loss was not produced on this tape")
         for out, _ in self._records:
-            out.grad[...] = 0.0
+            # a strided output (a transpose, a concat of broadcast rows)
+            # keeps its layout, because numpy sums the rows of a strided
+            # gradient in another order
+            data = out.data
+            out.grad = np.zeros(data.shape) if data.flags.c_contiguous else np.zeros_like(data)
         loss.grad[...] = 1.0
         for out, backward_fn in reversed(self._records):
             backward_fn()
@@ -109,7 +115,7 @@ def _accumulate(t, g):
     inner = tuple(ax for ax in range(max(0, g.ndim - 2), g.ndim)
                   if padded[ax] == 1 and g.shape[ax] != 1)
     if inner:
-        g = g.sum(axis=inner, keepdims=True)
+        g = np.add.reduce(g, axis=inner, keepdims=True)
     if g.shape == padded:
         t.grad += g.reshape(shape)
         return
@@ -131,19 +137,19 @@ def matmul(a, b):
 
     def bw():
         if a.requires_grad:
-            _accumulate(a, np.matmul(out.grad, np.swapaxes(b.data, -1, -2)))
+            _accumulate(a, np.matmul(out.grad, b.data.swapaxes(-1, -2)))
         if b.requires_grad:
-            _accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), out.grad))
+            _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), out.grad))
 
     return _record(out, (a, b), bw)
 
 
 def transpose(a):
     """Swap the last two axes."""
-    out = Tensor(np.swapaxes(a.data, -1, -2))
+    out = Tensor(a.data.swapaxes(-1, -2))
 
     def bw():
-        a.grad += np.swapaxes(out.grad, -1, -2)
+        a.grad += out.grad.swapaxes(-1, -2)
 
     return _record(out, (a,), bw)
 
@@ -207,7 +213,7 @@ def sum_all(a):
 def mean_rows(a):
     """Column means as one row per item (mean-pooling over rows)."""
     n = a.data.shape[-2]
-    out = Tensor(a.data.mean(axis=-2, keepdims=True))
+    out = Tensor(np.add.reduce(a.data, axis=-2, keepdims=True) / n)
 
     def bw():
         a.grad += out.grad / n
@@ -259,12 +265,12 @@ def gather_rows(a, indices):
 def _softmax(x):
     """Row softmax of an array, max-subtracted for stability, and the map
     from an output gradient to the input's."""
-    z = x - x.max(axis=-1, keepdims=True)
+    z = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = e / np.add.reduce(e, axis=-1, keepdims=True)
 
     def grad(g):
-        return y * (g - (g * y).sum(axis=-1, keepdims=True))
+        return y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
 
     return y, grad
 
@@ -284,13 +290,13 @@ def log_softmax_rows(x):
     """Log of the row softmax, as one op: z - log(sum(exp(z))) with z the
     max-subtracted row.  Unlike log(softmax_rows(x)) it has no clamp, so a
     probability far below 1e-12 keeps its gradient."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = x.data - np.maximum.reduce(x.data, axis=-1, keepdims=True)
+    y = z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
     out = Tensor(y)
 
     def bw():
         g = out.grad
-        x.grad += g - np.exp(y) * g.sum(axis=-1, keepdims=True)
+        x.grad += g - np.exp(y) * np.add.reduce(g, axis=-1, keepdims=True)
 
     return _record(out, (x,), bw)
 
@@ -334,7 +340,7 @@ def gelu(x):
 
 def l2_normalize_rows(x):
     """Divide each row by max(||row||_2, 1e-12)."""
-    norms = np.linalg.norm(x.data, axis=-1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(x.data * x.data, axis=-1, keepdims=True))
     n = np.maximum(norms, _EPS_CLAMP)
     y = x.data / n
     out = Tensor(y)
@@ -342,7 +348,7 @@ def l2_normalize_rows(x):
 
     def bw():
         g = out.grad
-        proj = np.where(live, y * (g * y).sum(axis=-1, keepdims=True), 0.0)
+        proj = np.where(live, y * np.add.reduce(g * y, axis=-1, keepdims=True), 0.0)
         x.grad += (g - proj) / n
 
     return _record(out, (x,), bw)
@@ -352,9 +358,10 @@ def layer_norm(x, gain, bias):
     """Per-row zero mean / unit variance, then affine by gain and bias."""
     if gain.data.shape[-1] != x.data.shape[-1] or bias.data.shape[-1] != x.data.shape[-1]:
         raise ValueError("layer_norm gain/bias must match the last dimension")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    d = x.data.shape[-1]
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     sigma = np.sqrt(var + LAYER_NORM_EPS)
     y = xc / sigma
     out = Tensor(y * gain.data + bias.data)
@@ -363,8 +370,8 @@ def layer_norm(x, gain, bias):
         g = out.grad
         gy = g * gain.data
         if x.requires_grad:
-            x.grad += (gy - gy.mean(axis=-1, keepdims=True)
-                       - y * (gy * y).mean(axis=-1, keepdims=True)) / sigma
+            x.grad += (gy - np.add.reduce(gy, axis=-1, keepdims=True) / d
+                       - y * (np.add.reduce(gy * y, axis=-1, keepdims=True) / d)) / sigma
         if gain.requires_grad:
             _accumulate(gain, g * y)
         if bias.requires_grad:
@@ -391,8 +398,8 @@ def _affine_grads(x, w, b, g):
     if b.requires_grad:
         _accumulate(b, g)
     if w.requires_grad:
-        _accumulate(w, np.matmul(np.swapaxes(x, -1, -2), g))
-    return np.matmul(g, np.swapaxes(w.data, -1, -2))
+        _accumulate(w, np.matmul(x.swapaxes(-1, -2), g))
+    return np.matmul(g, w.data.swapaxes(-1, -2))
 
 
 def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask=None):
@@ -406,15 +413,15 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask=None):
     c = float(1.0 / np.sqrt(dh))
 
     def split(a):  # (..., T, D) -> (..., heads, T, dh), a view
-        return np.swapaxes(a.reshape(*batch, t, heads, dh), -3, -2)
+        return a.reshape(*batch, t, heads, dh).swapaxes(-3, -2)
 
     def merge(a):  # (..., heads, T, dh) -> (..., T, D)
-        return np.swapaxes(a, -3, -2).reshape(*batch, t, d)
+        return a.swapaxes(-3, -2).reshape(*batch, t, d)
 
     q, k, v = (np.matmul(x.data, w.data) + b.data
                for w, b in ((wq, bq), (wk, bk), (wv, bv)))
     qh, kh, vh = split(q), split(k), split(v)
-    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * c
+    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * c
     if mask is not None:
         scores = scores + mask
     p, softmax_grad = _softmax(scores)
@@ -423,9 +430,9 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask=None):
 
     def bw():
         g_heads = np.ascontiguousarray(split(_affine_grads(ctx, wo, bo, out.grad)))
-        g_scores = softmax_grad(np.matmul(g_heads, np.swapaxes(vh, -1, -2))) * c
-        g_v = np.matmul(np.swapaxes(p, -1, -2), g_heads)
-        g_k = np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), g_scores), -1, -2)
+        g_scores = softmax_grad(np.matmul(g_heads, vh.swapaxes(-1, -2))) * c
+        g_v = np.matmul(p.swapaxes(-1, -2), g_heads)
+        g_k = np.matmul(qh.swapaxes(-1, -2), g_scores).swapaxes(-1, -2)
         g_q = np.matmul(g_scores, kh)
         for g, w, b in ((g_v, wv, bv), (g_k, wk, bk), (g_q, wq, bq)):
             g_x = _affine_grads(x.data, w, b, np.ascontiguousarray(merge(g)))
@@ -484,7 +491,7 @@ def finite_diff_check(f, x):
     def shifted(i, d):
         orig = flat[i]
         flat[i] = orig + d
-        value = float(f(x).data)
+        value = f(x).data.item()
         flat[i] = orig
         return value
 
@@ -493,7 +500,7 @@ def finite_diff_check(f, x):
         far = shifted(i, 2.0 * h) - shifted(i, -2.0 * h)
         nflat[i] = (8.0 * near - far) / (12.0 * h)
 
-    fscale = max(abs(float(f(x).data)), 1.0)
+    fscale = max(abs(f(x).data.item()), 1.0)
     floor = max(1e-8, 100.0 * np.finfo(np.float64).eps * fscale / h)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))

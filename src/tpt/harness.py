@@ -268,7 +268,7 @@ def gradcheck_report(seed=0):
     # the transformer sublayers on a (2, 3, 4) batch, each checked in the
     # input and in its first weight (wq, w1), which every item shares
     def attention(t, *weights):  # two heads, causal
-        return ad.attention(t, *weights, 2, np.triu(np.full((3, 3), -1e9), k=1))
+        return ad.attention(t, *weights, 2, mdl.causal_mask(3))
 
     for name, op, shapes in (("attention", attention, [(4, 4), (1, 4)] * 4),
                              ("mlp", ad.mlp, [(4, 8), (1, 8), (8, 4), (1, 4)])):

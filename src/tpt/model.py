@@ -8,6 +8,7 @@ similarities.  Contrastive pretraining aligns the two encoders on
 (image, caption) pairs.
 """
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -113,9 +114,18 @@ def embed_tokens(weights, config, token_ids):
     return ad.gather_rows(weights["token_embedding"], ids)
 
 
+@functools.lru_cache(maxsize=None)
+def causal_mask(t):
+    """(t, t) additive attention mask, -1e9 above the diagonal, so row i
+    attends to rows 0..i.  One read-only array per length."""
+    mask = np.triu(np.full((t, t), -1e9), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
 def _transformer(weights, prefix, x, n_layers, heads, causal):
     t = x.data.shape[-2]
-    mask = np.triu(np.full((t, t), -1e9), k=1) if causal else None
+    mask = causal_mask(t) if causal else None
     for i in range(n_layers):
         p = f"{prefix}.{i}"
 

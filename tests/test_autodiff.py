@@ -458,3 +458,197 @@ class TestFusedSublayers:
         for name, g, w in zip(["output", "x.grad"] + [f"weight {i}" for i in range(8)],
                               got, want):
             assert np.array_equal(g, w), name
+
+
+# ---------------------------------------------------------------------------
+# the ops reduce with numpy's ufuncs and transpose with the ndarray method;
+# the same ops written with numpy's Python-level functions (np.mean, .sum,
+# .max, np.linalg.norm, np.swapaxes) are the reference they equal to the bit
+
+
+def _accumulate_ref(t, g):
+    padded = (1,) * (g.ndim - t.data.ndim) + t.data.shape
+    inner = tuple(ax for ax in range(g.ndim - 2, g.ndim) if padded[ax] == 1 and g.shape[ax] != 1)
+    g = g.sum(axis=inner, keepdims=True) if inner else g
+    if g.shape == padded:
+        t.grad += g.reshape(t.data.shape)
+    else:
+        for item in g.reshape((-1,) + t.data.shape)[::-1]:
+            t.grad += item
+
+
+def _layer_norm_ref(x, gain, bias):
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    sigma = np.sqrt(var + ad.LAYER_NORM_EPS)
+    y = xc / sigma
+    out = Tensor(y * gain.data + bias.data)
+
+    def bw():
+        g = out.grad
+        gy = g * gain.data
+        x.grad += (gy - gy.mean(axis=-1, keepdims=True)
+                   - y * (gy * y).mean(axis=-1, keepdims=True)) / sigma
+        _accumulate_ref(gain, g * y)
+        _accumulate_ref(bias, g)
+
+    return ad._record(out, (x, gain, bias), bw)
+
+
+def _mean_rows_ref(a):
+    out = Tensor(a.data.mean(axis=-2, keepdims=True))
+
+    def bw():
+        a.grad += out.grad / a.data.shape[-2]
+
+    return ad._record(out, (a,), bw)
+
+
+def _softmax_rows_ref(x):
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(y)
+
+    def bw():
+        x.grad += y * (out.grad - (out.grad * y).sum(axis=-1, keepdims=True))
+
+    return ad._record(out, (x,), bw)
+
+
+def _log_softmax_rows_ref(x):
+    z = x.data - x.data.max(axis=-1, keepdims=True)
+    y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    out = Tensor(y)
+
+    def bw():
+        x.grad += out.grad - np.exp(y) * out.grad.sum(axis=-1, keepdims=True)
+
+    return ad._record(out, (x,), bw)
+
+
+def _l2_normalize_rows_ref(x):
+    norms = np.linalg.norm(x.data, axis=-1, keepdims=True)
+    n = np.maximum(norms, 1e-12)
+    y = x.data / n
+    out = Tensor(y)
+
+    def bw():
+        g = out.grad
+        proj = np.where(norms >= 1e-12, y * (g * y).sum(axis=-1, keepdims=True), 0.0)
+        x.grad += (g - proj) / n
+
+    return ad._record(out, (x,), bw)
+
+
+def _transpose_ref(a):
+    out = Tensor(np.swapaxes(a.data, -1, -2))
+
+    def bw():
+        a.grad += np.swapaxes(out.grad, -1, -2)
+
+    return ad._record(out, (a,), bw)
+
+
+def _matmul_ref(a, b):
+    out = Tensor(np.matmul(a.data, b.data))
+
+    def bw():
+        _accumulate_ref(a, np.matmul(out.grad, np.swapaxes(b.data, -1, -2)))
+        _accumulate_ref(b, np.matmul(np.swapaxes(a.data, -1, -2), out.grad))
+
+    return ad._record(out, (a, b), bw)
+
+
+# name -> (op, reference, shapes of the inputs after x, given x's last axis)
+_PINNED = {
+    "layer_norm": (ad.layer_norm, _layer_norm_ref, lambda d: [(1, d), (1, d)]),
+    "mean_rows": (ad.mean_rows, _mean_rows_ref, lambda d: []),
+    "softmax_rows": (ad.softmax_rows, _softmax_rows_ref, lambda d: []),
+    "log_softmax_rows": (ad.log_softmax_rows, _log_softmax_rows_ref, lambda d: []),
+    "l2_normalize_rows": (ad.l2_normalize_rows, _l2_normalize_rows_ref, lambda d: []),
+    "transpose": (ad.transpose, _transpose_ref, lambda d: []),
+    "matmul": (ad.matmul, _matmul_ref, lambda d: [(d, 7)]),
+}
+
+
+class TestBitIdenticalToNumpyWrappers:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", [(2, 5, 32), (8, 16, 32), (3, 4)])
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_output_and_every_input_gradient(self, name, shape, seed):
+        op, ref, more = _PINNED[name]
+        rng = np.random.default_rng(seed)
+        x0 = rng.normal(scale=3.0, size=shape)
+        if name == "l2_normalize_rows":
+            x0[..., 0, :] = 0.0  # a zero-norm row: the clamp's branch
+        inputs0 = [x0] + [rng.normal(size=s) for s in more(shape[-1])]
+        out_shape = op(*(Tensor(a) for a in inputs0)).data.shape
+        r = Tensor(rng.normal(size=out_shape))
+
+        def run(f):
+            inputs = [Tensor(a.copy(), requires_grad=True) for a in inputs0]
+            with Tape() as tape:
+                out = f(*inputs)
+                tape.backward(ad.sum_all(ad.mul(out, r)))
+            return [out.data] + [t.grad for t in inputs]
+
+        got, want = run(op), run(ref)
+        assert len(got) == len(want) == 1 + len(inputs0)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert np.array_equal(g, w), "output" if i == 0 else f"gradient of input {i - 1}"
+
+
+class TestTapeBuffers:
+    def _tape(self):
+        """A tape over two leaves, each of which one op reads once."""
+        p, q = rand((3, 4), seed=30), rand((5, 4), seed=31)
+        tape = Tape()
+        with tape:
+            h = ad.gelu(ad.matmul(p, ad.transpose(q)))
+            loss = ad.sum_all(ad.mul(ad.log_softmax_rows(h), ad.layer_norm(
+                h, Tensor(np.ones((1, 5))), Tensor(np.zeros((1, 5))))))
+        return (p, q), tape, loss
+
+    def test_recording_allocates_no_buffer(self):
+        _, tape, _ = self._tape()
+        assert tape._records and all(out.grad is None for out, _ in tape._records)
+
+    def test_second_backward_gives_fresh_buffers_and_doubles_leaves(self):
+        leaves, tape, loss = self._tape()
+        tape.backward(loss)
+        first = [out.grad for out, _ in tape._records]
+        once = [t.grad.copy() for t in leaves]
+        tape.backward(loss)
+        for (out, _), g in zip(tape._records, first):
+            assert out.grad is not g
+            assert np.array_equal(out.grad, g)
+        for t, g in zip(leaves, once):
+            np.testing.assert_array_equal(t.grad, 2.0 * g)
+
+    def test_gradient_keeps_the_layout_of_a_strided_output(self):
+        p = rand((3, 4), seed=32)
+        with Tape() as tape:
+            t = ad.transpose(p)
+            tape.backward(ad.sum_all(ad.mul(t, t)))
+        assert t.grad.strides == t.data.strides
+
+
+class TestOneElementLoss:
+    """backward accepts (1,) and (1, 1) losses; item() and the gradient
+    check read them as Python floats."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_item_and_gradcheck(self, shape):
+        x = rand((1, 2), seed=33)
+        w = Tensor(np.array([[0.5], [-1.5]]))
+
+        def f(t):
+            return ad.reshape(ad.matmul(t, w), shape)
+
+        with Tape() as tape:
+            loss = f(x)
+            tape.backward(loss)
+        assert loss.item() == float(loss.data.reshape(()))
+        np.testing.assert_array_equal(x.grad, w.data.T)
+        assert ad.finite_diff_check(f, x) <= 1e-8

@@ -61,6 +61,15 @@ class TestEncodeText:
         assert ad.finite_diff_check(f, x) <= 1e-4
 
 
+def test_causal_mask_is_one_read_only_array_per_length():
+    for t in (1, 3, 5, 16):
+        mask = mdl.causal_mask(t)
+        np.testing.assert_array_equal(mask, np.triu(np.full((t, t), -1e9), k=1))
+        assert mdl.causal_mask(t) is mask
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, -1] = 0.0
+
+
 class TestEncodeImage:
     def test_unit_norm(self, weights, config):
         rng = np.random.default_rng(1)
