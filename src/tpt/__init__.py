@@ -3,10 +3,10 @@
 Library layout:
   autodiff  — batched float64 tensors with tape-based reverse-mode gradients
   model     — dual-encoder transformer, contrastive pretraining, persistence
-  prompt    — learnable prompt state and episodic reset
+  prompt    — learnable prompt state and sequence assembly
   augment   — random-resized-crop and AugMix view generation
-  episode   — confidence-selected marginal-entropy minimization
-  bongard   — context-dependent reasoning on synthetic concept tasks
+  episode   — marginal-entropy episodes that restore every tensor they tune
+  bongard   — concept reasoning tasks and the prompt fit it shares with CoOp
   data      — procedural datasets, shifts, captions
   harness   — evaluation ops, baselines, ablations, results files
 """

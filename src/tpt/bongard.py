@@ -77,6 +77,27 @@ def generate_tasks(n_tasks, seed=0):
     return tasks
 
 
+def fit_prompt(weights, config, state, tails, feats, labels, steps, lr):
+    """Tune state.params() in place by cross-entropy of `feats` against
+    integer `labels` over the K = len(tails) classes [prompt ; tail_k]:
+    `steps` full-batch AdamW steps at `lr`.  Returns the per-step losses
+    and accuracies, both read on the step's forward pass."""
+    onehot = Tensor(np.eye(len(tails.data))[labels])
+    opt = AdamW(state.params(), lr=lr)
+    losses, accuracies = [], []
+    for _ in range(steps):
+        with ad.Tape() as tape:
+            tfeats = mdl.encode_texts(weights, config, assemble(state, tails))
+            loss, probs = mdl.cross_entropy(
+                mdl.class_logits(tfeats, feats, config.logit_scale), onehot)
+            opt.zero_grad()
+            tape.backward(loss)
+        losses.append(loss.item())
+        accuracies.append(float(np.mean(np.argmax(probs.data, axis=1) == labels)))
+        opt.step()
+    return losses, accuracies
+
+
 def tpt_reason(weights, config, sample, reason_config=None):
     """Tune {prompt, cls1, cls2} on the support set, then judge the query.
 
@@ -89,23 +110,11 @@ def tpt_reason(weights, config, sample, reason_config=None):
     labels = np.array([0] * len(sample.negatives) + [1] * len(sample.positives))
     encoded = mdl.encode_images(weights, config, support + [sample.query]).data
     feats, query = Tensor(encoded[:-1]), Tensor(encoded[-1:])
-    onehot = Tensor(np.eye(2)[labels])
-
-    opt = AdamW(state.params(), lr=cfg.lr)
-    trace = {"losses": [], "support_acc": []}
-    for _ in range(cfg.steps):
-        with ad.Tape() as tape:
-            tfeats = mdl.encode_texts(weights, config, assemble(state, state.cls))
-            loss, probs = mdl.cross_entropy(
-                mdl.class_logits(tfeats, feats, config.logit_scale), onehot)
-            opt.zero_grad()
-            tape.backward(loss)
-        trace["losses"].append(loss.item())
-        trace["support_acc"].append(
-            float(np.mean(np.argmax(probs.data, axis=1) == labels)))
-        opt.step()
+    losses, accuracies = fit_prompt(weights, config, state, state.cls, feats, labels,
+                                    cfg.steps, cfg.lr)
 
     tfeats = mdl.encode_texts(weights, config, assemble(state, state.cls))
     final = mdl.class_logits(tfeats, feats, config.logit_scale).data
-    trace["support_acc"].append(float(np.mean(np.argmax(final, axis=1) == labels)))
-    return int(np.argmax(mdl.class_logits(tfeats, query, config.logit_scale).data)), trace
+    accuracies.append(float(np.mean(np.argmax(final, axis=1) == labels)))
+    prediction = int(np.argmax(mdl.class_logits(tfeats, query, config.logit_scale).data))
+    return prediction, {"losses": losses, "support_acc": accuracies}

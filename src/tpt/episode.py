@@ -3,9 +3,9 @@
 One episode: augment the test image into N views, predict each view,
 keep the lowest-entropy fraction rho, minimize the entropy of their
 averaged distribution by updating the prompt, then classify the
-original image with the tuned prompt.  All tuned state (prompt rows, the
-parameter group's weights, optimizer moments) is reset before the
-function returns.
+original image with the tuned prompt.  The episode snapshots all tuned
+state (prompt rows, the parameter group's weights, optimizer moments)
+and restores it before returning, so it leaves nothing behind.
 """
 
 from dataclasses import dataclass, field
@@ -138,66 +138,66 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
                  record_views=False):
     """One full episode; returns (predicted class, final averaged dist, trace).
 
-    The prompt and the parameter group's weights are tuned.  The view
-    features are computed once, before any tuned state changes (encoding
-    rejects bad input), unless the group holds image weights; then on
-    each step's tape and for the final prediction.  The final prediction
-    is the argmax on the original image under the tuned state.  The trace
-    keeps per-step loss/threshold/mask, the pre/post distributions of the
-    original view, and the number of distinct images among the N views
-    and among the k views the first step selected.
+    The prompt and the parameter group's weights are tuned.  Each is
+    snapshotted on entry and, on return or exception, restored bit-exactly
+    with a zero gradient and the group frozen, so an episode may start
+    from any prompt.  The view features are computed once, before any
+    tuned state changes (encoding rejects bad input), unless the group
+    holds image weights; then on each step's tape and for the final
+    prediction.  The final prediction is the argmax on the original image
+    under the tuned state.  The trace keeps per-step loss/threshold/mask,
+    the pre/post distributions of the original view, and the number of
+    distinct images among the N views and among the k views the first
+    step selected.
     """
     cfg = tpt_config
     prefixes = PARAMETER_GROUPS[cfg.parameter_group]
     image_tuned = any(p in _IMAGE for p in prefixes)
-    views, index = generate_views(image, cfg.n_views, cfg.policy, cfg.seed)
-    feats = None if image_tuned else view_features(weights, config, views, index)
-
     tuned = [weights[name] for name in sorted(weights) if name.startswith(prefixes)]
-    snapshot = [t.data.copy() for t in tuned]
-    mdl.set_trainable(tuned, True)
-    opt = AdamW(prompt_state.params() + tuned, lr=cfg.lr)
-    trace = {"losses": [], "thresholds": [], "k": None, "mask_indices": [],
-             "pre_original": None, "post_original": None,
-             "pre_views": None, "post_views": None,
-             "pre_averaged": None, "post_averaged": None,
-             "distinct_views": len(views), "distinct_selected": None}
+    params = prompt_state.params() + tuned
+    snapshot = [p.data.copy() for p in params]
     try:
+        views, index = generate_views(image, cfg.n_views, cfg.policy, cfg.seed)
+        feats = None if image_tuned else view_features(weights, config, views, index)
+        trace = {"losses": [], "thresholds": [], "k": None, "mask_indices": [],
+                 "pre_original": None, "post_original": None,
+                 "pre_views": None, "post_views": None,
+                 "pre_averaged": None, "post_averaged": None,
+                 "distinct_views": len(views), "distinct_selected": None}
+
+        def predict():
+            f = view_features(weights, config, views, index) if image_tuned else feats
+            return select_and_average(
+                predict_views(weights, config, prompt_state, classes, f), cfg.rho)
+
+        def record(when, pred):
+            trace[f"{when}_original"] = pred.probs.data[0].copy()
+            trace[f"{when}_averaged"] = pred.averaged.data[0].copy()
+            if record_views:
+                trace[f"{when}_views"] = pred.probs.data.copy()
+
+        mdl.set_trainable(tuned, True)
+        opt = AdamW(params, lr=cfg.lr)
         for step in range(cfg.steps):
             with ad.Tape() as tape:
-                if image_tuned:
-                    feats = view_features(weights, config, views, index)
-                pred = predict_views(weights, config, prompt_state, classes, feats)
-                select_and_average(pred, cfg.rho)
+                pred = predict()
                 loss = marginal_entropy_loss(pred)
                 opt.zero_grad()
                 tape.backward(loss)
             if step == 0:
-                trace["pre_original"] = pred.probs.data[0].copy()
-                trace["pre_averaged"] = pred.averaged.data[0].copy()
+                record("pre", pred)
                 trace["k"] = len(pred.selected)
                 trace["distinct_selected"] = len(np.unique(index[pred.selected]))
-                if record_views:
-                    trace["pre_views"] = pred.probs.data.copy()
             trace["losses"].append(loss.item())
             trace["thresholds"].append(pred.threshold)
             trace["mask_indices"].append(pred.selected.tolist())
             opt.step()
 
-        # inference with the tuned state, no tape
-        if image_tuned:
-            feats = view_features(weights, config, views, index)
-        final = predict_views(weights, config, prompt_state, classes, feats)
-        select_and_average(final, cfg.rho)
-        trace["post_original"] = final.probs.data[0].copy()
-        trace["post_averaged"] = final.averaged.data[0].copy()
-        if record_views:
-            trace["post_views"] = final.probs.data.copy()
-        prediction = int(np.argmax(final.probs.data[0]))
-        final_averaged = final.averaged.data[0].copy()
+        final = predict()  # inference with the tuned state, no tape
+        record("post", final)
+        return int(np.argmax(final.probs.data[0])), final.averaged.data[0].copy(), trace
     finally:
-        prompt_state.reset()
-        for t, snap in zip(tuned, snapshot):
-            t.data[...] = snap
+        for p, snap in zip(params, snapshot):
+            p.data[...] = snap
+            p.zero_grad()
         mdl.set_trainable(tuned, False)
-    return prediction, final_averaged, trace

@@ -17,7 +17,7 @@ from . import episode as ep
 from . import model as mdl
 from .augment import generate_views, split_seed
 from .autodiff import Tensor
-from .optim import AdamW
+from .bongard import fit_prompt
 from .prompt import PromptState, init_from_template
 
 VERSION = f"tpt-{__version__}"
@@ -77,21 +77,13 @@ def fewshot_train_prompt(weights, config, classes, images, labels):
     """CoOp: cross-entropy tuning of the default template prompt on labeled
     shots, COOP_EPOCHS full-batch AdamW steps at COOP_LR.
 
-    Returns a PromptState whose init snapshot is the tuned prompt, so it
-    can seed episodic test-time tuning afterwards."""
+    Returns the tuned PromptState.  An episode can start from it as it
+    is: tpt_classify restores whatever it tunes."""
     state = init_from_template(weights, config, dat.template_ids())
-    feats = mdl.encode_images(weights, config, images)
-    onehot = Tensor(np.eye(len(classes))[np.asarray(labels)])
-    opt = AdamW(state.params(), lr=COOP_LR)
-    for _ in range(COOP_EPOCHS):
-        with ad.Tape() as tape:
-            tfeats = ep.text_features(weights, config, state, classes)
-            loss, _ = mdl.cross_entropy(
-                mdl.class_logits(tfeats, feats, config.logit_scale), onehot)
-            opt.zero_grad()
-            tape.backward(loss)
-        opt.step()
-    return PromptState(state.prompt.data)
+    fit_prompt(weights, config, state, mdl.embed_tokens(weights, config, classes),
+               mdl.encode_images(weights, config, images), np.asarray(labels),
+               COOP_EPOCHS, COOP_LR)
+    return state
 
 
 def evaluate_coop(weights, config, classes, dataset, seed):

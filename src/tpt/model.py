@@ -385,9 +385,9 @@ def save_weights(weights, path):
 
 
 def load_weights(path, config=None):
-    """Read a weights file, which must end after its last tensor.  With a
-    config, every tensor name and shape must match weight_shapes(config)
-    and every value must be finite; errors name the file and tensor."""
+    """Read a weights file that names each tensor once and ends after its
+    last tensor.  With a config, names and shapes must match
+    weight_shapes(config) and values be finite.  Errors name the file and tensor."""
     weights = {}
     with open(path, "rb") as f:
         if f.read(len(_MAGIC)) != _MAGIC:
@@ -397,6 +397,8 @@ def load_weights(path, config=None):
             (nlen,) = struct.unpack("<H", read_exact(f, 2, f"the name of tensor #{i}"))
             name = read_exact(f, nlen, f"the name of tensor #{i}").decode("utf-8")
             what = f"tensor {name!r}"
+            if name in weights:
+                raise ValueError(f"{path}: {what} appears twice in the file")
             (rank,) = struct.unpack("<B", read_exact(f, 1, what))
             shape = struct.unpack(f"<{rank}I", read_exact(f, 4 * rank, what))
             n = int(np.prod(shape)) if rank else 1

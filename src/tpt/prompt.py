@@ -1,8 +1,9 @@
 """Learnable prompt state in text-embedding space.
 
 The prompt rows (and, in reasoning mode, two binary class tokens) are
-the only tensors that ever carry requires_grad at test time.  Every
-episode starts from the stored init snapshot and resets back to it.
+the tensors tuned at test time.  A PromptState keeps no copy of its
+start: an episode (episode.tpt_classify) restores what it tunes, and a
+supervised fit (bongard.fit_prompt) leaves its result in place.
 """
 
 import numpy as np
@@ -13,8 +14,7 @@ from .model import embed_tokens
 
 
 class PromptState:
-    """Prompt token embeddings, optional (2, 1, D) binary class tokens,
-    and a snapshot."""
+    """Prompt token embeddings and optional (2, 1, D) binary class tokens."""
 
     def __init__(self, prompt_embeddings, cls_embeddings=None):
         arr = np.asarray(prompt_embeddings, dtype=np.float64)
@@ -27,16 +27,9 @@ class PromptState:
         if cls_embeddings is not None:
             self.cls = Tensor(np.array(cls_embeddings, dtype=np.float64),
                               requires_grad=True)
-        self._snapshot = [p.data.copy() for p in self.params()]
 
     def params(self):
         return [self.prompt] if self.cls is None else [self.prompt, self.cls]
-
-    def reset(self):
-        """Restore all learnable tensors bit-exactly to the init snapshot."""
-        for p, snap in zip(self.params(), self._snapshot):
-            p.data[...] = snap
-            p.zero_grad()
 
 
 def init_from_template(weights, config, template_token_ids):

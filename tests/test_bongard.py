@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from tpt import autodiff as ad
 from tpt import bongard as bg
 from tpt import data as dat
 from tpt import model as mdl
+from tpt.autodiff import Tensor
+from tpt.optim import AdamW
+from tpt.prompt import assemble, init_gaussian
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +102,41 @@ class TestTptReason:
     def test_support_accuracy_reaches_one(self, weights, config, task):
         _, trace = bg.tpt_reason(weights, config, task, bg.ReasonConfig())
         assert trace["support_acc"][-1] == 1.0
+
+
+def reference_tpt_reason(weights, config, sample, cfg):
+    """tpt_reason with its support loop written inline, as it was before
+    the loop moved into fit_prompt."""
+    state = init_gaussian(bg.PROMPT_LEN, config.embed_dim, bg.SIGMA, cfg.seed)
+    support = list(sample.negatives) + list(sample.positives)
+    labels = np.array([0] * len(sample.negatives) + [1] * len(sample.positives))
+    encoded = mdl.encode_images(weights, config, support + [sample.query]).data
+    feats, query = Tensor(encoded[:-1]), Tensor(encoded[-1:])
+    onehot = Tensor(np.eye(2)[labels])
+
+    opt = AdamW(state.params(), lr=cfg.lr)
+    trace = {"losses": [], "support_acc": []}
+    for _ in range(cfg.steps):
+        with ad.Tape() as tape:
+            tfeats = mdl.encode_texts(weights, config, assemble(state, state.cls))
+            loss, probs = mdl.cross_entropy(
+                mdl.class_logits(tfeats, feats, config.logit_scale), onehot)
+            opt.zero_grad()
+            tape.backward(loss)
+        trace["losses"].append(loss.item())
+        trace["support_acc"].append(
+            float(np.mean(np.argmax(probs.data, axis=1) == labels)))
+        opt.step()
+
+    tfeats = mdl.encode_texts(weights, config, assemble(state, state.cls))
+    final = mdl.class_logits(tfeats, feats, config.logit_scale).data
+    trace["support_acc"].append(float(np.mean(np.argmax(final, axis=1) == labels)))
+    return int(np.argmax(mdl.class_logits(tfeats, query, config.logit_scale).data)), trace
+
+
+@pytest.mark.parametrize("cfg", [bg.ReasonConfig(), bg.ReasonConfig(steps=5, lr=0.05,
+                                                                     seed=4)])
+def test_tpt_reason_equals_inline_reference(weights, config, cfg):
+    for sample in bg.generate_tasks(3, seed=11):
+        assert bg.tpt_reason(weights, config, sample, cfg) == reference_tpt_reason(
+            weights, config, sample, cfg)

@@ -8,11 +8,13 @@ import pytest
 
 from tpt import cli
 from tpt import data as dat
+from tpt import episode as ep
 from tpt import harness as hz
 from tpt import model as mdl
 from tpt.augment import AugmentPolicy, split_seed
-from tpt.autodiff import Tensor
+from tpt.autodiff import Tape, Tensor
 from tpt.episode import TPTConfig
+from tpt.optim import AdamW
 from tpt.prompt import init_from_template
 
 
@@ -139,8 +141,6 @@ class TestBaselines:
 class TestFewshot:
     def test_training_reduces_support_loss(self, weights, config, classes,
                                            dataset):
-        import tpt.episode as ep
-
         def support_loss(state):
             tf = ep.text_features(weights, config, state, classes).data
             feats = np.concatenate(
@@ -157,14 +157,44 @@ class TestFewshot:
                                         dataset.images[:8], dataset.labels[:8])
         assert support_loss(after) < support_loss(before)
 
-    def test_returned_state_resets_to_tuned_values(self, weights, config,
-                                                   classes, dataset):
-        state = hz.fewshot_train_prompt(weights, config, classes,
+    def test_episode_from_the_coop_state_restores_it(self, varied_weights,
+                                                     config, classes, dataset):
+        state = hz.fewshot_train_prompt(varied_weights, config, classes,
                                         dataset.images[:4], dataset.labels[:4])
         tuned = state.prompt.data.copy()
-        state.prompt.data += 1.0
-        state.reset()
+        assert state.prompt.grad.any()  # the fit's last backward is left in place
+        _, _, trace = ep.tpt_classify(varied_weights, config, state, classes,
+                                      dataset.images[5], FAST)
+        assert not np.array_equal(trace["pre_original"], trace["post_original"])
         np.testing.assert_array_equal(state.prompt.data, tuned)
+        assert not state.prompt.grad.any()
+
+    def test_prompt_equals_inline_reference(self, varied_weights, config, classes,
+                                            dataset):
+        images, labels = dataset.images[:8], dataset.labels[:8]
+        got = hz.fewshot_train_prompt(varied_weights, config, classes, images, labels)
+        want = reference_coop_prompt(varied_weights, config, classes, images, labels)
+        assert not np.array_equal(want, init_from_template(
+            varied_weights, config, TEMPLATE).prompt.data)
+        np.testing.assert_array_equal(got.prompt.data, want)
+
+
+def reference_coop_prompt(weights, config, classes, images, labels):
+    """The CoOp prompt from its training loop written inline, as it was
+    before the loop moved into bongard.fit_prompt."""
+    state = init_from_template(weights, config, dat.template_ids())
+    feats = mdl.encode_images(weights, config, images)
+    onehot = Tensor(np.eye(len(classes))[np.asarray(labels)])
+    opt = AdamW(state.params(), lr=hz.COOP_LR)
+    for _ in range(hz.COOP_EPOCHS):
+        with Tape() as tape:
+            tfeats = ep.text_features(weights, config, state, classes)
+            loss, _ = mdl.cross_entropy(
+                mdl.class_logits(tfeats, feats, config.logit_scale), onehot)
+            opt.zero_grad()
+            tape.backward(loss)
+        opt.step()
+    return state.prompt.data
 
 
 class TestAblate:

@@ -1,3 +1,4 @@
+import struct
 import tempfile
 from pathlib import Path
 
@@ -407,6 +408,22 @@ class TestLoadWeightsChecked:
         with pytest.raises(ValueError, match=r"nan\.tptw: tensor 'text_proj' "
                                              r"has a non-finite value"):
             mdl.load_weights(path, config)
+
+    def test_tensor_named_twice_rejected(self, tmp_path, weights, config):
+        # a second, well-formed text_proj after the first, the count raised
+        # to match: every byte is accounted for and each shape is right
+        mdl.save_weights(weights, tmp_path / "w.tptw")
+        mdl.save_weights({"text_proj": Tensor(np.full_like(
+            weights["text_proj"].data, 7.0))}, tmp_path / "extra.tptw")
+        blob = (tmp_path / "w.tptw").read_bytes()
+        extra = (tmp_path / "extra.tptw").read_bytes()
+        (count,) = struct.unpack("<I", blob[5:9])
+        path = tmp_path / "twice.tptw"
+        path.write_bytes(blob[:5] + struct.pack("<I", count + 1) + blob[9:] + extra[9:])
+        for cfg in (None, config):
+            with pytest.raises(ValueError, match=r"twice\.tptw: tensor 'text_proj' "
+                                                 r"appears twice"):
+                mdl.load_weights(path, cfg)
 
 
 def test_no_grads_on_frozen_weights(weights, config):

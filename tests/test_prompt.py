@@ -33,25 +33,6 @@ class TestPromptState:
             assert isinstance(p, Tensor)
             assert p.requires_grad and not p.grad.any()
 
-    def test_reset_is_bit_exact(self):
-        rng = np.random.default_rng(0)
-        init = rng.normal(size=(3, 8))
-        state = pr.PromptState(init.copy())
-        state.prompt.data += rng.normal(size=(3, 8))
-        state.reset()
-        np.testing.assert_array_equal(state.prompt.data, init)
-
-    def test_reset_restores_cls_tokens(self):
-        # the reasoning state: one (2, 1, D) tensor holds both class tokens
-        state = pr.init_gaussian(2, 8, 0.02, seed=1)
-        assert state.params() == [state.prompt, state.cls]
-        before = state.cls.data.copy()
-        state.cls.data += 1.0
-        state.cls.grad += 1.0
-        state.reset()
-        np.testing.assert_array_equal(state.cls.data, before)
-        assert not state.cls.grad.any()
-
 
 class TestInitFromTemplate:
     def test_matches_embedding_rows(self, weights, config):
