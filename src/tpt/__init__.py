@@ -11,17 +11,4 @@ Library layout:
   harness   — evaluation ops, baselines, ablations, results files
 """
 
-from .autodiff import Tape, Tensor, finite_diff_check
-from .augment import AugmentPolicy, generate_views
-from .bongard import BongardSample, ReasonConfig, tpt_reason
-from .data import Dataset, DatasetSpec, ShiftSpec, apply_shift, generate
-from .episode import (PredictionSet, TPTConfig, confidence_threshold, entropy,
-                      marginal_entropy_loss, predict_views, select_and_average,
-                      tpt_classify)
-from .model import (ModelConfig, class_probabilities, encode_image, encode_images,
-                    encode_text, encode_texts, init_weights, load_weights,
-                    pretrain_contrastive, save_weights)
-from .optim import AdamW
-from .prompt import PromptState, assemble, init_from_template, init_gaussian
-
 __version__ = "0.1.0"

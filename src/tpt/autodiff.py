@@ -197,10 +197,6 @@ def scale(a, c):
     return _record(out, (a,), bw)
 
 
-def neg(a):
-    return scale(a, -1.0)
-
-
 def sum_all(a):
     out = Tensor(np.sum(a.data))
 

@@ -43,8 +43,8 @@ class ReasonConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 0 or not np.isfinite(self.lr):
-            raise ValueError(f"need steps >= 0 and a finite lr: {self!r}")
+        if self.steps < 0 or not 0.0 <= self.lr < np.inf:
+            raise ValueError(f"need steps >= 0 and a finite lr >= 0: {self!r}")
 
 
 def generate_tasks(n_tasks, seed=0):

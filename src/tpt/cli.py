@@ -20,7 +20,8 @@ from . import data as dat
 from . import harness as hz
 from . import model as mdl
 from .augment import AugmentPolicy
-from .episode import PARAMETER_GROUPS, TPTConfig
+from .episode import PARAMETER_GROUPS, TPTConfig, tpt_classify
+from .prompt import init_from_template
 
 # the evaluation set; pretraining and CoOp's shots draw mdl.TRAIN_DATA_SEED
 _DATA_SEED = 1
@@ -103,9 +104,8 @@ def _build_dataset(args, seed=_DATA_SEED):
 
 
 def _load_model(args):
-    """(config, weights), the weights file checked against the config."""
-    config = mdl.ModelConfig()
-    return config, mdl.load_weights(args.weights, config)
+    """(config, weights); load_weights checks the file against the model shape."""
+    return mdl.ModelConfig(), mdl.load_weights(args.weights)
 
 
 def _tpt_config(args, seed):
@@ -218,15 +218,15 @@ def cmd_dump_dist(args):
     if not 0 <= i < len(ds):
         raise SystemExit(f"--sample {i} is out of range: the dataset has "
                          f"{len(ds)} samples, 0 to {len(ds) - 1}")
-    before, after = hz.dump_distributions(
-        weights, mconfig, dat.template_ids(), classes, ds.images[i],
-        _tpt_config(args, args.seed))
-    for tag, mat in (("before", before), ("after", after)):
+    state = init_from_template(weights, mconfig, dat.template_ids())
+    _, _, trace = tpt_classify(weights, mconfig, state, classes, ds.images[i],
+                               _tpt_config(args, args.seed), record_views=True)
+    for tag, when in (("before", "pre"), ("after", "post")):
         path = f"{args.out}.{tag}.csv"
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["view"] + list(ds.class_names))
-            for v, row in enumerate(mat):
+            for v, row in enumerate(trace[f"{when}_views"]):
                 writer.writerow([v] + [f"{p:.6f}" for p in row])
         print(f"-> {path}")
     return 0

@@ -50,8 +50,8 @@ class TPTConfig:
             raise ValueError("n_views and steps must be >= 1")
         if not (0.0 < self.rho <= 1.0):
             raise ValueError("rho must be in (0, 1]")
-        if not np.isfinite(self.lr):
-            raise ValueError(f"lr must be finite, got {self.lr}")
+        if not 0.0 <= self.lr < np.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.parameter_group not in PARAMETER_GROUPS:
             raise ValueError(f"unknown parameter group {self.parameter_group!r}")
 
@@ -131,7 +131,7 @@ def marginal_entropy_loss(pred):
     """Differentiable entropy of the averaged prediction distribution."""
     if pred.averaged is None:
         raise ValueError("run select_and_average first")
-    return ad.neg(ad.sum_all(ad.mul(pred.averaged, ad.log(pred.averaged))))
+    return ad.scale(ad.sum_all(ad.mul(pred.averaged, ad.log(pred.averaged))), -1.0)
 
 
 def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,

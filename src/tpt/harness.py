@@ -166,17 +166,6 @@ def ablate(weights, config, template_ids, classes, dataset, base_config,
     return rows
 
 
-def dump_distributions(weights, config, template_ids, classes, image,
-                       tpt_config):
-    """Per-view class distributions before and after one episode.
-
-    Returns (before N x K, after N x K); row 0 is the original image."""
-    state = init_from_template(weights, config, template_ids)
-    _, _, trace = ep.tpt_classify(weights, config, state, classes, image,
-                                  tpt_config, record_views=True)
-    return trace["pre_views"], trace["post_views"]
-
-
 # ---------------------------------------------------------------------------
 # gradient checking
 
@@ -185,40 +174,26 @@ def gradcheck_report(seed=0):
     """finite_diff_check over every differentiable op plus the end-to-end
     marginal-entropy loss w.r.t. prompt rows.  Returns [(name, max_err)]."""
     rng = np.random.default_rng(seed)
-    checks = []
 
-    def scalarize(op, x, *args):
+    def normal(*shape):  # a leaf; check differentiates in its x alone
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    def check(op, x, *args):
+        """Error of d/dx sum(op(x, *args) * w), w drawn after x and args."""
         w = Tensor(rng.normal(size=op(Tensor(x.data.copy()), *args).data.shape))
-        return lambda t: ad.sum_all(ad.mul(op(t, *args), w))
+        return ad.finite_diff_check(lambda t: ad.sum_all(ad.mul(op(t, *args), w)), x)
 
-    x34 = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(4, 2)))
-    checks.append(("matmul", ad.finite_diff_check(
-        scalarize(lambda t: ad.matmul(t, b), x34), x34)))
-
-    x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    checks.append(("softmax_rows", ad.finite_diff_check(
-        scalarize(ad.softmax_rows, x), x)))
-
-    x = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
-    gain = Tensor(rng.normal(size=(1, 8)))
-    bias = Tensor(rng.normal(size=(1, 8)))
-    checks.append(("layer_norm", ad.finite_diff_check(
-        scalarize(lambda t: ad.layer_norm(t, gain, bias), x), x)))
-
-    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    checks.append(("gelu", ad.finite_diff_check(scalarize(ad.gelu, x), x)))
-
-    x = Tensor(rng.normal(size=(3, 4)) * 2.0, requires_grad=True)
-    checks.append(("l2_normalize_rows", ad.finite_diff_check(
-        scalarize(ad.l2_normalize_rows, x), x)))
-
-    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    checks.append(("mean_rows", ad.finite_diff_check(
-        scalarize(ad.mean_rows, x), x)))
-
-    x = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)), requires_grad=True)
-    checks.append(("log", ad.finite_diff_check(scalarize(ad.log, x), x)))
+    checks = [
+        ("matmul", check(ad.matmul, normal(3, 4), normal(4, 2))),
+        ("softmax_rows", check(ad.softmax_rows, normal(3, 5))),
+        ("layer_norm", check(ad.layer_norm, normal(2, 8), normal(1, 8), normal(1, 8))),
+        ("gelu", check(ad.gelu, normal(3, 4))),
+        ("l2_normalize_rows", check(ad.l2_normalize_rows, Tensor(
+            rng.normal(size=(3, 4)) * 2.0, requires_grad=True))),
+        ("mean_rows", check(ad.mean_rows, normal(4, 3))),
+        ("log", check(ad.log, Tensor(rng.uniform(0.5, 2.0, size=(3, 4)),
+                                     requires_grad=True))),
+    ]
 
     # end-to-end: marginal-entropy loss of selected views w.r.t. the prompt.
     # A moderate logit scale keeps the softmax off its saturated plateau,
@@ -252,10 +227,9 @@ def gradcheck_report(seed=0):
                    ad.finite_diff_check(episode_loss, state.prompt)))
 
     # batched ops: a 2-D weight shared by every item of a batch
-    items = Tensor(rng.normal(size=(3, 2, 4)))
-    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    checks.append(("matmul_shared_weight", ad.finite_diff_check(
-        scalarize(lambda t: ad.matmul(items, t), w), w)))
+    items = normal(3, 2, 4)
+    checks.append(("matmul_shared_weight",
+                   check(lambda t: ad.matmul(items, t), normal(4, 5))))
 
     # the transformer sublayers on a (2, 3, 4) batch, each checked in the
     # input and in its first weight (wq, w1), which every item shares
@@ -264,16 +238,12 @@ def gradcheck_report(seed=0):
 
     for name, op, shapes in (("attention", attention, [(4, 4), (1, 4)] * 4),
                              ("mlp", ad.mlp, [(4, 8), (1, 8), (8, 4), (1, 4)])):
-        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
-        err_x = ad.finite_diff_check(scalarize(lambda t: op(t, *params), x), x)
-        err_w = ad.finite_diff_check(
-            scalarize(lambda t: op(x, t, *params[1:]), params[0]), params[0])
-        checks.append((name, max(err_x, err_w)))
+        x = normal(2, 3, 4)
+        params = [normal(*s) for s in shapes]
+        checks.append((name, max(check(op, x, *params),
+                                 check(lambda t: op(x, t, *params[1:]), params[0]))))
 
-    x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    checks.append(("log_softmax_rows", ad.finite_diff_check(
-        scalarize(ad.log_softmax_rows, x), x)))
+    checks.append(("log_softmax_rows", check(ad.log_softmax_rows, normal(3, 5))))
     return checks
 
 

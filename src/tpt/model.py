@@ -244,7 +244,7 @@ def cross_entropy(logits, targets):
     Returns (loss, probs); probs is the row softmax, off the tape."""
     logp = ad.log_softmax_rows(logits)
     picked = ad.sum_all(ad.mul(logp, targets))
-    loss = ad.scale(ad.neg(picked), 1.0 / logits.data.shape[0])
+    loss = ad.scale(picked, -1.0 / logits.data.shape[0])
     return loss, Tensor(np.exp(logp.data))
 
 
@@ -384,10 +384,10 @@ def save_weights(weights, path):
             f.write(t.data.astype("<f8").tobytes())
 
 
-def load_weights(path, config=None):
+def load_weights(path):
     """Read a weights file that names each tensor once and ends after its
-    last tensor.  With a config, names and shapes must match
-    weight_shapes(config) and values be finite.  Errors name the file and tensor."""
+    last tensor, whose names and shapes match weight_shapes(ModelConfig())
+    and whose values are finite.  Errors name the file and tensor."""
     weights = {}
     with open(path, "rb") as f:
         if f.read(len(_MAGIC)) != _MAGIC:
@@ -406,14 +406,13 @@ def load_weights(path, config=None):
             weights[name] = Tensor(data.copy())
         if rest := f.read():
             raise ValueError(f"{path}: {len(rest)} bytes after the last tensor")
-    if config is not None:
-        expected = weight_shapes(config)
-        for name in {**expected, **weights}:
-            got = weights[name].data.shape if name in weights else "absent"
-            want = expected.get(name, "absent")
-            if got != want:
-                raise ValueError(f"{path}: tensor {name!r} is {got} in the file "
-                                 f"but {want} in the model config")
-            if not np.all(np.isfinite(weights[name].data)):
-                raise ValueError(f"{path}: tensor {name!r} has a non-finite value")
+    expected = weight_shapes(ModelConfig())
+    for name in {**expected, **weights}:
+        got = weights[name].data.shape if name in weights else "absent"
+        want = expected.get(name, "absent")
+        if got != want:
+            raise ValueError(f"{path}: tensor {name!r} is {got} in the file "
+                             f"but {want} in the model config")
+        if not np.all(np.isfinite(weights[name].data)):
+            raise ValueError(f"{path}: tensor {name!r} has a non-finite value")
     return weights

@@ -12,7 +12,7 @@ class AdamW:
     dropped whenever the episode that owns it resets.
     """
 
-    def __init__(self, params, lr=0.005, weight_decay=0.0):
+    def __init__(self, params, lr, weight_decay=0.0):
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay

@@ -50,7 +50,7 @@ def pretrained(model_config):
     CACHE_DIR.mkdir(exist_ok=True)
     path = CACHE_DIR / f"pretrained-{recipe_digest()}.tptw"
     if path.exists():
-        return mdl.load_weights(path, model_config)
+        return mdl.load_weights(path)
     for stale in CACHE_DIR.glob("pretrained*.tptw"):
         stale.unlink()
     train = dat.generate(dat.DatasetSpec(), seed=TRAIN_DATA_SEED)

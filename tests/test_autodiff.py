@@ -170,7 +170,7 @@ class TestFiniteDiffCheck:
 
         def f(t):
             p = ad.softmax_rows(t)
-            return ad.neg(ad.sum_all(ad.mul(p, ad.log(p))))
+            return ad.scale(ad.sum_all(ad.mul(p, ad.log(p))), -1.0)
 
         assert ad.finite_diff_check(f, x) <= 1e-6
 
@@ -179,7 +179,7 @@ class TestFiniteDiffCheck:
 
         def f(t):
             p = ad.softmax_rows(ad.scale(t, 100.0))
-            return ad.neg(ad.sum_all(ad.mul(p, ad.log(p))))
+            return ad.scale(ad.sum_all(ad.mul(p, ad.log(p))), -1.0)
 
         assert ad.finite_diff_check(f, x) <= 1e-4
 

@@ -54,10 +54,11 @@ class TestGenerateTasks:
 def test_reason_config_validation():
     with pytest.raises(ValueError, match="steps=-1"):
         bg.ReasonConfig(steps=-1)
-    for lr in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="a finite lr"):
+    for lr in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="a finite lr >= 0"):
             bg.ReasonConfig(lr=lr)
     assert bg.ReasonConfig(steps=0).steps == 0
+    assert bg.ReasonConfig(lr=0.0).lr == 0.0
 
 
 @pytest.fixture(scope="module")

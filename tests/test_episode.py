@@ -174,9 +174,10 @@ class TestTPTConfig:
             ep.TPTConfig(rho=1.5)
         with pytest.raises(ValueError):
             ep.TPTConfig(parameter_group="logit_scale")
-        for lr in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="lr must be finite"):
+        for lr in (np.nan, np.inf, -0.005):
+            with pytest.raises(ValueError, match="lr must be finite and >= 0"):
                 ep.TPTConfig(lr=lr)
+        assert ep.TPTConfig(lr=0.0).lr == 0.0  # the null update
 
 
 @pytest.fixture(scope="module")
