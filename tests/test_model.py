@@ -1,7 +1,11 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpt import autodiff as ad
 from tpt import data as dat
@@ -305,6 +309,34 @@ def test_weights_roundtrip_bit_exact(tmp_path, weights):
     assert set(back) == set(weights)
     for name in weights:
         np.testing.assert_array_equal(back[name].data, weights[name].data)
+
+
+_FINITE_EDGES = (-0.0, 5e-324, -5e-324, np.finfo(np.float64).max,
+                 np.finfo(np.float64).min, np.finfo(np.float64).tiny)
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=st.permutations(sorted(mdl.weight_shapes(mdl.ModelConfig()))),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_weights_roundtrip_any_tensor_set(order, seed):
+    """The model's tensors, written in any order and holding any finite
+    values (-0.0, subnormals, the extremes), come back bit for bit and in
+    the order they were written."""
+    rng = np.random.default_rng(seed)
+    shapes = mdl.weight_shapes(mdl.ModelConfig())
+    weights = {}
+    for i, name in enumerate(order):
+        data = rng.normal(size=shapes[name])
+        data.reshape(-1)[i % 3::5] = _FINITE_EDGES[(seed + i) % len(_FINITE_EDGES)]
+        weights[name] = Tensor(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.tptw"
+        mdl.save_weights(weights, path)
+        back = mdl.load_weights(path)
+    assert list(back) == list(weights)
+    for name, t in weights.items():
+        assert back[name].data.shape == t.data.shape
+        assert back[name].data.tobytes() == t.data.tobytes()
 
 
 def test_weights_bad_magic(tmp_path):
