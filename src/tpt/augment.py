@@ -123,10 +123,6 @@ def crop_resize(image, rng, scale_range):
     return np.ascontiguousarray(out[0])
 
 
-def hflip(image):
-    return image[:, :, ::-1].copy()
-
-
 def smooth(image):
     """3 x 3 box blur over the last two (spatial) axes. Averaging a
     neighborhood attenuates per-pixel noise far more than the
@@ -159,7 +155,7 @@ def translate(image, rng):
 
 _AUGMIX_PRIMITIVES = (
     lambda img, rng: crop_resize(img, rng, (0.5, 1.0)),
-    lambda img, rng: hflip(img),
+    lambda img, rng: img[:, :, ::-1].copy(),  # horizontal flip
     brightness,
     contrast,
     translate,
@@ -197,6 +193,8 @@ def _rrc_views(images, draws):
 
     Every pixel is computed as crop_resize computes it, so a view does
     not depend on the block it is made in."""
+    if not draws:
+        return []
     c, h, w = images[0].shape
     smoothed, crops, patches, flips = zip(*draws)
     smoothed, flips = np.array(smoothed), np.array(flips)
@@ -223,11 +221,9 @@ def _rrc_views(images, draws):
     return views
 
 
-def augmix_view(image, policy, seed):
+def augmix_view(image, seed):
     """Dirichlet-weighted mix of short augmentation chains, Beta-blended
     with the original image."""
-    if policy.kind != "augmix":
-        raise ValueError("policy kind must be 'augmix'")
     rng = np.random.default_rng(seed)
     chain_weights = rng.dirichlet(np.full(_AUGMIX_WIDTH, _AUGMIX_ALPHA))
     mixed = np.zeros_like(image)
@@ -250,9 +246,7 @@ def make_views(images, policy, seeds):
     if len(images) != len(seeds):
         raise ValueError(f"{len(images)} images for {len(seeds)} seeds")
     if policy.kind == "augmix":
-        return [augmix_view(img, policy, s) for img, s in zip(images, seeds)]
-    if len(seeds) == 0:
-        return []
+        return [augmix_view(img, s) for img, s in zip(images, seeds)]
     return _rrc_views(images, [_draw_rrc(policy, s, np.shape(images[0])) for s in seeds])
 
 
@@ -284,5 +278,4 @@ def generate_views(image, n, policy, seed):
             slots[key] = len(kept) + 1
             kept.append(draw)
         index.append(slots[key])
-    views = _rrc_views([image] * len(kept), kept) if kept else []
-    return [image.copy()] + views, np.array(index)
+    return [image.copy()] + _rrc_views([image] * len(kept), kept), np.array(index)

@@ -398,7 +398,7 @@ def _affine_grads(x, w, b, g):
     return np.matmul(g, w.data.swapaxes(-1, -2))
 
 
-def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask=None):
+def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
     """Multi-head scaled dot-product self-attention over the rows of x.
 
     Each projection is x @ w + b; the D columns split into `heads` heads

@@ -6,7 +6,7 @@ on the support images with cross-entropy (negatives -> 0, positives ->
 1), then the query is classified with the tuned text features.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ class BongardSample:
     negatives: list  # images without it
     query: np.ndarray
     query_label: int  # 0/1, evaluation only — never read during tuning
-    concept: dict = field(default_factory=dict)
+    concept: dict  # the present and absent class names and the split
 
     def __post_init__(self):
         if not self.positives or not self.negatives:
@@ -47,7 +47,7 @@ class ReasonConfig:
             raise ValueError(f"need steps >= 0 and a finite lr >= 0: {self!r}")
 
 
-def generate_tasks(n_tasks, seed=0):
+def generate_tasks(n_tasks, seed):
     """Synthetic concept tasks: the hidden concept is one pattern class;
     positives and negatives differ only in that class.  Images follow the
     DatasetSpec recipe at its highest contrast."""
@@ -98,13 +98,12 @@ def fit_prompt(weights, config, state, tails, feats, labels, steps, lr):
     return losses, accuracies
 
 
-def tpt_reason(weights, config, sample, reason_config=None):
+def tpt_reason(weights, config, sample, cfg):
     """Tune {prompt, cls1, cls2} on the support set, then judge the query.
 
     Returns (prediction in {0, 1}, trace with per-step loss and support
     accuracy).  Class column 0 is the negative token, column 1 positive.
     """
-    cfg = reason_config or ReasonConfig()
     state = init_gaussian(PROMPT_LEN, config.embed_dim, SIGMA, cfg.seed)
     support = list(sample.negatives) + list(sample.positives)
     labels = np.array([0] * len(sample.negatives) + [1] * len(sample.positives))

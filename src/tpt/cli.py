@@ -11,6 +11,7 @@ reads); bongard and dump-dist write plain CSV.
 
 import argparse
 import csv
+import json
 import sys
 
 import numpy as np
@@ -165,7 +166,9 @@ def cmd_eval(args):
     if args.out:
         hz.write_results(args.out, [row], _settings(args, unread))
         if traces is not None:
-            hz.write_traces(args.out + ".traces.jsonl", traces)
+            with open(args.out + ".traces.jsonl", "w") as f:
+                for trace in traces:
+                    f.write(json.dumps(trace) + "\n")
     print(f"{method}: accuracy {acc:.4f} on {len(ds)} samples")
     return 0
 

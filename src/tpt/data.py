@@ -163,7 +163,7 @@ def class_prototype(name, contrast):
     return 0.5 + contrast * (full - 0.5)
 
 
-def generate(spec, seed=0):
+def generate(spec, seed):
     """Labeled dataset: per-class prototype plus Gaussian pixel noise.
 
     Each sample draws its own contrast from U(contrast_min, contrast), so
@@ -182,7 +182,7 @@ def generate(spec, seed=0):
                    token_ids)
 
 
-def apply_shift(dataset, shift, seed=0):
+def apply_shift(dataset, shift, seed):
     """Label-preserving pixel transform; deterministic under seed."""
     lo, hi = PIXEL_RANGE
     imgs = dataset.images
@@ -245,12 +245,12 @@ def save_image(image, path):
 
 
 def read_exact(f, n, what):
-    """n bytes from the open file f; a short read is an error that names
-    the file and `what` was being read."""
-    buf = f.read(n)
-    if len(buf) != n:
+    """n bytes from the open file f.  A length past the end of the file is
+    an error that names the file and `what` was being read, raised before
+    anything is read."""
+    if n > os.fstat(f.fileno()).st_size - f.tell():
         raise ValueError(f"{f.name}: file truncated in {what}")
-    return buf
+    return f.read(n)
 
 
 def load_image(path):

@@ -5,7 +5,6 @@ files (CSV rows under a reproducibility header)."""
 import csv
 import io
 import itertools
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -146,7 +145,7 @@ def baseline_majority_vote(weights, config, template_ids, classes, dataset,
 
 
 def ablate(weights, config, template_ids, classes, dataset, base_config,
-           grid, seeds=(0,), shift_label="none"):
+           grid, seeds, shift_label):
     """Grid sweep over {rho, n_views, steps, parameter_group}.
 
     grid maps field name to a list of values; returns ResultsTable rows
@@ -170,7 +169,7 @@ def ablate(weights, config, template_ids, classes, dataset, base_config,
 # gradient checking
 
 
-def gradcheck_report(seed=0):
+def gradcheck_report(seed):
     """finite_diff_check over every differentiable op plus the end-to-end
     marginal-entropy loss w.r.t. prompt rows.  Returns [(name, max_err)]."""
     rng = np.random.default_rng(seed)
@@ -294,9 +293,3 @@ def read_results(path):
         for row in csv.DictReader(io.StringIO("".join(body))):
             rows.append(row)
     return header, rows
-
-
-def write_traces(path, traces):
-    with open(path, "w") as f:
-        for trace in traces:
-            f.write(json.dumps(trace) + "\n")

@@ -81,7 +81,7 @@ def weight_shapes(config):
     return shapes
 
 
-def init_weights(config, seed=0):
+def init_weights(config, seed):
     """Fresh ModelWeights: a named map of Tensors."""
     rng = np.random.default_rng(seed)
     weights = {}
@@ -252,8 +252,10 @@ def rescale_text_embeddings(weights, factor):
     """Scale token and positional text embeddings by `factor` in place.
 
     The text transformer is pre-LN, so layer norms make its behaviour
-    almost exactly invariant to a global rescaling of its input rows:
-    zero-shot predictions are preserved.  What changes is the *relative*
+    nearly invariant to a global rescaling of its input rows, but not
+    exactly: undoing the rescale on the acceptance suite's model changes
+    11 of 512 zero-shot predictions on held-out noise:0.5 images (data
+    seed 300, shift seed 0).  What changes most is the *relative*
     size of a fixed-magnitude AdamW step on prompt rows, because the
     first layer norm's Jacobian scales inversely with the input norm.
     Shrinking the embeddings therefore calibrates how far one
@@ -291,19 +293,18 @@ def caption_targets(captions):
     return same / same.sum(axis=1, keepdims=True)
 
 
-def pretrain_contrastive(weights, config, pairs, epochs=PRETRAIN["epochs"],
-                         lr=PRETRAIN["lr"], batch=PRETRAIN["batch"],
-                         seed=PRETRAIN["seed"], augment_policy=None,
-                         weight_decay=PRETRAIN["weight_decay"],
-                         embed_rescale=PRETRAIN["embed_rescale"]):
+def pretrain_contrastive(weights, config, pairs, *, epochs, lr, batch, seed,
+                         augment_policy, weight_decay, embed_rescale):
     """Symmetric InfoNCE over in-batch image-text similarities, with every
     identical caption in the batch a positive (see caption_targets).
 
-    When augment_policy is set, every drawn image is replaced by a random
-    view from that policy: the captions stay valid and the encoder learns
-    the augmentation invariance that test-time view consistency relies on.
-    After training, text embeddings are rescaled by `embed_rescale` (see
-    rescale_text_embeddings) to set the test-time step sensitivity.
+    Training always augments: every drawn image is replaced by a random
+    view from augment_policy.  The captions stay valid, and the encoder
+    learns the augmentation invariance that test-time view consistency
+    relies on.  After training, text embeddings are rescaled by
+    `embed_rescale` (see rescale_text_embeddings) to set the test-time
+    step sensitivity.  The recipe is PRETRAIN with the policy
+    PRETRAIN_POLICY.
     Trains all weights in place; returns (weights, per-epoch mean losses).
     """
     from .augment import make_views
@@ -324,11 +325,9 @@ def pretrain_contrastive(weights, config, pairs, epochs=PRETRAIN["epochs"],
                 idx = order[start:start + batch]
                 if len(idx) < 2:
                     continue
-                images = [pairs[i][0] for i in idx]
+                images = make_views([pairs[i][0] for i in idx], augment_policy,
+                                    [int(rng.integers(2 ** 62)) for _ in idx])
                 captions = [pairs[i][1] for i in idx]
-                if augment_policy is not None:
-                    images = make_views(images, augment_policy,
-                                        [int(rng.integers(2 ** 62)) for _ in idx])
                 with ad.Tape() as tape:
                     img_feats = encode_images(weights, config, images)
                     txt_feats = encode_texts(weights, config,
@@ -387,7 +386,9 @@ def save_weights(weights, path):
 def load_weights(path):
     """Read a weights file that names each tensor once and ends after its
     last tensor, whose names and shapes match weight_shapes(ModelConfig())
-    and whose values are finite.  Errors name the file and tensor."""
+    and whose values are finite.  Each header is checked before its data
+    is read.  Errors name the file and tensor."""
+    expected = weight_shapes(ModelConfig())
     weights = {}
     with open(path, "rb") as f:
         if f.read(len(_MAGIC)) != _MAGIC:
@@ -395,24 +396,26 @@ def load_weights(path):
         (count,) = struct.unpack("<I", read_exact(f, 4, "the header"))
         for i in range(count):
             (nlen,) = struct.unpack("<H", read_exact(f, 2, f"the name of tensor #{i}"))
-            name = read_exact(f, nlen, f"the name of tensor #{i}").decode("utf-8")
+            name = read_exact(f, nlen, f"the name of tensor #{i}").decode(
+                "utf-8", "replace")
             what = f"tensor {name!r}"
             if name in weights:
                 raise ValueError(f"{path}: {what} appears twice in the file")
             (rank,) = struct.unpack("<B", read_exact(f, 1, what))
             shape = struct.unpack(f"<{rank}I", read_exact(f, 4 * rank, what))
-            n = int(np.prod(shape)) if rank else 1
-            data = np.frombuffer(read_exact(f, 8 * n, what), dtype="<f8").reshape(shape)
-            weights[name] = Tensor(data.copy())
+            want = expected.get(name, "absent")
+            if shape != want:
+                raise ValueError(f"{path}: {what} is {shape} in the file "
+                                 f"but {want} in the model config")
+            n = int(np.prod(shape))
+            data = np.frombuffer(read_exact(f, 8 * n, what), dtype="<f8")
+            if not np.all(np.isfinite(data)):
+                raise ValueError(f"{path}: {what} has a non-finite value")
+            weights[name] = Tensor(data.reshape(shape).copy())
         if rest := f.read():
             raise ValueError(f"{path}: {len(rest)} bytes after the last tensor")
-    expected = weight_shapes(ModelConfig())
-    for name in {**expected, **weights}:
-        got = weights[name].data.shape if name in weights else "absent"
-        want = expected.get(name, "absent")
-        if got != want:
-            raise ValueError(f"{path}: tensor {name!r} is {got} in the file "
+    for name, want in expected.items():
+        if name not in weights:
+            raise ValueError(f"{path}: tensor {name!r} is absent in the file "
                              f"but {want} in the model config")
-        if not np.all(np.isfinite(weights[name].data)):
-            raise ValueError(f"{path}: tensor {name!r} has a non-finite value")
     return weights

@@ -183,14 +183,9 @@ def test_each_distinct_view_is_made_once(image, case, n, seed):
 
 
 class TestAugmix:
-    def test_requires_augmix_policy(self, image):
-        with pytest.raises(ValueError):
-            augmix_view(image, AugmentPolicy(kind="rrc"), seed=0)
-
     def test_pixel_range_fuzz(self, image):
-        policy = AugmentPolicy(kind="augmix")
         for seed in range(1000):
-            out = augmix_view(image, policy, seed=seed)
+            out = augmix_view(image, seed=seed)
             assert out.min() >= 0.0 and out.max() <= 1.0
 
 

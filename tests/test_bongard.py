@@ -48,7 +48,7 @@ class TestGenerateTasks:
     def test_empty_side_rejected(self):
         img = np.zeros((3, 32, 32))
         with pytest.raises(ValueError, match="support"):
-            bg.BongardSample([], [img], img, 0)
+            bg.BongardSample([], [img], img, 0, {})
 
 
 def test_reason_config_validation():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,13 @@ class TestPersistence:
             with pytest.raises(ValueError, match=r"cut\.tptimg: (bad magic|file "
                                                  r"truncated in the (shape|pixels))"):
                 dat.load_image(cut_path)
+
+    def test_shape_past_the_end_of_file_rejected(self, tmp_path):
+        # 2^31 x 2^31 x 3 pixels: the length is refused before any read
+        path = tmp_path / "huge.tptimg"
+        path.write_bytes(b"TPTIMG1" + struct.pack("<III", 3, 2 ** 31, 2 ** 31))
+        with pytest.raises(ValueError, match=r"huge\.tptimg: file truncated in the pixels"):
+            dat.load_image(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "long.tptimg"

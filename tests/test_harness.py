@@ -203,14 +203,16 @@ def reference_coop_prompt(weights, config, classes, images, labels):
 class TestAblate:
     def test_grid_expansion(self, weights, config, classes, dataset):
         rows = hz.ablate(weights, config, TEMPLATE, classes, dataset, FAST,
-                         {"rho": [0.5, 1.0], "steps": [1]}, seeds=(0, 1))
+                         {"rho": [0.5, 1.0], "steps": [1]}, seeds=(0, 1),
+                         shift_label="none")
         assert len(rows) == 4
         methods = {r["method"] for r in rows}
         assert methods == {"tpt[rho=0.5,steps=1]", "tpt[rho=1.0,steps=1]"}
         assert {r["seed"] for r in rows} == {0, 1}
 
     def test_empty_grid_single_run(self, weights, config, classes, dataset):
-        rows = hz.ablate(weights, config, TEMPLATE, classes, dataset, FAST, {})
+        rows = hz.ablate(weights, config, TEMPLATE, classes, dataset, FAST, {},
+                         seeds=(0,), shift_label="none")
         assert len(rows) == 1 and rows[0]["method"] == "tpt"
 
 

@@ -1,3 +1,4 @@
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -195,6 +196,13 @@ class TestCrossEntropy:
         assert x.grad[0, 0] < -0.49
 
 
+def pretrain(weights, config, pairs, **overrides):
+    """pretrain_contrastive on the default recipe and policy, `overrides`
+    in their place."""
+    recipe = {**mdl.PRETRAIN, "augment_policy": AugmentPolicy(**mdl.PRETRAIN_POLICY)}
+    return mdl.pretrain_contrastive(weights, config, pairs, **{**recipe, **overrides})
+
+
 @pytest.fixture(scope="module")
 def tiny_setup():
     spec = dat.DatasetSpec(samples_per_class=3)
@@ -206,7 +214,7 @@ class TestPretrain:
     def test_batch_of_one_rejected(self, config, tiny_setup):
         w = mdl.init_weights(config, seed=1)
         with pytest.raises(ValueError, match="at least 2"):
-            mdl.pretrain_contrastive(w, config, tiny_setup, epochs=1, batch=1)
+            pretrain(w, config, tiny_setup, epochs=1, batch=1)
 
     def test_failure_leaves_weights_frozen_and_unrescaled(self, config, tiny_setup):
         pairs = list(tiny_setup[:8])
@@ -214,7 +222,7 @@ class TestPretrain:
         w = mdl.init_weights(config, seed=1)
         before = {name: t.data.copy() for name, t in w.items()}
         with pytest.raises(ValueError, match="non-finite pixels"):
-            mdl.pretrain_contrastive(w, config, pairs, epochs=1, batch=8)
+            pretrain(w, config, pairs, epochs=1, batch=8)
         assert not any(t.requires_grad or t.grad is not None for t in w.values())
         for name, t in w.items():
             np.testing.assert_array_equal(t.data, before[name])
@@ -224,8 +232,8 @@ class TestPretrain:
         # so the batch softmax is close to uniform and loss ~ ln(batch)
         config = mdl.ModelConfig(logit_scale=20.0)
         w = mdl.init_weights(config, seed=1)
-        _, losses = mdl.pretrain_contrastive(w, config, tiny_setup[:16], epochs=1,
-                                             lr=0.0, batch=16, seed=0)
+        _, losses = pretrain(w, config, tiny_setup[:16], epochs=1, lr=0.0, batch=16,
+                             seed=0)
         assert 0.5 * np.log(16) <= losses[0] <= 2.0 * np.log(16)
 
     def test_batch_views_equal_make_view_per_drawn_seed(self, config, tiny_setup,
@@ -241,8 +249,8 @@ class TestPretrain:
 
         monkeypatch.setattr(mdl, "encode_images", recording)
         pairs = tiny_setup[:17]  # batches of 7, 7 and 3 views
-        mdl.pretrain_contrastive(mdl.init_weights(config, seed=1), config, pairs,
-                                 epochs=1, batch=7, seed=4, augment_policy=policy)
+        pretrain(mdl.init_weights(config, seed=1), config, pairs, epochs=1, batch=7,
+                 seed=4, augment_policy=policy)
         assert [len(views) for views in seen] == [7, 7, 3]
         rng = np.random.default_rng(4)
         order = rng.permutation(len(pairs))
@@ -269,8 +277,8 @@ class TestPretrain:
         # 12 images under 5 captions: every batch of 6 repeats a caption
         pairs = [(image, tiny_setup[i % 5][1])
                  for i, (image, _) in enumerate(tiny_setup[:12])]
-        mdl.pretrain_contrastive(mdl.init_weights(config, seed=1), config, pairs,
-                                 epochs=1, batch=6, seed=2)
+        pretrain(mdl.init_weights(config, seed=1), config, pairs, epochs=1, batch=6,
+                 seed=2)
         assert len(seen) == 4  # image->text and text->image per batch
         order = np.random.default_rng(2).permutation(len(pairs))
         for b, start in enumerate(range(0, len(pairs), 6)):
@@ -286,8 +294,8 @@ class TestPretrain:
         seen = self._record_targets(monkeypatch)
         pairs = tiny_setup[:8]
         assert len({tuple(ids) for _, ids in pairs}) == 8
-        mdl.pretrain_contrastive(mdl.init_weights(config, seed=1), config, pairs,
-                                 epochs=1, batch=8, seed=0)
+        pretrain(mdl.init_weights(config, seed=1), config, pairs, epochs=1, batch=8,
+                 seed=0)
         assert len(seen) == 2
         for targets in seen:
             np.testing.assert_array_equal(targets, np.eye(8))
@@ -296,8 +304,8 @@ class TestPretrain:
         results = []
         for _ in range(2):
             w = mdl.init_weights(config, seed=2)
-            _, losses = mdl.pretrain_contrastive(w, config, tiny_setup, epochs=2,
-                                                 lr=0.001, batch=8, seed=3)
+            _, losses = pretrain(w, config, tiny_setup, epochs=2, lr=0.001, batch=8,
+                                 seed=3)
             results.append(losses[-1])
         assert results[0] == results[1]
 
@@ -405,6 +413,23 @@ class TestLoadWeightsChecked:
         mdl.save_weights({**weights, "text_proj": Tensor(proj)}, path)
         with pytest.raises(ValueError, match=r"nan\.tptw: tensor 'text_proj' "
                                              r"has a non-finite value"):
+            mdl.load_weights(path)
+
+    @pytest.mark.parametrize("name, dims, want", [
+        (b"token_embedding", (2 ** 31, 2 ** 31), (64, 32)),
+        (b"token_embedding", (2 ** 32 - 1, 2 ** 32 - 1), (64, 32)),
+        (b"\xff\xfe", (1, 2), "absent"),  # not UTF-8
+    ])
+    def test_header_checked_before_its_data(self, tmp_path, name, dims, want):
+        # a file of one tensor header and no data: any size it claims is
+        # rejected before a byte of data is read
+        path = tmp_path / "head.tptw"
+        path.write_bytes(b"TPTW1" + struct.pack("<IH", 1, len(name)) + name
+                         + struct.pack("<B2I", 2, *dims))
+        shown = name.decode("utf-8", "replace")
+        expected = (f"head.tptw: tensor {shown!r} is {dims} in the file "
+                    f"but {want} in the model config")
+        with pytest.raises(ValueError, match=re.escape(expected)):
             mdl.load_weights(path)
 
     def test_tensor_named_twice_rejected(self, tmp_path, weights):
