@@ -2,7 +2,10 @@
 
 All randomness flows through per-view seeds derived with a splittable
 integer hash of (episode seed, view index), so view generation is
-order-independent and bit-reproducible.
+order-independent and bit-reproducible.  A view draws what
+np.random.default_rng(seed) draws for its seed.  The random resized
+crops of a batch take those draws from all their seeds' streams at once
+(Streams), with no generator built per view.
 """
 
 import functools
@@ -17,6 +20,8 @@ _NOISE_PATCH_SIGMA = (0.1, 0.3)  # noise std range inside the block
 _AUGMIX_DEPTH = (1, 3)  # chain depth range
 _AUGMIX_WIDTH = 3  # chains mixed per view
 _AUGMIX_ALPHA = 1.0  # Dirichlet / Beta concentration
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
 # Random resized crops resampled at once.  A block's temporaries, (B, C,
 # H, W) float64 arrays of 96 KB at B = 4 and 3 x 32 x 32 images, stay
@@ -49,11 +54,175 @@ class AugmentPolicy:
 
 
 def split_seed(seed, index):
-    """Splittable hash of (seed, index): one splitmix64 round."""
-    z = (int(seed) * 0x9E3779B97F4A7C15 + int(index) + 0x632BE59BD9B4E019) % (1 << 64)
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % (1 << 64)
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % (1 << 64)
+    """Splittable hash of (seed, index): one splitmix64 round, of an int
+    index or of each entry of a uint64 array of them."""
+    index = index if isinstance(index, np.ndarray) else int(index)
+    z = (((int(seed) * 0x9E3779B97F4A7C15 + 0x632BE59BD9B4E019) & _MASK64) + index) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _hash_constants(init, mult, n):
+    """Columns of init * mult**j and init * mult**(j + 1) mod 2**32, j < n."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    out = np.array(out, dtype=np.uint32)[:, None]
+    return out[:-1], out[1:]
+
+
+# numpy's SeedSequence: the pool's 16 hash constants, the 8 output hash
+# constants and the mixing multipliers; then PCG64's multiplier
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_ANY_SEED = np.random.SeedSequence(0)  # built once: PCG64 seeds from it fastest
+
+
+def _hash(values, constants, j, k):
+    """SeedSequence's hash of the rows of values with its constants
+    j .. k - 1: xor one, multiply by the next, xor-shift."""
+    values = (values ^ constants[0][j:k]) * constants[1][j:k]
+    return values ^ (values >> 16)
+
+
+def _seed_state(seeds):
+    """SeedSequence(s).generate_state(4, np.uint64) of each s of a uint64
+    array, as (4, N): a seed's entropy is its low and high 32-bit words,
+    and a pool of 4 words pads it with zeros, whose hash is that of a
+    zero high word below 2**32."""
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0], pool[1] = seeds & 0xFFFFFFFF, seeds >> 32
+    pool = _hash(pool, _HASH_A, 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        mixed = pool[dst] * _MIX_L - _hash(pool[src], _HASH_A, 4 + 3 * src, 7 + 3 * src) * _MIX_R
+        pool[dst] = mixed ^ (mixed >> 16)
+    words = _hash(np.concatenate([pool, pool]), _HASH_B, 0, 8).astype(np.uint64)
+    return words[0::2] | words[1::2] << 32
+
+
+def _mul_hi(a, b):
+    """The high 64 bits of the 128-bit products of uint64 arrays."""
+    a1, a0, b1, b0 = a >> 32, a & 0xFFFFFFFF, b >> 32, b & 0xFFFFFFFF
+    cross0, cross1 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (cross0 & 0xFFFFFFFF) + (cross1 & 0xFFFFFFFF)
+    return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32)
+
+
+@functools.lru_cache(maxsize=None)
+def _jump_constants(n):
+    """(high, low) uint64 arrays of shape (2, 1, n): k steps of PCG64 take
+    a state s to A * s + C * inc mod 2**128, A in row 0 and C in row 1 of
+    column k - 1."""
+    a, c, out = 1, 0, [[], []]
+    for _ in range(n):
+        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+        out[0].append(a)
+        out[1].append(c)
+    out = np.array(out, dtype=object)[:, None]
+    return (out >> 64).astype(np.uint64), (out & _MASK64).astype(np.uint64)
+
+
+def _jump(state, inc, n):
+    """The 128-bit (high, low) states, each (N, n), that 1 .. n steps of
+    PCG64 lead to from the (N, 1) states with increments inc."""
+    a = [np.stack(pair) for pair in zip(state, inc)]
+    b = _jump_constants(n)
+    hi = _mul_hi(a[1], b[1]) + a[1] * b[0] + a[0] * b[1]
+    lo = a[1] * b[1]
+    total = lo[0] + lo[1]
+    return hi[0] + hi[1] + (total < lo[1]), total
+
+
+def _xsl_rr(hi, lo):
+    """PCG64's 64-bit output of a state."""
+    x, rot = hi ^ lo, hi >> 58
+    return x >> rot | x << (64 - rot & 63)
+
+
+class Streams:
+    """The streams of np.random.default_rng(s) for each s of a uint64
+    array of seeds, drawn in lockstep: random, uniform and integers make
+    from every stream the draw their namesakes in np.random.Generator
+    make.  This reproduces numpy's SeedSequence, PCG64 and Generator
+    draws bit for bit; tests/test_augment.py checks it against
+    default_rng.
+
+    The states a stream passes through are computed ahead, by jumps from
+    its seeded state, into (N, steps + 1) tables of the high and the low
+    64 bits whose column j is the state after j outputs."""
+
+    AHEAD = 5  # outputs computed at a time: all a crop view draws unless Lemire rejects
+
+    def __init__(self, seeds):
+        v = _seed_state(seeds)[..., None]
+        # inc = initseq << 1 | 1; the state steps from 0 to inc, adds
+        # initstate, and steps again
+        self.inc = (v[2] << 1 | v[3] >> 63, v[3] << 1 | 1)
+        lo = self.inc[1] + v[1]
+        self.state = _jump((self.inc[0] + v[0] + (lo < v[1]), lo), self.inc, self.AHEAD + 1)
+        self.outputs = _xsl_rr(*self.state)
+        self.rows = np.arange(len(seeds))
+        self.used = np.zeros(len(seeds), dtype=np.int64)
+        self.has_uint32 = np.zeros(len(seeds), dtype=bool)
+        self.uinteger = np.zeros(len(seeds), dtype=np.uint64)
+
+    def _next64(self, rows):
+        """The next 64-bit outputs of the streams rows."""
+        used = self.used[rows] + 1
+        if used.max(initial=0) == self.outputs.shape[1]:
+            more = _jump([half[:, -1:] for half in self.state], self.inc, self.AHEAD)
+            self.state = tuple(np.concatenate(pair, axis=1) for pair in zip(self.state, more))
+            self.outputs = np.concatenate([self.outputs, _xsl_rr(*more)], axis=1)
+        self.used[rows] = used
+        return self.outputs[rows, used]
+
+    def _next32(self, rows):
+        """The next 32-bit words of the streams rows: the low half of a
+        fresh output, whose high half waits for the next word."""
+        has = self.has_uint32[rows]
+        out = self.uinteger[rows]
+        fresh = rows[~has]
+        x = self._next64(fresh)
+        out[~has] = x & 0xFFFFFFFF
+        self.uinteger[fresh] = x >> 32
+        self.has_uint32[rows] = ~has
+        return out
+
+    def random(self):
+        return (self._next64(self.rows) >> 11) * 2.0 ** -53
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * self.random()
+
+    def integers(self, high):
+        """integers(0, high) of each stream, 1 <= high < 2**32 an int or an
+        array: Lemire's method on 32-bit words; high == 1 draws nothing."""
+        high = np.broadcast_to(np.asarray(high, dtype=np.uint64), self.used.shape)
+        out = np.zeros(len(high), dtype=np.uint64)
+        todo = np.flatnonzero(high > 1)
+        while len(todo):
+            m = high[todo]
+            product = self._next32(todo) * m
+            # accept unless the low word is below 2**32 mod m
+            ok = product & 0xFFFFFFFF >= (2 ** 32 - m) % m
+            out[todo[ok]] = product[ok] >> 32
+            todo = todo[~ok]
+        return out.astype(np.int64)
+
+    def generator(self, i):
+        """A Generator that continues stream i."""
+        hi, lo = (int(half[i, self.used[i]]) for half in self.state)
+        inc_hi, inc_lo = (int(half[i, 0]) for half in self.inc)
+        bit_generator = np.random.PCG64(_ANY_SEED)  # its state is set below
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": int(self.has_uint32[i]), "uinteger": int(self.uinteger[i])}
+        return np.random.Generator(bit_generator)
 
 
 @functools.lru_cache(maxsize=None)
@@ -65,15 +234,6 @@ def _resize_table(n):
     src = np.clip((np.arange(n) + 0.5) * side / n - 0.5, 0.0, side - 1)
     lo = np.floor(src).astype(int)
     return lo, np.minimum(lo + 1, side - 1), src - lo
-
-
-def _draw_crop(rng, scale_range, h, w):
-    """(side, y0, x0) of a square crop of a random area fraction."""
-    scale = rng.uniform(*scale_range)
-    side = max(1, int(round(np.sqrt(scale) * h)))
-    y0 = rng.integers(0, h - side + 1)
-    x0 = rng.integers(0, w - side + 1)
-    return side, y0, x0
 
 
 def _line_tables(side, offset, planes, n):
@@ -116,8 +276,9 @@ def crop_resize(image, rng, scale_range):
     input pixels, so crops of a noisy image keep the pattern but carry
     less pixel noise, which is what makes augmented views informative."""
     c, h, w = image.shape
-    side, y0, x0 = (np.array([v]) for v in _draw_crop(rng, scale_range, h, w))
-    planes = np.arange(c)[:, None]
+    side = max(1, int(round(np.sqrt(rng.uniform(*scale_range)) * h)))
+    y0, x0 = rng.integers(0, h - side + 1), rng.integers(0, w - side + 1)
+    side, y0, x0, planes = np.array([side]), np.array([y0]), np.array([x0]), np.arange(c)[:, None]
     out = _resize(image[None], _line_tables(side, y0, planes, h),
                   _line_tables(side, x0, planes, w))
     return np.ascontiguousarray(out[0])
@@ -176,29 +337,38 @@ def _draw_noise_patch(rng, shape):
             rng.normal(0.0, sigma, size=(c, bh, bw)))
 
 
-def _draw_rrc(policy, seed, shape):
-    """(smooth, (side, y0, x0), noise patch or None, flip) of one view,
-    drawn from default_rng(seed) in the order the view applies them."""
-    rng = np.random.default_rng(seed)
-    smoothed = rng.random() < policy.smooth_prob
-    crop = _draw_crop(rng, policy.smooth_scale_range if smoothed else policy.scale_range,
-                      *shape[1:])
-    patch = _draw_noise_patch(rng, shape) if rng.random() < policy.noise_patch_prob else None
-    return smoothed, crop, patch, rng.random() < 0.5
+def _draw_views(policy, seeds, shape):
+    """The draws of the views of seeds, each from default_rng(seed) in the
+    order the view applies them and all drawn at once: the (N, 5) ints
+    (smoothed, side, y0, x0, flip) and a list of noise patches, None for
+    a view without one.  A view with a patch draws it and its flip from
+    a generator that continues its stream."""
+    h, w = shape[1:]
+    streams = Streams(np.asarray(seeds, dtype=np.uint64))
+    smoothed = streams.random() < policy.smooth_prob
+    lo, hi = np.where(smoothed[:, None], policy.smooth_scale_range, policy.scale_range).T
+    side = np.maximum(1, np.round(np.sqrt(streams.uniform(lo, hi)) * h).astype(np.int64))
+    y0 = streams.integers(h - side + 1)
+    x0 = streams.integers(w - side + 1)
+    patched = np.flatnonzero(streams.random() < policy.noise_patch_prob)
+    rests = [streams.generator(i) for i in patched]
+    flip = streams.random() < 0.5
+    patches = [None] * len(side)
+    for i, rng in zip(patched, rests):
+        patches[i] = _draw_noise_patch(rng, shape)
+        flip[i] = rng.random() < 0.5
+    return np.stack([smoothed, side, y0, x0, flip], axis=1), patches
 
 
-def _rrc_views(images, draws):
-    """Random resized crops, view i of images[i] as draws[i] says,
-    RESAMPLE_BLOCK at a time.
+def _rrc_views(images, draws, patches):
+    """Random resized crops, view i of images[i] as draws[i] and
+    patches[i] say (see _draw_views), RESAMPLE_BLOCK at a time.
 
     Every pixel is computed as crop_resize computes it, so a view does
     not depend on the block it is made in."""
-    if not draws:
-        return []
     c, h, w = images[0].shape
-    smoothed, crops, patches, flips = zip(*draws)
-    smoothed, flips = np.array(smoothed), np.array(flips)
-    side, y0, x0 = np.array(crops).T
+    smoothed, side, y0, x0, flips = draws.T
+    smoothed, flips = smoothed.astype(bool), flips.astype(bool)
     # view i's planes in the line tables of its block
     planes = (np.arange(len(draws)) % RESAMPLE_BLOCK)[:, None, None] * c + np.arange(c)[:, None]
     rows = _line_tables(side, y0, planes, h)
@@ -241,13 +411,15 @@ def augmix_view(image, seed):
 def make_views(images, policy, seeds):
     """One view per seed: view i is make_view(images[i], policy, seeds[i]).
 
-    Random resized crops are resampled RESAMPLE_BLOCK views at a time;
-    AugMix views are made one at a time."""
+    Random resized crops are drawn all at once and resampled
+    RESAMPLE_BLOCK views at a time; AugMix views are made one at a time."""
     if len(images) != len(seeds):
         raise ValueError(f"{len(images)} images for {len(seeds)} seeds")
     if policy.kind == "augmix":
-        return [augmix_view(img, s) for img, s in zip(images, seeds)]
-    return _rrc_views(images, [_draw_rrc(policy, s, np.shape(images[0])) for s in seeds])
+        return [augmix_view(img, int(s)) for img, s in zip(images, seeds)]
+    if not len(seeds):
+        return []
+    return _rrc_views(images, *_draw_views(policy, seeds, np.shape(images[0])))
 
 
 def make_view(image, policy, seed):
@@ -267,15 +439,17 @@ def generate_views(image, n, policy, seed):
     if n < 1:
         raise ValueError("need at least one view")
     image = np.asarray(image, dtype=np.float64)
-    seeds = [split_seed(seed, i) for i in range(1, n)]
-    if policy.kind == "augmix":
+    seeds = split_seed(seed, np.arange(1, n, dtype=np.uint64))
+    if policy.kind == "augmix" or n == 1:
         return [image.copy()] + make_views([image] * (n - 1), policy, seeds), np.arange(n)
-    slots, kept, index = {}, [], [0]
-    for draw in (_draw_rrc(policy, s, image.shape) for s in seeds):
-        smoothed, crop, patch, flip = draw
-        key = (smoothed, *crop, flip) if patch is None else len(index)
-        if key not in slots:
-            slots[key] = len(kept) + 1
-            kept.append(draw)
-        index.append(slots[key])
-    return [image.copy()] + _rrc_views([image] * len(kept), kept), np.array(index)
+    h, w = image.shape[1:]
+    draws, patches = _draw_views(policy, seeds, image.shape)
+    keys = np.ravel_multi_index(draws.T, (2, h + 1, h, w, 2))
+    for i, patch in enumerate(patches):
+        if patch is not None:
+            keys[i] = -1 - i
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # distinct views in the order they are first drawn
+    kept = first[order]
+    views = _rrc_views([image] * len(kept), draws[kept], [patches[i] for i in kept])
+    return [image.copy()] + views, np.concatenate(([0], np.argsort(order)[inverse] + 1))

@@ -218,12 +218,14 @@ def mean_rows(a):
 
 
 def concat_rows(tensors):
-    """Stack along the row axis; batch axes broadcast, so one 2-D prompt
-    can head every item of a batch."""
-    batch = np.broadcast_shapes(*(t.data.shape[:-2] for t in tensors))
-    out = Tensor(np.concatenate(
-        [np.broadcast_to(t.data, batch + t.data.shape[-2:]) for t in tensors], axis=-2))
+    """Stack along the row axis; each part's batch axes broadcast to those
+    of the part with the most, so one 2-D prompt can head every item of a
+    batch."""
     offsets = np.cumsum([0] + [t.data.shape[-2] for t in tensors])
+    batch = max((t.data.shape[:-2] for t in tensors), key=len)
+    out = Tensor(np.empty(batch + (offsets[-1], tensors[0].data.shape[-1])))
+    for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        out.data[..., lo:hi, :] = t.data
 
     def bw():
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):

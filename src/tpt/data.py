@@ -244,25 +244,38 @@ def save_image(image, path):
         f.write(image.astype("<f8").tobytes())
 
 
-def read_exact(f, n, what):
-    """n bytes from the open file f.  A length past the end of the file is
-    an error that names the file and `what` was being read, raised before
-    anything is read."""
-    if n > os.fstat(f.fileno()).st_size - f.tell():
-        raise ValueError(f"{f.name}: file truncated in {what}")
-    return f.read(n)
+class FileFields:
+    """A file read into memory once, for fields to be taken from it in
+    order.  Errors name the file."""
+
+    def __init__(self, path, magic, kind):
+        with open(path, "rb") as f:
+            self.data = memoryview(f.read())
+        if self.data[:len(magic)] != magic:
+            raise ValueError(f"{path}: bad magic, not {kind}")
+        self.path, self.pos = path, len(magic)
+
+    def take(self, n, what):
+        """The next n bytes.  A length past the end of the file is an error
+        that names `what` was being read."""
+        if n > len(self.data) - self.pos:
+            raise ValueError(f"{self.path}: file truncated in {what}")
+        self.pos += n
+        return self.data[self.pos - n:self.pos]
+
+    def end(self, what):
+        """Check that nothing follows the last field, `what`."""
+        if rest := len(self.data) - self.pos:
+            raise ValueError(f"{self.path}: {rest} bytes after {what}")
 
 
 def load_image(path):
     """Read an image file; errors name the file and the field."""
-    with open(path, "rb") as f:
-        if f.read(len(_IMG_MAGIC)) != _IMG_MAGIC:
-            raise ValueError(f"{path}: bad magic, not an image file")
-        c, h, w = struct.unpack("<III", read_exact(f, 12, "the shape"))
-        data = np.frombuffer(read_exact(f, 8 * c * h * w, "the pixels"), dtype="<f8")
-        if rest := f.read():
-            raise ValueError(f"{path}: {len(rest)} bytes after the pixels")
-        return data.reshape(c, h, w).copy()
+    f = FileFields(path, _IMG_MAGIC, "an image file")
+    c, h, w = struct.unpack("<III", f.take(12, "the shape"))
+    data = np.frombuffer(f.take(8 * c * h * w, "the pixels"), dtype="<f8")
+    f.end("the pixels")
+    return data.reshape(c, h, w).copy()
 
 
 def save_dataset(dataset, out_dir):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import IMAGE_SIZE, read_exact
+from .data import IMAGE_SIZE, FileFields
 from .optim import AdamW
 
 
@@ -386,34 +386,30 @@ def save_weights(weights, path):
 def load_weights(path):
     """Read a weights file that names each tensor once and ends after its
     last tensor, whose names and shapes match weight_shapes(ModelConfig())
-    and whose values are finite.  Each header is checked before its data
-    is read.  Errors name the file and tensor."""
+    and whose values are finite.  The file is read once, and each header
+    is checked before its data is parsed.  Errors name the file and
+    tensor."""
     expected = weight_shapes(ModelConfig())
     weights = {}
-    with open(path, "rb") as f:
-        if f.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError(f"{path}: bad magic, not a weights file")
-        (count,) = struct.unpack("<I", read_exact(f, 4, "the header"))
-        for i in range(count):
-            (nlen,) = struct.unpack("<H", read_exact(f, 2, f"the name of tensor #{i}"))
-            name = read_exact(f, nlen, f"the name of tensor #{i}").decode(
-                "utf-8", "replace")
-            what = f"tensor {name!r}"
-            if name in weights:
-                raise ValueError(f"{path}: {what} appears twice in the file")
-            (rank,) = struct.unpack("<B", read_exact(f, 1, what))
-            shape = struct.unpack(f"<{rank}I", read_exact(f, 4 * rank, what))
-            want = expected.get(name, "absent")
-            if shape != want:
-                raise ValueError(f"{path}: {what} is {shape} in the file "
-                                 f"but {want} in the model config")
-            n = int(np.prod(shape))
-            data = np.frombuffer(read_exact(f, 8 * n, what), dtype="<f8")
-            if not np.all(np.isfinite(data)):
-                raise ValueError(f"{path}: {what} has a non-finite value")
-            weights[name] = Tensor(data.reshape(shape).copy())
-        if rest := f.read():
-            raise ValueError(f"{path}: {len(rest)} bytes after the last tensor")
+    f = FileFields(path, _MAGIC, "a weights file")
+    (count,) = struct.unpack("<I", f.take(4, "the header"))
+    for i in range(count):
+        (nlen,) = struct.unpack("<H", f.take(2, f"the name of tensor #{i}"))
+        name = str(f.take(nlen, f"the name of tensor #{i}"), "utf-8", "replace")
+        what = f"tensor {name!r}"
+        if name in weights:
+            raise ValueError(f"{path}: {what} appears twice in the file")
+        (rank,) = struct.unpack("<B", f.take(1, what))
+        shape = struct.unpack(f"<{rank}I", f.take(4 * rank, what))
+        want = expected.get(name, "absent")
+        if shape != want:
+            raise ValueError(f"{path}: {what} is {shape} in the file "
+                             f"but {want} in the model config")
+        data = np.frombuffer(f.take(8 * int(np.prod(shape)), what), dtype="<f8")
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"{path}: {what} has a non-finite value")
+        weights[name] = Tensor(data.reshape(shape).copy())
+    f.end("the last tensor")
     for name, want in expected.items():
         if name not in weights:
             raise ValueError(f"{path}: tensor {name!r} is absent in the file "

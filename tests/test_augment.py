@@ -1,4 +1,5 @@
 import contextlib
+import copy
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import uniform_filter
 
 from tpt import data as dat
-from tpt.augment import (RESAMPLE_BLOCK, AugmentPolicy, augmix_view, crop_resize,
+from tpt.augment import (RESAMPLE_BLOCK, AugmentPolicy, Streams, augmix_view, crop_resize,
                          generate_views, make_view, smooth, split_seed)
 
 # policies that reach every branch of a random resized crop, each with
@@ -180,6 +181,69 @@ def test_each_distinct_view_is_made_once(image, case, n, seed):
             keys = [reference_key(policy, s, image.shape) for s in seeds]
             patched = keys.count(None)
             assert len(views) - 1 == len(set(keys) - {None}) + patched
+
+
+# 2**32 mod 3 * 2**30 is 2**30, so Lemire's method rejects a quarter of
+# the 32-bit words it draws for this range
+REJECTING_RANGE = 3 * 2 ** 30
+
+
+def assert_streams_match_default_rng(seeds):
+    """Streams(seeds) draws what default_rng(s) draws for each seed s, and
+    a generator that continues a stream draws what the rest of it does,
+    with and without a 32-bit word waiting."""
+    streams = Streams(np.array(seeds, dtype=np.uint64))
+    rngs = [np.random.default_rng(s) for s in seeds]
+    crop_ranges = np.arange(len(seeds)) % 33 + 1
+
+    def check(got, draw):
+        np.testing.assert_array_equal(got, [draw(i, rng) for i, rng in enumerate(rngs)])
+
+    for _ in range(3):
+        check(streams.random(), lambda i, rng: rng.random())
+        check(streams.uniform(0.25, 0.25), lambda i, rng: rng.uniform(0.25, 0.25))
+        check(streams.uniform(0.3, 0.7), lambda i, rng: rng.uniform(0.3, 0.7))
+        check(streams.integers(1), lambda i, rng: rng.integers(0, 1))
+        check(streams.integers(crop_ranges), lambda i, rng: rng.integers(0, crop_ranges[i]))
+        for _ in range(5):
+            check(streams.integers(REJECTING_RANGE), lambda i, rng: rng.integers(0, REJECTING_RANGE))
+        for i, rng in enumerate(rngs):
+            rest, want = streams.generator(i), copy.deepcopy(rng)
+            assert rest.integers(0, 7) == want.integers(0, 7)
+            np.testing.assert_array_equal(rest.normal(0.0, 0.2, size=(3, 5, 5)),
+                                          want.normal(0.0, 0.2, size=(3, 5, 5)))
+            assert rest.random() == want.random()
+
+
+def test_streams_equal_default_rng_at_the_edges_of_the_seed_range():
+    assert_streams_match_default_rng([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=8))
+def test_streams_equal_default_rng(seeds):
+    assert_streams_match_default_rng(seeds)
+
+
+def test_split_seed_of_an_index_array_is_that_of_each_index():
+    for seed in (0, 42, 2 ** 64 - 1):
+        index = np.arange(70, dtype=np.uint64)
+        assert split_seed(seed, index).tolist() == [split_seed(seed, i) for i in range(70)]
+
+
+def test_crop_views_construct_no_generator(image, monkeypatch):
+    """The draws of all views come from one batch of streams; only a view
+    with a noise patch makes a generator, which continues its stream."""
+    made = []
+    for name in ("default_rng", "PCG64"):
+        def counted(*args, name=name, make=getattr(np.random, name)):
+            made.append(name)
+            return make(*args)
+        monkeypatch.setattr(np.random, name, counted)
+    generate_views(image, 64, AugmentPolicy(), seed=3)
+    assert made == []
+    generate_views(image, 64, AugmentPolicy(noise_patch_prob=1.0), seed=3)
+    assert made == ["PCG64"] * 63
 
 
 class TestAugmix:
