@@ -409,7 +409,8 @@ def augmix_view(image, seed):
 
 
 def make_views(images, policy, seeds):
-    """One view per seed: view i is make_view(images[i], policy, seeds[i]).
+    """One view per seed: view i is the view of images[i] under policy
+    whose draws come from np.random.default_rng(seeds[i]).
 
     Random resized crops are drawn all at once and resampled
     RESAMPLE_BLOCK views at a time; AugMix views are made one at a time."""

@@ -1,12 +1,13 @@
 """Command line interface.
 
-Subcommands: pretrain, gen-data, eval, ablate, bongard, dump-dist,
-gradcheck.  Every setting is a flag whose default is the library's
-(TPTConfig, ReasonConfig, model.PRETRAIN, ...).  `--config FILE` sets
-any flag of the subcommand from `key=value` lines, and a flag given on
-the command line wins.  eval and ablate write CSV under a header that
-records every setting the command used (for eval, those its method
-reads); bongard and dump-dist write plain CSV.
+Subcommands: pretrain, eval, ablate, bongard, dump-dist, gradcheck.
+Every setting is a flag whose default is the library's (TPTConfig,
+ReasonConfig, model.PRETRAIN, ...).  `--config FILE` sets any flag of
+the subcommand from `key=value` lines, and a flag given on the command
+line wins.  eval, ablate and dump-dist regenerate the evaluation set
+from _DATA_SEED.  eval and ablate write CSV under a header that records
+every setting the command used (for eval, those its method reads);
+bongard and dump-dist write plain CSV.
 """
 
 import argparse
@@ -20,7 +21,7 @@ from . import bongard as bg
 from . import data as dat
 from . import harness as hz
 from . import model as mdl
-from .augment import AugmentPolicy
+from .augment import AugmentPolicy, split_seed
 from .episode import PARAMETER_GROUPS, TPTConfig, tpt_classify
 from .prompt import init_from_template
 
@@ -94,12 +95,12 @@ def _settings(args, unread=()):
             if k not in ("config", "func", *unread)}
 
 
-def _build_dataset(args, seed=_DATA_SEED):
-    ds = dat.generate(dat.DatasetSpec(), seed=seed)
+def _build_dataset(args):
+    ds = dat.generate(dat.DatasetSpec(), seed=_DATA_SEED)
     if args.shift != "none":
-        ds = dat.apply_shift(ds, dat.ShiftSpec.parse(args.shift), seed=seed + 1)
+        ds = dat.apply_shift(ds, dat.ShiftSpec.parse(args.shift), seed=_DATA_SEED + 1)
     if args.samples is not None:
-        rng = np.random.default_rng(seed + 2)
+        rng = np.random.default_rng(_DATA_SEED + 2)
         ds = ds.subset(np.sort(rng.permutation(len(ds))[:args.samples]))
     return ds
 
@@ -126,13 +127,6 @@ def cmd_pretrain(args):
     mdl.save_weights(weights, args.out)
     top1 = mdl.retrieval_top1(weights, mconfig, pairs[:64])
     print(f"final loss {losses[-1]:.4f}  retrieval@1 {top1:.3f}  -> {args.out}")
-    return 0
-
-
-def cmd_gen_data(args):
-    ds = _build_dataset(args, seed=args.seed)
-    manifest = dat.save_dataset(ds, args.out)
-    print(f"{len(ds)} images -> {manifest}")
     return 0
 
 
@@ -221,9 +215,11 @@ def cmd_dump_dist(args):
     if not 0 <= i < len(ds):
         raise SystemExit(f"--sample {i} is out of range: the dataset has "
                          f"{len(ds)} samples, 0 to {len(ds) - 1}")
+    # the episode evaluate_tpt runs on this sample: its seed is split by the id
     state = init_from_template(weights, mconfig, dat.template_ids())
+    tcfg = _tpt_config(args, split_seed(args.seed, int(ds.ids[i])))
     _, _, trace = tpt_classify(weights, mconfig, state, classes, ds.images[i],
-                               _tpt_config(args, args.seed), record_views=True)
+                               tcfg, record_views=True)
     for tag, when in (("before", "pre"), ("after", "post")):
         path = f"{args.out}.{tag}.csv"
         with open(path, "w", newline="") as f:
@@ -260,12 +256,6 @@ def _build_parser():
     p.add_argument("--epochs", type=_COUNT, default=mdl.PRETRAIN["epochs"])
     p.add_argument("--seed", type=int, default=mdl.PRETRAIN["seed"])
     p.add_argument("--out", default="weights.tptw")
-
-    p = command("gen-data", cmd_gen_data, "generate a synthetic dataset")
-    p.add_argument("--seed", type=int, default=_DATA_SEED, help="data seed")
-    p.add_argument("--shift", type=_shift, default="none")
-    p.add_argument("--samples", type=_COUNT)
-    p.add_argument("--out", default="dataset")
 
     p = command("eval", cmd_eval, "evaluate a method")
     _add_eval_flags(p)

@@ -2,11 +2,10 @@
 
 Eight procedural pattern classes at 3x32x32 in [0, 1], a tiny fixed
 vocabulary for captions, caption pairing for contrastive pretraining,
-and a binary image/manifest format for round-tripping datasets.
+and a binary image file format.  No dataset is stored: each is
+regenerated from its seed.
 """
 
-import json
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -230,8 +229,7 @@ def caption_pairs(dataset):
 
 
 # ---------------------------------------------------------------------------
-# persistence: image files are magic "TPTIMG1", u32 C,H,W, raw float64 LE;
-# the manifest is JSON-lines, one record per image.
+# persistence: image files are magic "TPTIMG1", u32 C,H,W, raw float64 LE.
 
 _IMG_MAGIC = b"TPTIMG1"
 
@@ -275,34 +273,6 @@ def load_image(path):
     c, h, w = struct.unpack("<III", f.take(12, "the shape"))
     data = np.frombuffer(f.take(8 * c * h * w, "the pixels"), dtype="<f8")
     f.end("the pixels")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: the pixels have a non-finite value")
     return data.reshape(c, h, w).copy()
-
-
-def save_dataset(dataset, out_dir):
-    """Write every image plus a JSON-lines manifest; returns manifest path."""
-    os.makedirs(out_dir, exist_ok=True)
-    manifest_path = os.path.join(out_dir, "manifest.jsonl")
-    with open(manifest_path, "w") as mf:
-        header = {
-            "class_names": list(dataset.class_names),
-            "class_token_ids": dataset.class_token_ids,
-        }
-        mf.write(json.dumps(header) + "\n")
-        for i in range(len(dataset)):
-            rel = f"img_{int(dataset.ids[i]):05d}.tptimg"
-            save_image(dataset.images[i], os.path.join(out_dir, rel))
-            mf.write(json.dumps({"path": rel, "id": int(dataset.ids[i]),
-                                 "class_id": int(dataset.labels[i]),
-                                 "split": "test"}) + "\n")
-    return manifest_path
-
-
-def load_dataset(out_dir):
-    manifest_path = os.path.join(out_dir, "manifest.jsonl")
-    with open(manifest_path) as mf:
-        header = json.loads(mf.readline())
-        records = [json.loads(line) for line in mf if line.strip()]
-    images = np.array([load_image(os.path.join(out_dir, r["path"])) for r in records])
-    labels = np.array([r["class_id"] for r in records])
-    return Dataset(images, labels, tuple(header["class_names"]),
-                   header["class_token_ids"], np.array([r["id"] for r in records]))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .augment import make_views
 from .autodiff import Tensor
 from .data import IMAGE_SIZE, FileFields
 from .optim import AdamW
@@ -307,8 +308,6 @@ def pretrain_contrastive(weights, config, pairs, *, epochs, lr, batch, seed,
     PRETRAIN_POLICY.
     Trains all weights in place; returns (weights, per-epoch mean losses).
     """
-    from .augment import make_views
-
     if batch < 2:
         raise ValueError("contrastive batches need at least 2 pairs")
     if len(pairs) < 2:

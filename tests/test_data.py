@@ -178,12 +178,22 @@ class TestPersistence:
         with pytest.raises(ValueError, match="magic"):
             dat.load_image(path)
 
-    def test_dataset_roundtrip(self, tmp_path):
-        full = dat.generate(small_spec(samples_per_class=3), seed=6)
-        for name, ds in (("full", full), ("subset", full.subset([1, 4, 7]))):
-            dat.save_dataset(ds, tmp_path / name)
-            back = dat.load_dataset(tmp_path / name)
-            np.testing.assert_array_equal(back.images, ds.images)
-            np.testing.assert_array_equal(back.labels, ds.labels)
-            np.testing.assert_array_equal(back.ids, ds.ids)
-            assert back.class_names == ds.class_names
+    def test_finite_extremes_load_unchanged(self, tmp_path):
+        """The finiteness check passes every finite value through."""
+        tiny = np.finfo(float).smallest_subnormal
+        big = np.finfo(float).max
+        img = np.array([big, -big, tiny, -tiny, 0.0, -0.0] * 2).reshape(3, 2, 2)
+        path = tmp_path / "edge.tptimg"
+        dat.save_image(img, path)
+        back = dat.load_image(path)
+        assert back.tobytes() == img.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_names_file(self, tmp_path, bad):
+        img = np.zeros((3, 2, 2))
+        img[1, 0, 1] = bad
+        path = tmp_path / "nan.tptimg"
+        dat.save_image(img, path)
+        with pytest.raises(ValueError, match=r"nan\.tptimg: the pixels have a "
+                                             r"non-finite value"):
+            dat.load_image(path)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import shlex
 from dataclasses import replace
@@ -340,13 +341,6 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "res.csv.traces.jsonl").exists()
 
-    def test_gen_data_writes_manifest(self, tmp_path):
-        out = tmp_path / "ds"
-        rc = cli.main(["gen-data", "--samples", "4", "--out", str(out)])
-        assert rc == 0
-        back = dat.load_dataset(str(out))
-        assert len(back) == 4
-
     def test_eval_rejects_weights_of_another_config(self, tmp_path, weights):
         wpath = tmp_path / "w.tptw"
         mdl.save_weights({**weights, "token_embedding": Tensor(np.zeros((64, 16)))},
@@ -378,16 +372,29 @@ class TestCli:
     def test_gradcheck_exit_code(self):
         assert cli.main(["gradcheck"]) == 0
 
-    def test_dump_dist_writes_csvs(self, tmp_path, weights):
+    @pytest.mark.parametrize("shift", ["none", "noise:0.3"])
+    def test_dump_dist_writes_the_episode_eval_runs(self, tmp_path, varied_weights,
+                                                   config, shift):
+        """The dumped views are those of the episode evaluate_tpt runs on
+        the sample: the episode seed is split by the sample's id."""
         wpath = tmp_path / "w.tptw"
-        mdl.save_weights(weights, wpath)
+        mdl.save_weights(varied_weights, wpath)
         out = tmp_path / "dist"
-        rc = cli.main(["dump-dist", "--weights", str(wpath), "--sample", "0",
-                       "--views", "4", "--rho", "0.5", "--samples", "2",
-                       "--out", str(out)])
-        assert rc == 0
-        assert (tmp_path / "dist.before.csv").exists()
-        assert (tmp_path / "dist.after.csv").exists()
+        assert cli.main(["dump-dist", "--weights", str(wpath), "--sample", "3",
+                         "--views", "8", "--rho", "0.5", "--samples", "8",
+                         "--shift", shift, "--seed", "4", "--out", str(out)]) == 0
+        ds = cli._build_dataset(argparse.Namespace(shift=shift, samples=8))
+        cfg = TPTConfig(n_views=8, rho=0.5, seed=split_seed(4, int(ds.ids[3])))
+        state = init_from_template(varied_weights, config, TEMPLATE)
+        _, _, trace = ep.tpt_classify(varied_weights, config, state,
+                                      hz.class_set(ds), ds.images[3], cfg,
+                                      record_views=True)
+        for tag, when in (("before", "pre"), ("after", "post")):
+            with open(f"{out}.{tag}.csv", newline="") as f:
+                rows = list(csv.reader(f))
+            assert rows[0] == ["view", *ds.class_names]
+            assert rows[1:] == [[str(v), *(f"{p:.6f}" for p in row)]
+                                for v, row in enumerate(trace[f"{when}_views"])]
 
     def test_dump_dist_rejects_sample_out_of_range(self, tmp_path, weights):
         wpath = tmp_path / "w.tptw"
@@ -402,7 +409,6 @@ class TestCli:
     @pytest.mark.parametrize("command,flag,bad", [
         *[(c, f, v) for c in ("eval", "ablate", "dump-dist")
           for f in ("--samples", "--views", "--steps") for v in ("0", "-3")],
-        ("gen-data", "--samples", "0"),
         ("pretrain", "--epochs", "0"), ("pretrain", "--epochs", "-1"),
         ("bongard", "--tasks", "0"), ("bongard", "--tasks", "-3"),
         ("ablate", "--grid-views", "2,0"), ("ablate", "--grid-steps", "1,-1"),
@@ -420,7 +426,7 @@ class TestCli:
         before any file is read or written."""
         out = tmp_path / "out"
         required = {"eval": ["--method", "tpt"]}.get(command, [])
-        weights = [] if command in ("gen-data", "pretrain") else [
+        weights = [] if command == "pretrain" else [
             "--weights", str(tmp_path / "absent.tptw")]
         with pytest.raises(SystemExit) as exit_:
             cli.main([command, *weights, *required, f"{flag}={bad}",
@@ -429,15 +435,14 @@ class TestCli:
         assert f"argument {flag}: takes " in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["gen-data", "eval", "ablate", "dump-dist"])
+    @pytest.mark.parametrize("command", ["eval", "ablate", "dump-dist"])
     @pytest.mark.parametrize("bad", ["noise:-1", "noise:x", "fog", "channel_drop:3"])
     def test_bad_shift_exits_2_naming_the_flag(self, tmp_path, capsys, command, bad):
         """--shift is parsed and checked by argparse, before any file is
         read or written."""
         out = tmp_path / "out"
         required = {"eval": ["--method", "tpt"]}.get(command, [])
-        weights = [] if command == "gen-data" else [
-            "--weights", str(tmp_path / "absent.tptw")]
+        weights = ["--weights", str(tmp_path / "absent.tptw")]
         with pytest.raises(SystemExit) as exit_:
             cli.main([command, *weights, *required, f"--shift={bad}", "--out", str(out)])
         assert exit_.value.code == 2
@@ -472,15 +477,46 @@ class TestCli:
         assert all(im.tobytes() in training and im.tobytes() not in evaluated
                    for im in shots)
 
-    def test_gen_data_seed_is_the_data_seed(self, tmp_path):
-        def images(*flags):
-            out = tmp_path / "-".join(("ds",) + flags)
-            assert cli.main(["gen-data", "--samples", "4", *flags,
-                             "--out", str(out)]) == 0
-            return dat.load_dataset(str(out)).images
+    @pytest.mark.parametrize("shift,samples", [("none", None), ("noise:0.3", 8)])
+    def test_eval_scores_the_data_seed_set(self, tmp_path, weights, monkeypatch,
+                                           shift, samples):
+        """`tpt eval` scores the set of data seed 1 whatever its --seed,
+        which seeds the episodes: the shift draws from seed 2 and the
+        --samples subset from seed 3."""
+        wpath = tmp_path / "w.tptw"
+        mdl.save_weights(weights, wpath)
+        scored = []
 
-        np.testing.assert_array_equal(images(), images("--seed", "1"))
-        assert not np.array_equal(images("--seed", "5"), images("--seed", "9"))
+        def recording(w, c, template, classes, dataset):
+            scored.append(dataset)
+            return 1.0, np.zeros(len(dataset), dtype=int)
+
+        monkeypatch.setattr(hz, "evaluate_zero_shot", recording)
+        subset = [] if samples is None else ["--samples", str(samples)]
+        for seed in ("0", "5"):
+            assert cli.main(["eval", "--weights", str(wpath), "--method", "zeroshot",
+                             "--shift", shift, *subset, "--seed", seed]) == 0
+        want = dat.generate(dat.DatasetSpec(), seed=1)
+        if shift != "none":
+            want = dat.apply_shift(want, dat.ShiftSpec.parse(shift), seed=2)
+        if samples is not None:
+            keep = np.random.default_rng(3).permutation(len(want))[:samples]
+            want = want.subset(np.sort(keep))
+        assert len(scored) == 2
+        for ds in scored:
+            np.testing.assert_array_equal(ds.images, want.images)
+            np.testing.assert_array_equal(ds.labels, want.labels)
+            np.testing.assert_array_equal(ds.ids, want.ids)
+
+    @pytest.mark.parametrize("command", ["gen-data", "fewshot-train"])
+    def test_removed_command_exits_2(self, tmp_path, capsys, command):
+        """Commands that wrote files nothing reads are gone: argparse
+        refuses them as unknown."""
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([command, "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_gradcheck_takes_no_out(self):
         with pytest.raises(SystemExit) as exit_:
@@ -542,9 +578,9 @@ def readme_commands():
 
 
 def test_readme_shows_every_subcommand():
-    assert {argv[0] for argv in readme_commands()} == {
-        "pretrain", "gen-data", "eval", "ablate", "bongard", "dump-dist",
-        "gradcheck"}
+    subparsers, = (a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in readme_commands()} == set(subparsers.choices)
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
