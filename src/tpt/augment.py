@@ -360,20 +360,20 @@ def _draw_views(policy, seeds, shape):
     return np.stack([smoothed, side, y0, x0, flip], axis=1), patches
 
 
-def _rrc_views(images, draws, patches):
-    """Random resized crops, view i of images[i] as draws[i] and
-    patches[i] say (see _draw_views), RESAMPLE_BLOCK at a time.
+def _rrc_views(images, draws, patches, views):
+    """Random resized crops into the rows of the (N, C, H, W) array views,
+    view i of images[i] as draws[i] and patches[i] say (see _draw_views),
+    RESAMPLE_BLOCK at a time.
 
     Every pixel is computed as crop_resize computes it, so a view does
     not depend on the block it is made in."""
-    c, h, w = images[0].shape
+    c, h, w = views.shape[1:]
     smoothed, side, y0, x0, flips = draws.T
     smoothed, flips = smoothed.astype(bool), flips.astype(bool)
     # view i's planes in the line tables of its block
     planes = (np.arange(len(draws)) % RESAMPLE_BLOCK)[:, None, None] * c + np.arange(c)[:, None]
     rows = _line_tables(side, y0, planes, h)
     cols = _line_tables(side, x0, planes, w)
-    views = []
     for i in range(0, len(draws), RESAMPLE_BLOCK):
         block = slice(i, i + RESAMPLE_BLOCK)
         out = _resize(np.asarray(images[block], dtype=np.float64),
@@ -387,8 +387,7 @@ def _rrc_views(images, draws, patches):
                 view[:, ys, xs] += noise
         if flip_views.any():
             out[flip_views] = out[flip_views][..., ::-1]
-        views.extend(np.clip(out, *PIXEL_RANGE, out=np.empty(out.shape)))
-    return views
+        np.clip(out, *PIXEL_RANGE, out=views[block])
 
 
 def augmix_view(image, seed):
@@ -408,19 +407,30 @@ def augmix_view(image, seed):
     return np.clip(blend * image + (1.0 - blend) * mixed, *PIXEL_RANGE)
 
 
+def _views_into(views, images, policy, seeds):
+    """Write the view of images[i] under policy whose draws come from
+    np.random.default_rng(seeds[i]) into views[i]."""
+    if policy.kind == "augmix":
+        for view, img, s in zip(views, images, seeds):
+            view[...] = augmix_view(img, int(s))
+    elif len(seeds):
+        _rrc_views(images, *_draw_views(policy, seeds, views.shape[1:]), views)
+
+
 def make_views(images, policy, seeds):
-    """One view per seed: view i is the view of images[i] under policy
-    whose draws come from np.random.default_rng(seeds[i]).
+    """One view per seed, as one C-contiguous float64 (N, C, H, W) array:
+    view i is the view of images[i] under policy whose draws come from
+    np.random.default_rng(seeds[i]).
 
     Random resized crops are drawn all at once and resampled
     RESAMPLE_BLOCK views at a time; AugMix views are made one at a time."""
     if len(images) != len(seeds):
         raise ValueError(f"{len(images)} images for {len(seeds)} seeds")
-    if policy.kind == "augmix":
-        return [augmix_view(img, int(s)) for img, s in zip(images, seeds)]
     if not len(seeds):
-        return []
-    return _rrc_views(images, *_draw_views(policy, seeds, np.shape(images[0])))
+        raise ValueError("no images to make views of")
+    views = np.empty((len(seeds),) + np.shape(images[0]))
+    _views_into(views, images, policy, seeds)
+    return views
 
 
 def make_view(image, policy, seed):
@@ -430,8 +440,9 @@ def make_view(image, policy, seed):
 def generate_views(image, n, policy, seed):
     """N views of one image, each distinct view made once.
 
-    Returns (views, index): view i of the batch is views[index[i]].
-    View 0 is the untouched original, view i is make_view with seed
+    Returns (views, index): view i of the batch is views[index[i]], and
+    views is one C-contiguous float64 (M, C, H, W) array.  View 0 is a
+    copy of the untouched original, view i is make_view with seed
     split_seed(seed, i).  Random resized crops without a noise patch and
     with equal (smoothed, side, y0, x0, flip) draws are one view; a view
     with a noise patch and an AugMix view are their own.  A full-frame
@@ -442,7 +453,10 @@ def generate_views(image, n, policy, seed):
     image = np.asarray(image, dtype=np.float64)
     seeds = split_seed(seed, np.arange(1, n, dtype=np.uint64))
     if policy.kind == "augmix" or n == 1:
-        return [image.copy()] + make_views([image] * (n - 1), policy, seeds), np.arange(n)
+        views = np.empty((n,) + image.shape)
+        views[0] = image
+        _views_into(views[1:], [image] * (n - 1), policy, seeds)
+        return views, np.arange(n)
     h, w = image.shape[1:]
     draws, patches = _draw_views(policy, seeds, image.shape)
     keys = np.ravel_multi_index(draws.T, (2, h + 1, h, w, 2))
@@ -452,5 +466,7 @@ def generate_views(image, n, policy, seed):
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)  # distinct views in the order they are first drawn
     kept = first[order]
-    views = _rrc_views([image] * len(kept), draws[kept], [patches[i] for i in kept])
-    return [image.copy()] + views, np.concatenate(([0], np.argsort(order)[inverse] + 1))
+    views = np.empty((1 + len(kept),) + image.shape)
+    views[0] = image
+    _rrc_views([image] * len(kept), draws[kept], [patches[i] for i in kept], views[1:])
+    return views, np.concatenate(([0], np.argsort(order)[inverse] + 1))

@@ -9,6 +9,10 @@ gradient item by item, in reverse item order, which is the order a tape
 of one-item ops replays; so a batched forward and backward round
 exactly like the per-item ones.  Scalars are shape-() arrays.
 
+An op writes only into arrays it has allocated itself, never into an
+input's data: a chain of elementwise steps updates one new buffer in
+place, which rounds as the chain of new arrays would.
+
 Ops record onto the innermost active Tape only when an input requires
 gradients; with no active tape they are plain numpy and cost nothing
 extra, which is how the image branch runs during test-time tuning.
@@ -263,9 +267,9 @@ def gather_rows(a, indices):
 def _softmax(x):
     """Row softmax of an array, max-subtracted for stability, and the map
     from an output gradient to the input's."""
-    z = x - np.maximum.reduce(x, axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / np.add.reduce(e, axis=-1, keepdims=True)
+    y = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
 
     def grad(g):
         return y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
@@ -288,8 +292,8 @@ def log_softmax_rows(x):
     """Log of the row softmax, as one op: z - log(sum(exp(z))) with z the
     max-subtracted row.  Unlike log(softmax_rows(x)) it has no clamp, so a
     probability far below 1e-12 keeps its gradient."""
-    z = x.data - np.maximum.reduce(x.data, axis=-1, keepdims=True)
-    y = z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+    y = x.data - np.maximum.reduce(x.data, axis=-1, keepdims=True)
+    y -= np.log(np.add.reduce(np.exp(y), axis=-1, keepdims=True))
     out = Tensor(y)
 
     def bw():
@@ -316,14 +320,27 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _gelu(x):
-    """GELU of an array, and the map from an output gradient to the input's."""
-    erf_term = _erf(x * _INV_SQRT2)
+    """GELU of an array, 0.5 * x * (1 + erf(x / sqrt(2))), and the map
+    from an output gradient g to the input's, g * (0.5 * (1 + erf) + x *
+    pdf(x)), each computed in that order."""
+    one_plus_erf = x * _INV_SQRT2
+    _erf(one_plus_erf, out=one_plus_erf)
+    one_plus_erf += 1.0
 
     def grad(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return g * (0.5 * (1.0 + erf_term) + x * pdf)
+        pdf = -0.5 * x
+        pdf *= x
+        np.exp(pdf, out=pdf)
+        pdf *= _INV_SQRT2PI
+        pdf *= x
+        slope = 0.5 * one_plus_erf
+        slope += pdf
+        slope *= g
+        return slope
 
-    return 0.5 * x * (1.0 + erf_term), grad
+    y = 0.5 * x
+    y *= one_plus_erf
+    return y, grad
 
 
 def gelu(x):
@@ -358,11 +375,12 @@ def layer_norm(x, gain, bias):
         raise ValueError("layer_norm gain/bias must match the last dimension")
     d = x.data.shape[-1]
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    xc = x.data - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+    y = x.data - mu
+    var = np.add.reduce(y * y, axis=-1, keepdims=True) / d
     sigma = np.sqrt(var + LAYER_NORM_EPS)
-    y = xc / sigma
-    out = Tensor(y * gain.data + bias.data)
+    y /= sigma
+    out = Tensor(y * gain.data)
+    out.data += bias.data
 
     def bw():
         g = out.grad
@@ -382,12 +400,20 @@ def layer_norm(x, gain, bias):
 # transformer sublayers, one op each
 #
 # Each computes what its composition of the single ops above would, with
-# the same numpy expressions, and replays that composition's backward in
-# reverse by hand, so it rounds exactly as the composition does.  There
-# every gradient passes through a zero-initialised, C-contiguous buffer;
-# numpy's matmul and sums can round differently on a strided view, so a
-# gradient that a head split or merge leaves strided is made contiguous
-# before it meets either.
+# the same arithmetic in the same order, and replays that composition's
+# backward in reverse by hand, so it rounds exactly as the composition
+# does.  There every gradient passes through a zero-initialised,
+# C-contiguous buffer; numpy's matmul and sums can round differently on a
+# strided view, so a gradient that a head split or merge leaves strided is
+# made contiguous before it meets either.  Where the composition makes a
+# new array at each step, a sublayer updates its own buffer in place.
+
+
+def _affine(x, w, b):
+    """x @ w + b of an array x and Tensors w and b, the bias added in place."""
+    out = np.matmul(x, w.data)
+    out += b.data
+    return out
 
 
 def _affine_grads(x, w, b, g):
@@ -416,15 +442,14 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
     def merge(a):  # (..., heads, T, dh) -> (..., T, D)
         return a.swapaxes(-3, -2).reshape(*batch, t, d)
 
-    q, k, v = (np.matmul(x.data, w.data) + b.data
-               for w, b in ((wq, bq), (wk, bk), (wv, bv)))
-    qh, kh, vh = split(q), split(k), split(v)
-    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * c
+    qh, kh, vh = (split(_affine(x.data, w, b)) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    scores = np.matmul(qh, kh.swapaxes(-1, -2))
+    scores *= c
     if mask is not None:
-        scores = scores + mask
+        scores += mask
     p, softmax_grad = _softmax(scores)
     ctx = merge(np.matmul(p, vh))
-    out = Tensor(np.matmul(ctx, wo.data) + bo.data)
+    out = Tensor(_affine(ctx, wo, bo))
 
     def bw():
         g_heads = np.ascontiguousarray(split(_affine_grads(ctx, wo, bo, out.grad)))
@@ -442,9 +467,8 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
 
 def mlp(x, w1, b1, w2, b2):
     """GELU(x @ w1 + b1) @ w2 + b2."""
-    pre = np.matmul(x.data, w1.data) + b1.data
-    hidden, gelu_grad = _gelu(pre)
-    out = Tensor(np.matmul(hidden, w2.data) + b2.data)
+    hidden, gelu_grad = _gelu(_affine(x.data, w1, b1))
+    out = Tensor(_affine(hidden, w2, b2))
 
     def bw():
         g_pre = gelu_grad(_affine_grads(hidden, w2, b2, out.grad))

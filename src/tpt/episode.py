@@ -8,6 +8,7 @@ state (prompt rows, the parameter group's weights, optimizer moments)
 and restores it before returning, so it leaves nothing behind.
 """
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,9 +147,12 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
     holds image weights; then on each step's tape and for the final
     prediction.  The final prediction is the argmax on the original image
     under the tuned state.  The trace keeps per-step loss/threshold/mask,
-    the pre/post distributions of the original view, and the number of
+    the pre/post distributions of the original view, the number of
     distinct images among the N views and among the k views the first
-    step selected.
+    step selected, and stage_ms: the wall-clock milliseconds
+    (time.perf_counter) of making the views, encoding them before any
+    step (nothing when the group holds image weights, whose steps encode
+    on their tape), the tuning steps, and the final prediction.
     """
     cfg = tpt_config
     prefixes = PARAMETER_GROUPS[cfg.parameter_group]
@@ -157,8 +161,11 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
     params = prompt_state.params() + tuned
     snapshot = [p.data.copy() for p in params]
     try:
+        clock = [time.perf_counter()]
         views, index = generate_views(image, cfg.n_views, cfg.policy, cfg.seed)
+        clock.append(time.perf_counter())
         feats = None if image_tuned else view_features(weights, config, views, index)
+        clock.append(time.perf_counter())
         trace = {"losses": [], "thresholds": [], "k": None, "mask_indices": [],
                  "pre_original": None, "post_original": None,
                  "pre_views": None, "post_views": None,
@@ -192,9 +199,13 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
             trace["thresholds"].append(pred.threshold)
             trace["mask_indices"].append(pred.selected.tolist())
             opt.step()
+        clock.append(time.perf_counter())
 
         final = predict()  # inference with the tuned state, no tape
         record("post", final)
+        clock.append(time.perf_counter())
+        trace["stage_ms"] = {stage: (end - start) * 1e3 for stage, start, end in zip(
+            ("views", "encode", "tune", "predict"), clock, clock[1:])}
         return int(np.argmax(final.probs.data[0])), final.averaged.data[0].copy(), trace
     finally:
         for p, snap in zip(params, snapshot):

@@ -3,7 +3,6 @@ CoOp few-shot prompt training, ablation sweeps, gradient checks, and results
 files (CSV rows under a reproducibility header)."""
 
 import csv
-import io
 import itertools
 from dataclasses import replace
 
@@ -278,18 +277,3 @@ def write_results(path, rows, run_config):
         for row in rows:
             writer.writerow(row)
 
-
-def read_results(path):
-    header = {}
-    rows = []
-    with open(path) as f:
-        body = []
-        for line in f:
-            if line.startswith("# "):
-                key, _, value = line[2:].strip().partition("=")
-                header[key] = value
-            else:
-                body.append(line)
-        for row in csv.DictReader(io.StringIO("".join(body))):
-            rows.append(row)
-    return header, rows

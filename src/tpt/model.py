@@ -189,9 +189,11 @@ def patchify(images, patch_size):
 # 1 MB for a 64-view episode in one pass.  glibc's malloc serves a request
 # of 128 KB or more that its heap cannot hold by a fresh mmap, whose
 # pages fault in zeroed on first touch.  With that threshold pinned, a
-# default episode took a median of about 7.6k minor faults in one pass,
-# 3.0k at 16 images per pass and 1.4k at 8.  At 4 it took fewer still,
-# but pretraining's 16-image batches ran 16% slower in four passes.
+# default episode took a median of about 1.2k minor faults and 5.1 ms in
+# one pass, 0.9k and 5.3 ms at 16 images per pass, 0.5k and 4.9 ms at 8,
+# and 0.35k and 5.1 ms at 4; at 7, whose MLP arrays stay under 128 KB,
+# 0.56k and 5.1 ms.  A 16-image pretraining batch took 8.0 ms at 8 and
+# 8.4-8.6 ms at 4 or 16.
 ENCODE_BLOCK = 8
 
 
@@ -209,10 +211,11 @@ def _encode_block(weights, config, images):
 
 
 def encode_images(weights, config, images):
-    """Encode N (C, H, W) images to an N x proj_dim Tensor of unit rows;
-    mean-pooled patches.
+    """Encode N (C, H, W) images, a list or one float64 (N, C, H, W)
+    array, to an N x proj_dim Tensor of unit rows; mean-pooled patches.
 
-    One transformer pass per ENCODE_BLOCK images.  Each row rounds as a
+    One transformer pass per ENCODE_BLOCK images; a block of an array is
+    a slice of it, not a copy, as view batches are.  Each row rounds as a
     one-image encode does, and on a tape a shared weight still gets its
     gradient in reverse image order, so the blocks change no bit."""
     if len(images) == 0:

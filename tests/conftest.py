@@ -10,6 +10,7 @@ model, and the stale file is removed.  Deleting tests/.cache also
 forces a retrain.
 """
 
+import csv
 import hashlib
 import pathlib
 
@@ -60,3 +61,13 @@ def pretrained(model_config):
         augment_policy=AugmentPolicy(**PRETRAIN_POLICY), **PRETRAIN)
     mdl.save_weights(weights, path)
     return weights
+
+
+def read_results(path):
+    """(header, rows) of a results file that harness.write_results wrote:
+    the '# key=value' lines as a dict, then the CSV rows as dicts."""
+    with open(path) as f:
+        lines = f.readlines()
+    header = dict(line[2:].strip().partition("=")[::2] for line in lines
+                  if line.startswith("# "))
+    return header, list(csv.DictReader(line for line in lines if not line.startswith("# ")))

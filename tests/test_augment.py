@@ -9,7 +9,7 @@ from scipy.ndimage import uniform_filter
 
 from tpt import data as dat
 from tpt.augment import (RESAMPLE_BLOCK, AugmentPolicy, Streams, augmix_view, crop_resize,
-                         generate_views, make_view, smooth, split_seed)
+                         generate_views, make_view, make_views, smooth, split_seed)
 
 # policies that reach every branch of a random resized crop, each with
 # the values it gives AugmentPolicy's smooth constants
@@ -59,6 +59,36 @@ def test_64_views_original_plus_63_augmented(image):
     assert index[0] == 0 and 0 not in index[1:]
     np.testing.assert_array_equal(views[0], image)
     assert any(not np.array_equal(v, image) for v in views[1:])
+
+
+def assert_one_view_array(views, n, image):
+    assert isinstance(views, np.ndarray) and views.dtype == np.float64
+    assert views.flags.c_contiguous
+    assert views.shape == (n,) + image.shape
+
+
+@pytest.mark.parametrize("policy", [case[0] for case in RRC_POLICIES + (AUGMIX,)])
+def test_a_view_batch_is_one_array(image, policy):
+    """generate_views and make_views return one C-contiguous float64
+    (N, C, H, W) array; generate_views' row 0 is a copy of the image."""
+    for n in (1, 2 * RESAMPLE_BLOCK + 3, 64):
+        views, index = generate_views(image, n, policy, seed=6)
+        assert_one_view_array(views, index.max() + 1, image)
+        np.testing.assert_array_equal(views[0], image)
+        assert not np.shares_memory(views[0], image)
+    images = [image, image[:, ::-1], 1.0 - image]
+    seeds = [11, 12, 13]
+    views = make_views(images, policy, seeds)
+    assert_one_view_array(views, 3, image)
+    for view, img, s in zip(views, images, seeds, strict=True):
+        np.testing.assert_array_equal(view, make_view(img, policy, s))
+
+
+def test_make_views_rejects_no_images_and_a_seed_count_mismatch(image):
+    with pytest.raises(ValueError, match="no images"):
+        make_views([], AugmentPolicy(), [])
+    with pytest.raises(ValueError, match="2 images for 1 seeds"):
+        make_views([image, image], AugmentPolicy(), [1])
 
 
 def test_deterministic_batches(image):

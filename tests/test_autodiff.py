@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from tpt import autodiff as ad
 from tpt.autodiff import Tape, Tensor
+from tpt.model import causal_mask
 
 
 def rand(shape, seed=0, grad=True):
@@ -652,3 +654,165 @@ class TestOneElementLoss:
         assert loss.item() == float(loss.data.reshape(()))
         np.testing.assert_array_equal(x.grad, w.data.T)
         assert ad.finite_diff_check(f, x) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the ops that compute in place, in buffers of their own, against the
+# out-of-place expressions they were first written with: each equals its
+# oracle to the bit and leaves the bytes of every input as they were
+
+
+def _softmax_oop(x):
+    z = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    e = np.exp(z)
+    y = e / np.add.reduce(e, axis=-1, keepdims=True)
+    return y, lambda g: y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
+
+
+def _gelu_oop(x):
+    erf_term = erf(x * ad._INV_SQRT2)
+
+    def grad(g):
+        pdf = np.exp(-0.5 * x * x) * ad._INV_SQRT2PI
+        return g * (0.5 * (1.0 + erf_term) + x * pdf)
+
+    return 0.5 * x * (1.0 + erf_term), grad
+
+
+def _unary_oop(f):
+    """The Tensor op of f, an array map that returns (y, grad map)."""
+    def op(x):
+        y, grad = f(x.data)
+        out = Tensor(y)
+
+        def bw():
+            x.grad += grad(out.grad)
+
+        return ad._record(out, (x,), bw)
+
+    return op
+
+
+def _log_softmax_rows_oop(x):
+    z = x.data - np.maximum.reduce(x.data, axis=-1, keepdims=True)
+    y = z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+    out = Tensor(y)
+
+    def bw():
+        g = out.grad
+        x.grad += g - np.exp(y) * np.add.reduce(g, axis=-1, keepdims=True)
+
+    return ad._record(out, (x,), bw)
+
+
+def _layer_norm_oop(x, gain, bias):
+    d = x.data.shape[-1]
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    xc = x.data - mu
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+    sigma = np.sqrt(var + ad.LAYER_NORM_EPS)
+    y = xc / sigma
+    out = Tensor(y * gain.data + bias.data)
+
+    def bw():
+        g = out.grad
+        gy = g * gain.data
+        x.grad += (gy - np.add.reduce(gy, axis=-1, keepdims=True) / d
+                   - y * (np.add.reduce(gy * y, axis=-1, keepdims=True) / d)) / sigma
+        ad._accumulate(gain, g * y)
+        ad._accumulate(bias, g)
+
+    return ad._record(out, (x, gain, bias), bw)
+
+
+def _attention_oop(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
+    *batch, t, d = x.data.shape
+    dh = d // heads
+    c = float(1.0 / np.sqrt(dh))
+
+    def split(a):
+        return a.reshape(*batch, t, heads, dh).swapaxes(-3, -2)
+
+    def merge(a):
+        return a.swapaxes(-3, -2).reshape(*batch, t, d)
+
+    q, k, v = (np.matmul(x.data, w.data) + b.data
+               for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * c
+    if mask is not None:
+        scores = scores + mask
+    p, softmax_grad = _softmax_oop(scores)
+    ctx = merge(np.matmul(p, vh))
+    out = Tensor(np.matmul(ctx, wo.data) + bo.data)
+
+    def bw():
+        g_heads = np.ascontiguousarray(split(ad._affine_grads(ctx, wo, bo, out.grad)))
+        g_scores = softmax_grad(np.matmul(g_heads, vh.swapaxes(-1, -2))) * c
+        g_v = np.matmul(p.swapaxes(-1, -2), g_heads)
+        g_k = np.matmul(qh.swapaxes(-1, -2), g_scores).swapaxes(-1, -2)
+        g_q = np.matmul(g_scores, kh)
+        for g, w, b in ((g_v, wv, bv), (g_k, wk, bk), (g_q, wq, bq)):
+            ad._accumulate(x, ad._affine_grads(x.data, w, b, np.ascontiguousarray(merge(g))))
+
+    return ad._record(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), bw)
+
+
+def _mlp_oop(x, w1, b1, w2, b2):
+    pre = np.matmul(x.data, w1.data) + b1.data
+    hidden, gelu_grad = _gelu_oop(pre)
+    out = Tensor(np.matmul(hidden, w2.data) + b2.data)
+
+    def bw():
+        g_pre = gelu_grad(ad._affine_grads(hidden, w2, b2, out.grad))
+        ad._accumulate(x, ad._affine_grads(x.data, w1, b1, g_pre))
+
+    return ad._record(out, (x, w1, b1, w2, b2), bw)
+
+
+# name -> (op, oracle, shapes of the Tensor inputs after x given x's last
+# axis, the trailing arguments given x's row count)
+_IN_PLACE = {
+    "layer_norm": (ad.layer_norm, _layer_norm_oop, lambda d: [(1, d)] * 2, lambda t: ()),
+    "attention": (ad.attention, _attention_oop, lambda d: [(d, d), (1, d)] * 4,
+                  lambda t: (2, None)),
+    # a writable copy of the mask, so that a write into it would show
+    "attention_causal": (ad.attention, _attention_oop, lambda d: [(d, d), (1, d)] * 4,
+                         lambda t: (2, np.array(causal_mask(t)))),
+    "mlp": (ad.mlp, _mlp_oop, lambda d: [(d, 4 * d), (1, 4 * d), (4 * d, d), (1, d)],
+            lambda t: ()),
+    "gelu": (ad.gelu, _unary_oop(_gelu_oop), lambda d: [], lambda t: ()),
+    "softmax_rows": (ad.softmax_rows, _unary_oop(_softmax_oop), lambda d: [], lambda t: ()),
+    "log_softmax_rows": (ad.log_softmax_rows, _log_softmax_rows_oop, lambda d: [],
+                         lambda t: ()),
+}
+
+
+class TestInPlaceOps:
+    @pytest.mark.parametrize("shape", [(8, 16, 32), (3, 5, 32), (5, 32)])
+    @pytest.mark.parametrize("name", sorted(_IN_PLACE))
+    def test_equal_to_the_out_of_place_oracle_and_inputs_unchanged(self, name, shape):
+        op, oracle, shapes, trailing = _IN_PLACE[name]
+        rng = np.random.default_rng(40)
+        arrays = [rng.normal(size=shape)] + [rng.normal(0.0, 0.3, size=s)
+                                             for s in shapes(shape[-1])]
+        extra = trailing(shape[-2])
+        masks = [a for a in extra if isinstance(a, np.ndarray)]
+        r = Tensor(rng.normal(size=op(*map(Tensor, arrays), *extra).data.shape))
+        before = [a.tobytes() for a in arrays + masks]
+
+        def run(f):
+            # Tensor wraps each array without a copy: a write into an
+            # input's data would change it
+            inputs = [Tensor(a, requires_grad=True) for a in arrays]
+            with Tape() as tape:
+                out = f(*inputs, *extra)
+                tape.backward(ad.sum_all(ad.mul(out, r)))
+            return [out.data] + [t.grad for t in inputs]
+
+        got = run(op)
+        assert [a.tobytes() for a in arrays + masks] == before
+        want = run(oracle)
+        assert len(got) == len(want) == 1 + len(arrays)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert np.array_equal(g, w), "output" if i == 0 else f"gradient of input {i - 1}"

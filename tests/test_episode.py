@@ -244,6 +244,15 @@ class TestTptClassify:
         assert abs(averaged.sum() - 1.0) <= 1e-10
         assert abs(trace["pre_original"].sum() - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("group", ["prompt", "image_encoder"])
+    def test_trace_times_the_four_stages(self, weights, config, classes, prompt, image,
+                                         group):
+        cfg = self.small_cfg(parameter_group=group)
+        _, _, trace = ep.tpt_classify(weights, config, prompt, classes, image, cfg)
+        stage_ms = trace["stage_ms"]
+        assert list(stage_ms) == ["views", "encode", "tune", "predict"]
+        assert all(np.isfinite(ms) and ms >= 0.0 for ms in stage_ms.values())
+
     def test_view_distributions_are_those_of_all_n_views(
             self, weights, config, classes, prompt, image, monkeypatch):
         """Each distinct view is encoded once, yet every view's

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import read_results
 
 from tpt import cli
 from tpt import data as dat
@@ -89,6 +90,14 @@ class TestEvaluateTpt:
             assert len(t["pre_original"]) == len(classes)
             assert 1 <= t["distinct_selected"] <= t["k"]
             assert t["distinct_selected"] <= t["distinct_views"] <= FAST.n_views
+
+    def test_traces_leave_out_the_stage_timings(self, weights, config, classes, dataset):
+        """The episode's wall-clock stage_ms stays out of the traces, so a
+        rerun writes the same traces."""
+        runs = [hz.evaluate_tpt(weights, config, TEMPLATE, classes, dataset, FAST)[2]
+                for _ in range(2)]
+        assert all("stage_ms" not in t for t in runs[0])
+        assert runs[0] == runs[1]
 
 
 class TestBaselines:
@@ -235,7 +244,7 @@ class TestResultsFiles:
         rows = [{"method": "tpt", "shift": "noise:0.3", "accuracy": 0.75,
                  "n": 16, "seed": 0}]
         hz.write_results(path, rows, {"shift": "noise:0.3", "seed": "0"})
-        header, back = hz.read_results(path)
+        header, back = read_results(path)
         assert header["version"] == hz.VERSION
         assert header["shift"] == "noise:0.3"
         assert back[0]["method"] == "tpt"
@@ -311,7 +320,7 @@ class TestConfigFile:
         cfg = write_config(tmp_path, "views=2\n")
         assert cli.main(["eval", "--weights", str(wpath), "--method", "tpt",
                          "--samples", "1", "--config", cfg, "--out", str(out)]) == 0
-        header, _ = hz.read_results(out)
+        header, _ = read_results(out)
         assert header == {
             "version": hz.VERSION, "command": "eval", "weights": str(wpath),
             "method": "tpt", "shift": "none", "aug": "rrc", "rho": "0.1",
@@ -327,7 +336,7 @@ class TestCli:
         rc = cli.main(["eval", "--weights", str(wpath), "--method", "zeroshot",
                        "--samples", "8", "--out", str(out)])
         assert rc == 0
-        header, rows = hz.read_results(out)
+        header, rows = read_results(out)
         assert rows[0]["method"] == "zeroshot"
         assert int(rows[0]["n"]) == 8
 
@@ -561,7 +570,7 @@ class TestCli:
         assert cli.main(["eval", "--weights", str(wpath), "--method", method,
                          "--views", "4", "--seed", "3", "--samples", "2",
                          "--out", str(out)]) == 0
-        header, rows = hz.read_results(out)
+        header, rows = read_results(out)
         assert header == {"version": hz.VERSION, "command": "eval",
                           "weights": str(wpath), "method": method, "shift": "none",
                           "samples": "2", "out": str(out), **read}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tpt import autodiff as ad
 from tpt import data as dat
 from tpt import model as mdl
-from tpt.augment import AugmentPolicy, make_view
+from tpt.augment import AugmentPolicy, generate_views, make_view
 from tpt.autodiff import Tape, Tensor
 
 
@@ -474,6 +474,28 @@ class TestBatchInvariance:
             np.testing.assert_array_equal(batched[i], single[0])
             np.testing.assert_array_equal(
                 single, mdl.encode_image(weights, config, img).data)
+
+    def test_a_view_array_its_slice_and_its_rows_encode_alike(self, weights, config,
+                                                              monkeypatch):
+        """A view batch is encoded alike as one array, a slice of it, or a
+        list of its rows; each block of the array is a slice, not a copy."""
+        image = np.random.default_rng(7).random(config.image_shape)
+        views, _ = generate_views(image, 64, AugmentPolicy(noise_patch_prob=1.0), seed=2)
+        blocks, encode_block = [], mdl._encode_block
+
+        def recording(weights, config, images):
+            blocks.append(images)
+            return encode_block(weights, config, images)
+
+        monkeypatch.setattr(mdl, "_encode_block", recording)
+        full = mdl.encode_images(weights, config, views).data
+        assert len(blocks) == 64 // mdl.ENCODE_BLOCK
+        assert all(b.base is views for b in blocks)
+        assert full.shape == (64, config.proj_dim)
+        np.testing.assert_array_equal(mdl.encode_images(weights, config, views[3:14]).data,
+                                      full[3:14])
+        np.testing.assert_array_equal(mdl.encode_images(weights, config, list(views)).data,
+                                      full)
 
     def test_text_rows_equal_single_sequence_encodes(self, weights, config):
         seqs = np.random.default_rng(6).normal(0.0, 0.02, size=(4, 6, config.embed_dim))
