@@ -1,11 +1,9 @@
 """Stochastic view generation: random resized crops and a simplified AugMix.
 
-All randomness flows through per-view seeds derived with a splittable
-integer hash of (episode seed, view index), so view generation is
-order-independent and bit-reproducible.  A view draws what
-np.random.default_rng(seed) draws for its seed.  The random resized
-crops of a batch take those draws from all their seeds' streams at once
-(Streams), with no generator built per view.
+A batch of views draws from one np.random.Generator: an episode's from
+np.random.default_rng(seed), pretraining's from its training generator.
+A random resized crop's draws are one row of a uniform table, so view i
+of an episode depends only on its seed and i.
 """
 
 import functools
@@ -20,8 +18,6 @@ _NOISE_PATCH_SIGMA = (0.1, 0.3)  # noise std range inside the block
 _AUGMIX_DEPTH = (1, 3)  # chain depth range
 _AUGMIX_WIDTH = 3  # chains mixed per view
 _AUGMIX_ALPHA = 1.0  # Dirichlet / Beta concentration
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 
 # Random resized crops resampled at once.  A block's temporaries, (B, C,
 # H, W) float64 arrays of 96 KB at B = 4 and 3 x 32 x 32 images, stay
@@ -54,175 +50,11 @@ class AugmentPolicy:
 
 
 def split_seed(seed, index):
-    """Splittable hash of (seed, index): one splitmix64 round, of an int
-    index or of each entry of a uint64 array of them."""
-    index = index if isinstance(index, np.ndarray) else int(index)
-    z = (((int(seed) * 0x9E3779B97F4A7C15 + 0x632BE59BD9B4E019) & _MASK64) + index) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    """Splittable hash of (seed, index): one splitmix64 round."""
+    z = (int(seed) * 0x9E3779B97F4A7C15 + int(index) + 0x632BE59BD9B4E019) % (1 << 64)
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % (1 << 64)
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % (1 << 64)
     return z ^ (z >> 31)
-
-
-def _hash_constants(init, mult, n):
-    """Columns of init * mult**j and init * mult**(j + 1) mod 2**32, j < n."""
-    out = [init]
-    for _ in range(n):
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    out = np.array(out, dtype=np.uint32)[:, None]
-    return out[:-1], out[1:]
-
-
-# numpy's SeedSequence: the pool's 16 hash constants, the 8 output hash
-# constants and the mixing multipliers; then PCG64's multiplier
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_ANY_SEED = np.random.SeedSequence(0)  # built once: PCG64 seeds from it fastest
-
-
-def _hash(values, constants, j, k):
-    """SeedSequence's hash of the rows of values with its constants
-    j .. k - 1: xor one, multiply by the next, xor-shift."""
-    values = (values ^ constants[0][j:k]) * constants[1][j:k]
-    return values ^ (values >> 16)
-
-
-def _seed_state(seeds):
-    """SeedSequence(s).generate_state(4, np.uint64) of each s of a uint64
-    array, as (4, N): a seed's entropy is its low and high 32-bit words,
-    and a pool of 4 words pads it with zeros, whose hash is that of a
-    zero high word below 2**32."""
-    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
-    pool[0], pool[1] = seeds & 0xFFFFFFFF, seeds >> 32
-    pool = _hash(pool, _HASH_A, 0, 4)
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        mixed = pool[dst] * _MIX_L - _hash(pool[src], _HASH_A, 4 + 3 * src, 7 + 3 * src) * _MIX_R
-        pool[dst] = mixed ^ (mixed >> 16)
-    words = _hash(np.concatenate([pool, pool]), _HASH_B, 0, 8).astype(np.uint64)
-    return words[0::2] | words[1::2] << 32
-
-
-def _mul_hi(a, b):
-    """The high 64 bits of the 128-bit products of uint64 arrays."""
-    a1, a0, b1, b0 = a >> 32, a & 0xFFFFFFFF, b >> 32, b & 0xFFFFFFFF
-    cross0, cross1 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (cross0 & 0xFFFFFFFF) + (cross1 & 0xFFFFFFFF)
-    return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32)
-
-
-@functools.lru_cache(maxsize=None)
-def _jump_constants(n):
-    """(high, low) uint64 arrays of shape (2, 1, n): k steps of PCG64 take
-    a state s to A * s + C * inc mod 2**128, A in row 0 and C in row 1 of
-    column k - 1."""
-    a, c, out = 1, 0, [[], []]
-    for _ in range(n):
-        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-        out[0].append(a)
-        out[1].append(c)
-    out = np.array(out, dtype=object)[:, None]
-    return (out >> 64).astype(np.uint64), (out & _MASK64).astype(np.uint64)
-
-
-def _jump(state, inc, n):
-    """The 128-bit (high, low) states, each (N, n), that 1 .. n steps of
-    PCG64 lead to from the (N, 1) states with increments inc."""
-    a = [np.stack(pair) for pair in zip(state, inc)]
-    b = _jump_constants(n)
-    hi = _mul_hi(a[1], b[1]) + a[1] * b[0] + a[0] * b[1]
-    lo = a[1] * b[1]
-    total = lo[0] + lo[1]
-    return hi[0] + hi[1] + (total < lo[1]), total
-
-
-def _xsl_rr(hi, lo):
-    """PCG64's 64-bit output of a state."""
-    x, rot = hi ^ lo, hi >> 58
-    return x >> rot | x << (64 - rot & 63)
-
-
-class Streams:
-    """The streams of np.random.default_rng(s) for each s of a uint64
-    array of seeds, drawn in lockstep: random, uniform and integers make
-    from every stream the draw their namesakes in np.random.Generator
-    make.  This reproduces numpy's SeedSequence, PCG64 and Generator
-    draws bit for bit; tests/test_augment.py checks it against
-    default_rng.
-
-    The states a stream passes through are computed ahead, by jumps from
-    its seeded state, into (N, steps + 1) tables of the high and the low
-    64 bits whose column j is the state after j outputs."""
-
-    AHEAD = 5  # outputs computed at a time: all a crop view draws unless Lemire rejects
-
-    def __init__(self, seeds):
-        v = _seed_state(seeds)[..., None]
-        # inc = initseq << 1 | 1; the state steps from 0 to inc, adds
-        # initstate, and steps again
-        self.inc = (v[2] << 1 | v[3] >> 63, v[3] << 1 | 1)
-        lo = self.inc[1] + v[1]
-        self.state = _jump((self.inc[0] + v[0] + (lo < v[1]), lo), self.inc, self.AHEAD + 1)
-        self.outputs = _xsl_rr(*self.state)
-        self.rows = np.arange(len(seeds))
-        self.used = np.zeros(len(seeds), dtype=np.int64)
-        self.has_uint32 = np.zeros(len(seeds), dtype=bool)
-        self.uinteger = np.zeros(len(seeds), dtype=np.uint64)
-
-    def _next64(self, rows):
-        """The next 64-bit outputs of the streams rows."""
-        used = self.used[rows] + 1
-        if used.max(initial=0) == self.outputs.shape[1]:
-            more = _jump([half[:, -1:] for half in self.state], self.inc, self.AHEAD)
-            self.state = tuple(np.concatenate(pair, axis=1) for pair in zip(self.state, more))
-            self.outputs = np.concatenate([self.outputs, _xsl_rr(*more)], axis=1)
-        self.used[rows] = used
-        return self.outputs[rows, used]
-
-    def _next32(self, rows):
-        """The next 32-bit words of the streams rows: the low half of a
-        fresh output, whose high half waits for the next word."""
-        has = self.has_uint32[rows]
-        out = self.uinteger[rows]
-        fresh = rows[~has]
-        x = self._next64(fresh)
-        out[~has] = x & 0xFFFFFFFF
-        self.uinteger[fresh] = x >> 32
-        self.has_uint32[rows] = ~has
-        return out
-
-    def random(self):
-        return (self._next64(self.rows) >> 11) * 2.0 ** -53
-
-    def uniform(self, lo, hi):
-        return lo + (hi - lo) * self.random()
-
-    def integers(self, high):
-        """integers(0, high) of each stream, 1 <= high < 2**32 an int or an
-        array: Lemire's method on 32-bit words; high == 1 draws nothing."""
-        high = np.broadcast_to(np.asarray(high, dtype=np.uint64), self.used.shape)
-        out = np.zeros(len(high), dtype=np.uint64)
-        todo = np.flatnonzero(high > 1)
-        while len(todo):
-            m = high[todo]
-            product = self._next32(todo) * m
-            # accept unless the low word is below 2**32 mod m
-            ok = product & 0xFFFFFFFF >= (2 ** 32 - m) % m
-            out[todo[ok]] = product[ok] >> 32
-            todo = todo[~ok]
-        return out.astype(np.int64)
-
-    def generator(self, i):
-        """A Generator that continues stream i."""
-        hi, lo = (int(half[i, self.used[i]]) for half in self.state)
-        inc_hi, inc_lo = (int(half[i, 0]) for half in self.inc)
-        bit_generator = np.random.PCG64(_ANY_SEED)  # its state is set below
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
-            "has_uint32": int(self.has_uint32[i]), "uinteger": int(self.uinteger[i])}
-        return np.random.Generator(bit_generator)
 
 
 @functools.lru_cache(maxsize=None)
@@ -337,33 +169,30 @@ def _draw_noise_patch(rng, shape):
             rng.normal(0.0, sigma, size=(c, bh, bw)))
 
 
-def _draw_views(policy, seeds, shape):
-    """The draws of the views of seeds, each from default_rng(seed) in the
-    order the view applies them and all drawn at once: the (N, 5) ints
-    (smoothed, side, y0, x0, flip) and a list of noise patches, None for
-    a view without one.  A view with a patch draws it and its flip from
-    a generator that continues its stream."""
+def _draw_views(policy, rng, n, shape):
+    """The draws of n random resized crops from the generator rng: the
+    (n, 5) ints (smoothed, side, y0, x0, flip) and a list of noise
+    patches, None for a view without one.
+
+    Row i of one rng.random((n, 6)) table holds view i's smooth coin,
+    area fraction, y0, x0, flip and patch coin, so a view's draws depend
+    only on its row; the noise patches follow, in view order."""
     h, w = shape[1:]
-    streams = Streams(np.asarray(seeds, dtype=np.uint64))
-    smoothed = streams.random() < policy.smooth_prob
+    u = rng.random((n, 6))
+    smoothed = u[:, 0] < policy.smooth_prob
     lo, hi = np.where(smoothed[:, None], policy.smooth_scale_range, policy.scale_range).T
-    side = np.maximum(1, np.round(np.sqrt(streams.uniform(lo, hi)) * h).astype(np.int64))
-    y0 = streams.integers(h - side + 1)
-    x0 = streams.integers(w - side + 1)
-    patched = np.flatnonzero(streams.random() < policy.noise_patch_prob)
-    rests = [streams.generator(i) for i in patched]
-    flip = streams.random() < 0.5
-    patches = [None] * len(side)
-    for i, rng in zip(patched, rests):
-        patches[i] = _draw_noise_patch(rng, shape)
-        flip[i] = rng.random() < 0.5
-    return np.stack([smoothed, side, y0, x0, flip], axis=1), patches
+    side = np.maximum(1, np.round(np.sqrt(lo + (hi - lo) * u[:, 1]) * h).astype(np.int64))
+    y0 = np.floor(u[:, 2] * (h - side + 1)).astype(np.int64)
+    x0 = np.floor(u[:, 3] * (w - side + 1)).astype(np.int64)
+    patches = [_draw_noise_patch(rng, shape) if coin < policy.noise_patch_prob else None
+               for coin in u[:, 5]]
+    return np.stack([smoothed, side, y0, x0, u[:, 4] < 0.5], axis=1), patches
 
 
 def _rrc_views(images, draws, patches, views):
     """Random resized crops into the rows of the (N, C, H, W) array views,
-    view i of images[i] as draws[i] and patches[i] say (see _draw_views),
-    RESAMPLE_BLOCK at a time.
+    view i of images[i] as row i of draws and patches[i] say (see
+    _draw_views), RESAMPLE_BLOCK at a time.
 
     Every pixel is computed as crop_resize computes it, so a view does
     not depend on the block it is made in."""
@@ -390,10 +219,9 @@ def _rrc_views(images, draws, patches, views):
         np.clip(out, *PIXEL_RANGE, out=views[block])
 
 
-def augmix_view(image, seed):
+def augmix_view(image, rng):
     """Dirichlet-weighted mix of short augmentation chains, Beta-blended
-    with the original image."""
-    rng = np.random.default_rng(seed)
+    with the original image, drawn from the generator rng."""
     chain_weights = rng.dirichlet(np.full(_AUGMIX_WIDTH, _AUGMIX_ALPHA))
     mixed = np.zeros_like(image)
     for wgt in chain_weights:
@@ -407,58 +235,53 @@ def augmix_view(image, seed):
     return np.clip(blend * image + (1.0 - blend) * mixed, *PIXEL_RANGE)
 
 
-def _views_into(views, images, policy, seeds):
-    """Write the view of images[i] under policy whose draws come from
-    np.random.default_rng(seeds[i]) into views[i]."""
-    if policy.kind == "augmix":
-        for view, img, s in zip(views, images, seeds):
-            view[...] = augmix_view(img, int(s))
-    elif len(seeds):
-        _rrc_views(images, *_draw_views(policy, seeds, views.shape[1:]), views)
-
-
-def make_views(images, policy, seeds):
-    """One view per seed, as one C-contiguous float64 (N, C, H, W) array:
-    view i is the view of images[i] under policy whose draws come from
-    np.random.default_rng(seeds[i]).
+def make_views(images, policy, rng):
+    """One view of each image under policy, drawn from the generator rng,
+    as one C-contiguous float64 (N, C, H, W) array.
 
     Random resized crops are drawn all at once and resampled
     RESAMPLE_BLOCK views at a time; AugMix views are made one at a time."""
-    if len(images) != len(seeds):
-        raise ValueError(f"{len(images)} images for {len(seeds)} seeds")
-    if not len(seeds):
+    if not len(images):
         raise ValueError("no images to make views of")
-    views = np.empty((len(seeds),) + np.shape(images[0]))
-    _views_into(views, images, policy, seeds)
+    views = np.empty((len(images),) + np.shape(images[0]))
+    if policy.kind == "augmix":
+        for view, img in zip(views, images):
+            view[...] = augmix_view(img, rng)
+    else:
+        _rrc_views(images, *_draw_views(policy, rng, len(images), views.shape[1:]), views)
     return views
 
 
 def make_view(image, policy, seed):
-    return make_views([image], policy, [seed])[0]
+    """The first view that np.random.default_rng(seed) draws of image."""
+    return make_views([image], policy, np.random.default_rng(seed))[0]
 
 
 def generate_views(image, n, policy, seed):
-    """N views of one image, each distinct view made once.
+    """N views of one image, drawn from np.random.default_rng(seed), each
+    distinct view made once.
 
     Returns (views, index): view i of the batch is views[index[i]], and
     views is one C-contiguous float64 (M, C, H, W) array.  View 0 is a
-    copy of the untouched original, view i is make_view with seed
-    split_seed(seed, i).  Random resized crops without a noise patch and
-    with equal (smoothed, side, y0, x0, flip) draws are one view; a view
-    with a noise patch and an AugMix view are their own.  A full-frame
-    crop stays apart from view 0: the view is clipped to the pixel
-    range, the original is not."""
+    copy of the untouched original; views 1 .. N - 1 are what make_views
+    makes of N - 1 copies of the image with that generator, so without
+    noise patches the first n views are the same for every N >= n.
+    Random resized crops without a noise patch and with equal (smoothed,
+    side, y0, x0, flip) draws are one view; a view with a noise patch and
+    an AugMix view are their own.  A full-frame crop stays apart from
+    view 0: the view is clipped to the pixel range, the original is not."""
     if n < 1:
         raise ValueError("need at least one view")
     image = np.asarray(image, dtype=np.float64)
-    seeds = split_seed(seed, np.arange(1, n, dtype=np.uint64))
-    if policy.kind == "augmix" or n == 1:
+    rng = np.random.default_rng(seed)
+    if policy.kind == "augmix":
         views = np.empty((n,) + image.shape)
         views[0] = image
-        _views_into(views[1:], [image] * (n - 1), policy, seeds)
+        for view in views[1:]:
+            view[...] = augmix_view(image, rng)
         return views, np.arange(n)
     h, w = image.shape[1:]
-    draws, patches = _draw_views(policy, seeds, image.shape)
+    draws, patches = _draw_views(policy, rng, n - 1, image.shape)
     keys = np.ravel_multi_index(draws.T, (2, h + 1, h, w, 2))
     for i, patch in enumerate(patches):
         if patch is not None:

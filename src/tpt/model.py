@@ -303,7 +303,8 @@ def pretrain_contrastive(weights, config, pairs, *, epochs, lr, batch, seed,
     identical caption in the batch a positive (see caption_targets).
 
     Training always augments: every drawn image is replaced by a random
-    view from augment_policy.  The captions stay valid, and the encoder
+    view from augment_policy, drawn from the training generator that
+    also shuffles each epoch.  The captions stay valid, and the encoder
     learns the augmentation invariance that test-time view consistency
     relies on.  After training, text embeddings are rescaled by
     `embed_rescale` (see rescale_text_embeddings) to set the test-time
@@ -327,8 +328,7 @@ def pretrain_contrastive(weights, config, pairs, *, epochs, lr, batch, seed,
                 idx = order[start:start + batch]
                 if len(idx) < 2:
                     continue
-                images = make_views([pairs[i][0] for i in idx], augment_policy,
-                                    [int(rng.integers(2 ** 62)) for _ in idx])
+                images = make_views([pairs[i][0] for i in idx], augment_policy, rng)
                 captions = [pairs[i][1] for i in idx]
                 with ad.Tape() as tape:
                     img_feats = encode_images(weights, config, images)

@@ -1,5 +1,4 @@
 import contextlib
-import copy
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import uniform_filter
 
 from tpt import data as dat
-from tpt.augment import (RESAMPLE_BLOCK, AugmentPolicy, Streams, augmix_view, crop_resize,
+from tpt.augment import (RESAMPLE_BLOCK, AugmentPolicy, augmix_view, crop_resize,
                          generate_views, make_view, make_views, smooth, split_seed)
 
 # policies that reach every branch of a random resized crop, each with
@@ -76,19 +75,52 @@ def test_a_view_batch_is_one_array(image, policy):
         assert_one_view_array(views, index.max() + 1, image)
         np.testing.assert_array_equal(views[0], image)
         assert not np.shares_memory(views[0], image)
-    images = [image, image[:, ::-1], 1.0 - image]
-    seeds = [11, 12, 13]
-    views = make_views(images, policy, seeds)
+    views = make_views([image, image[:, ::-1], 1.0 - image], policy, np.random.default_rng(11))
     assert_one_view_array(views, 3, image)
-    for view, img, s in zip(views, images, seeds, strict=True):
-        np.testing.assert_array_equal(view, make_view(img, policy, s))
 
 
-def test_make_views_rejects_no_images_and_a_seed_count_mismatch(image):
+def test_make_views_rejects_no_images(image):
     with pytest.raises(ValueError, match="no images"):
-        make_views([], AugmentPolicy(), [])
-    with pytest.raises(ValueError, match="2 images for 1 seeds"):
-        make_views([image, image], AugmentPolicy(), [1])
+        make_views([], AugmentPolicy(), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("policy", [AugmentPolicy(noise_patch_prob=0.5), AUGMIX[0]])
+def test_make_views_advances_its_generator(image, policy):
+    """Successive batches from one generator, as pretraining draws them,
+    are different views; a fresh generator of the same seed repeats them."""
+    images = [image, 1.0 - image]
+    rng = np.random.default_rng(8)
+    first, second = make_views(images, policy, rng), make_views(images, policy, rng)
+    assert not np.array_equal(first, second)
+    again = np.random.default_rng(8)
+    np.testing.assert_array_equal(make_views(images, policy, again), first)
+    np.testing.assert_array_equal(make_views(images, policy, again), second)
+
+
+class ConstantTable:
+    """A generator stand-in whose draw table holds one value u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+def test_crop_offsets_span_the_image_and_stay_inside():
+    """A table value u puts a crop of `side` pixels at floor(u * (h - side
+    + 1)): u = 0 crops the top left corner and the largest u below 1 the
+    bottom right one, never past the edge."""
+    image = np.zeros((3, 32, 32))
+    image[:, :16, :16] = 1.0  # only the top left quadrant is lit
+    policy = AugmentPolicy(scale_range=(0.25, 0.25))  # 16 x 16 crops
+    with smooth_constants({"smooth_prob": 0.0}):
+        for u, want in ((0.0, 1.0), (np.nextafter(1.0, 0.0), 0.0)):
+            view = make_views([image], policy, ConstantTable(u))[0]
+            np.testing.assert_array_equal(view, np.full_like(image, want))
+        # u = 1/2 crops rows and columns 8 .. 23: a quarter of it is lit
+        view = make_views([image], policy, ConstantTable(0.5))[0]
+        assert view[:, :15, :15].min() == 1.0 and view[:, 17:, 17:].max() == 0.0
 
 
 def test_deterministic_batches(image):
@@ -118,44 +150,46 @@ def test_full_frame_crop_is_identity(image):
     np.testing.assert_allclose(out, image, atol=1e-12)
 
 
-def test_per_view_seeds_are_splittable_hashes(image):
+def test_the_first_views_of_a_seed_do_not_depend_on_n(image):
+    """Row i of the draw table depends only on i, so the views of a batch
+    of n are the first n of a batch of m > n, except views with a noise
+    patch, which is drawn after the table.  An AugMix view draws in turn,
+    and its policy draws no patch."""
     for policy, constants in RRC_POLICIES + (AUGMIX,):
         with smooth_constants(constants):
+            longest = expanded_views(image, 3 * RESAMPLE_BLOCK, policy, 42)
             # one view, then views that end in a part-filled resample block
             for n in (2, RESAMPLE_BLOCK + 2, 2 * RESAMPLE_BLOCK + 3):
-                views = expanded_views(image, n, policy, 42)
-                assert len(views) == n
-                for i in range(1, n):
-                    np.testing.assert_array_equal(
-                        views[i], make_view(image, policy, split_seed(42, i)))
-    assert len({split_seed(42, i) for i in range(8)}) == 8
+                table = np.random.default_rng(42).random((n - 1, 6))
+                views = expanded_views(image, n, policy, 42)[1:]
+                for view, want, row in zip(views, longest[1:], table):
+                    if row[5] >= policy.noise_patch_prob:
+                        np.testing.assert_array_equal(view, want)
 
 
-def reference_crop(rng, policy, h, w):
-    """(smoothed, side, y0, x0): a view's first draws, in their order."""
-    smoothed = rng.random() < policy.smooth_prob
-    scale = rng.uniform(*(policy.smooth_scale_range if smoothed else policy.scale_range))
-    side = max(1, int(round(np.sqrt(scale) * h)))
-    return smoothed, side, rng.integers(0, h - side + 1), rng.integers(0, w - side + 1)
+def reference_crop(row, policy, h, w):
+    """(smoothed, side, y0, x0) of a view from its row of the draw table."""
+    smoothed = row[0] < policy.smooth_prob
+    lo, hi = policy.smooth_scale_range if smoothed else policy.scale_range
+    side = max(1, int(round(np.sqrt(lo + (hi - lo) * row[1]) * h)))
+    return smoothed, side, int(row[2] * (h - side + 1)), int(row[3] * (w - side + 1))
 
 
-def reference_key(policy, seed, shape):
+def reference_key(policy, row, shape):
     """(smoothed, side, y0, x0, flip) of a view without a noise patch,
     None for a view with one."""
-    rng = np.random.default_rng(seed)
-    crop = reference_crop(rng, policy, *shape[1:])
-    if rng.random() < policy.noise_patch_prob:
+    if row[5] < policy.noise_patch_prob:
         return None
-    return (*crop, rng.random() < 0.5)
+    return (*reference_crop(row, policy, *shape[1:]), row[4] < 0.5)
 
 
-def reference_rrc_view(image, policy, seed):
-    """A random resized crop made one view at a time, written out: the
-    draws in their order, then crop, bilinear resize of rows and then
-    columns, box blur, noise patch, flip and clip."""
-    rng = np.random.default_rng(seed)
+def reference_rrc_view(image, policy, row, rng):
+    """A random resized crop made one view at a time, written out: its
+    draws from its row of the table, a noise patch from rng, then crop,
+    bilinear resize of rows and then columns, box blur, noise patch, flip
+    and clip."""
     c, h, w = image.shape
-    smoothed, side, y0, x0 = reference_crop(rng, policy, h, w)
+    smoothed, side, y0, x0 = reference_crop(row, policy, h, w)
     out = image[:, y0:y0 + side, x0:x0 + side]
     for axis, n in ((1, h), (2, w)):
         src = np.clip((np.arange(n) + 0.5) * side / n - 0.5, 0.0, side - 1)
@@ -165,28 +199,45 @@ def reference_rrc_view(image, policy, seed):
                + np.take(out, np.minimum(lo + 1, side - 1), axis=axis) * frac)
     if smoothed:
         out = uniform_filter(out, size=(1, 3, 3), mode="nearest")
-    if rng.random() < policy.noise_patch_prob:
+    if row[5] < policy.noise_patch_prob:
         bh = int(round(h * rng.uniform(0.3, 0.7)))
         bw = int(round(w * rng.uniform(0.3, 0.7)))
         py = rng.integers(0, h - bh + 1)
         px = rng.integers(0, w - bw + 1)
         sigma = rng.uniform(0.1, 0.3)
         out[:, py:py + bh, px:px + bw] += rng.normal(0.0, sigma, size=(c, bh, bw))
-    if rng.random() < 0.5:
+    if row[4] < 0.5:
         out = out[:, :, ::-1]
     return np.clip(out, *dat.PIXEL_RANGE)
 
 
+def reference_views(images, policy, seed):
+    """The views of images drawn from default_rng(seed): a random resized
+    crop reads its row of one (N, 6) table, then each view with a patch
+    draws it, in view order; an AugMix view draws in turn."""
+    rng = np.random.default_rng(seed)
+    if policy.kind == "augmix":
+        return [augmix_view(img, rng) for img in images]
+    table = rng.random((len(images), 6))
+    return [reference_rrc_view(img, policy, row, rng) for img, row in zip(images, table)]
+
+
 def test_rrc_views_equal_the_per_view_reference(image):
-    """The blocked resample computes every pixel as the one-view code does."""
+    """The blocked resample computes every pixel as the one-view code
+    does, in an episode and in a batch of different images; AugMix views
+    draw from the one generator in view order."""
     n = 3 * RESAMPLE_BLOCK + 2
-    for policy, constants in RRC_POLICIES:
+    images = [image, image[:, ::-1], 1.0 - image] * 3
+    for policy, constants in RRC_POLICIES + (AUGMIX,):
         with smooth_constants(constants):
             for seed in range(3):
                 views = expanded_views(image, n, policy, seed)
-                for i in range(1, n):
-                    np.testing.assert_array_equal(
-                        views[i], reference_rrc_view(image, policy, split_seed(seed, i)))
+                for got, want in zip(views[1:], reference_views([image] * (n - 1), policy, seed),
+                                     strict=True):
+                    np.testing.assert_array_equal(got, want)
+                views = make_views(images, policy, np.random.default_rng(seed))
+                for got, want in zip(views, reference_views(images, policy, seed), strict=True):
+                    np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=40, deadline=None,
@@ -194,92 +245,49 @@ def test_rrc_views_equal_the_per_view_reference(image):
 @given(case=st.sampled_from(RRC_POLICIES + (AUGMIX,)),
        n=st.integers(1, 70), seed=st.integers(0, 2 ** 64 - 1))
 def test_each_distinct_view_is_made_once(image, case, n, seed):
-    """The index expands the distinct views into the N views make_view
-    makes one by one, and a random resized crop is made once per draw
+    """The index expands the distinct views into the N views the one-view
+    reference makes, and a random resized crop is made once per draw
     key; a view with a noise patch and an AugMix view are their own."""
     policy, constants = case
     with smooth_constants(constants):
         views, index = generate_views(image, n, policy, seed)
-        seeds = [split_seed(seed, i) for i in range(1, n)]
-        want = [image] + [make_view(image, policy, s) for s in seeds]
+        want = [image] + reference_views([image] * (n - 1), policy, seed)
         assert len(index) == n
         for i, view in zip(index, want, strict=True):
             np.testing.assert_array_equal(views[i], view)
         if policy.kind == "augmix":
             assert len(views) == n
         else:
-            keys = [reference_key(policy, s, image.shape) for s in seeds]
+            table = np.random.default_rng(seed).random((n - 1, 6))
+            keys = [reference_key(policy, row, image.shape) for row in table]
             patched = keys.count(None)
             assert len(views) - 1 == len(set(keys) - {None}) + patched
 
 
-# 2**32 mod 3 * 2**30 is 2**30, so Lemire's method rejects a quarter of
-# the 32-bit words it draws for this range
-REJECTING_RANGE = 3 * 2 ** 30
+def test_split_seed_is_a_distinct_int_per_index():
+    seeds = [split_seed(42, i) for i in range(8)]
+    assert len(set(seeds)) == 8 and all(0 <= s < 2 ** 64 for s in seeds)
 
 
-def assert_streams_match_default_rng(seeds):
-    """Streams(seeds) draws what default_rng(s) draws for each seed s, and
-    a generator that continues a stream draws what the rest of it does,
-    with and without a 32-bit word waiting."""
-    streams = Streams(np.array(seeds, dtype=np.uint64))
-    rngs = [np.random.default_rng(s) for s in seeds]
-    crop_ranges = np.arange(len(seeds)) % 33 + 1
-
-    def check(got, draw):
-        np.testing.assert_array_equal(got, [draw(i, rng) for i, rng in enumerate(rngs)])
-
-    for _ in range(3):
-        check(streams.random(), lambda i, rng: rng.random())
-        check(streams.uniform(0.25, 0.25), lambda i, rng: rng.uniform(0.25, 0.25))
-        check(streams.uniform(0.3, 0.7), lambda i, rng: rng.uniform(0.3, 0.7))
-        check(streams.integers(1), lambda i, rng: rng.integers(0, 1))
-        check(streams.integers(crop_ranges), lambda i, rng: rng.integers(0, crop_ranges[i]))
-        for _ in range(5):
-            check(streams.integers(REJECTING_RANGE), lambda i, rng: rng.integers(0, REJECTING_RANGE))
-        for i, rng in enumerate(rngs):
-            rest, want = streams.generator(i), copy.deepcopy(rng)
-            assert rest.integers(0, 7) == want.integers(0, 7)
-            np.testing.assert_array_equal(rest.normal(0.0, 0.2, size=(3, 5, 5)),
-                                          want.normal(0.0, 0.2, size=(3, 5, 5)))
-            assert rest.random() == want.random()
-
-
-def test_streams_equal_default_rng_at_the_edges_of_the_seed_range():
-    assert_streams_match_default_rng([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
-
-
-@settings(max_examples=40, deadline=None)
-@given(seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=8))
-def test_streams_equal_default_rng(seeds):
-    assert_streams_match_default_rng(seeds)
-
-
-def test_split_seed_of_an_index_array_is_that_of_each_index():
-    for seed in (0, 42, 2 ** 64 - 1):
-        index = np.arange(70, dtype=np.uint64)
-        assert split_seed(seed, index).tolist() == [split_seed(seed, i) for i in range(70)]
-
-
-def test_crop_views_construct_no_generator(image, monkeypatch):
-    """The draws of all views come from one batch of streams; only a view
-    with a noise patch makes a generator, which continues its stream."""
+def test_views_construct_one_generator(image, monkeypatch):
+    """An episode's views, noise patches included, draw from the one
+    default_rng(seed) that generate_views builds."""
     made = []
     for name in ("default_rng", "PCG64"):
         def counted(*args, name=name, make=getattr(np.random, name)):
             made.append(name)
             return make(*args)
         monkeypatch.setattr(np.random, name, counted)
-    generate_views(image, 64, AugmentPolicy(), seed=3)
-    assert made == []
-    generate_views(image, 64, AugmentPolicy(noise_patch_prob=1.0), seed=3)
-    assert made == ["PCG64"] * 63
+    for policy in (AugmentPolicy(), AugmentPolicy(noise_patch_prob=1.0)):
+        made.clear()
+        generate_views(image, 64, policy, seed=3)
+        assert made == ["default_rng"]
 
 
 class TestAugmix:
     def test_pixel_range_fuzz(self, image):
         for seed in range(1000):
-            out = augmix_view(image, seed=seed)
+            out = augmix_view(image, np.random.default_rng(seed))
             assert out.min() >= 0.0 and out.max() <= 1.0
 
 
@@ -329,3 +337,6 @@ def test_make_view_dispatches(image):
     rrc = make_view(image, AugmentPolicy(), 3)
     mix = make_view(image, AugmentPolicy(kind="augmix"), 3)
     assert rrc.shape == mix.shape == image.shape
+    for policy in (AugmentPolicy(), AugmentPolicy(noise_patch_prob=1.0), AUGMIX[0]):
+        np.testing.assert_array_equal(make_view(image, policy, 3),
+                                      reference_views([image], policy, 3)[0])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tpt import autodiff as ad
 from tpt import data as dat
 from tpt import model as mdl
-from tpt.augment import AugmentPolicy, generate_views, make_view
+from tpt.augment import AugmentPolicy, generate_views, make_views
 from tpt.autodiff import Tape, Tensor
 
 
@@ -236,8 +236,8 @@ class TestPretrain:
                              seed=0)
         assert 0.5 * np.log(16) <= losses[0] <= 2.0 * np.log(16)
 
-    def test_batch_views_equal_make_view_per_drawn_seed(self, config, tiny_setup,
-                                                        monkeypatch):
+    def test_batch_views_are_drawn_from_the_training_generator(self, config, tiny_setup,
+                                                               monkeypatch):
         monkeypatch.setattr(AugmentPolicy, "smooth_prob", 0.5)
         policy = AugmentPolicy(scale_range=(0.5, 1.0), noise_patch_prob=0.5)
         seen = []
@@ -255,9 +255,8 @@ class TestPretrain:
         rng = np.random.default_rng(4)
         order = rng.permutation(len(pairs))
         for start, views in zip(range(0, len(pairs), 7), seen):
-            for i, view in zip(order[start:start + 7], views):
-                want = make_view(pairs[i][0], policy, int(rng.integers(2 ** 62)))
-                np.testing.assert_array_equal(view, want)
+            want = make_views([pairs[i][0] for i in order[start:start + 7]], policy, rng)
+            np.testing.assert_array_equal(views, want)
 
     @staticmethod
     def _record_targets(monkeypatch):
