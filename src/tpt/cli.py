@@ -6,8 +6,9 @@ ReasonConfig, model.PRETRAIN, ...).  `--config FILE` sets any flag of
 the subcommand from `key=value` lines, and a flag given on the command
 line wins.  eval, ablate and dump-dist regenerate the evaluation set
 from _DATA_SEED.  eval and ablate write CSV under a header that records
-every setting the command used (for eval, those its method reads);
-bongard and dump-dist write plain CSV.
+every setting the command used (for eval, those its method reads; for
+ablate, not the base flags its grids replace); bongard and dump-dist
+write plain CSV.
 """
 
 import argparse
@@ -105,11 +106,6 @@ def _build_dataset(args):
     return ds
 
 
-def _load_model(args):
-    """(config, weights); load_weights checks the file against the model shape."""
-    return mdl.ModelConfig(), mdl.load_weights(args.weights)
-
-
 def _tpt_config(args, seed):
     return TPTConfig(n_views=args.views, rho=args.rho, steps=args.steps,
                      lr=args.lr, seed=seed, policy=AugmentPolicy(kind=args.aug))
@@ -131,7 +127,7 @@ def cmd_pretrain(args):
 
 
 def cmd_eval(args):
-    mconfig, weights = _load_model(args)
+    mconfig, weights = mdl.ModelConfig(), mdl.load_weights(args.weights)
     ds = _build_dataset(args)
     classes = hz.class_set(ds)
     template = dat.template_ids()
@@ -168,7 +164,7 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
-    mconfig, weights = _load_model(args)
+    mconfig, weights = mdl.ModelConfig(), mdl.load_weights(args.weights)
     ds = _build_dataset(args)
     classes = hz.class_set(ds)
     grid = {field: values for field, values in (
@@ -179,14 +175,17 @@ def cmd_ablate(args):
     rows = hz.ablate(weights, mconfig, dat.template_ids(), classes, ds,
                      _tpt_config(args, args.seeds[0]), grid, seeds=args.seeds,
                      shift_label=args.shift)
-    hz.write_results(args.out, rows, _settings(args))
+    # and a grid's values replace its base flag, which no row then reads
+    replaced = [flag for field, flag in (("rho", "rho"), ("n_views", "views"),
+                                         ("steps", "steps")) if field in grid]
+    hz.write_results(args.out, rows, _settings(args, replaced))
     for row in rows:
         print(f"{row['method']}: {row['accuracy']:.4f} (seed {row['seed']})")
     return 0
 
 
 def cmd_bongard(args):
-    mconfig, weights = _load_model(args)
+    mconfig, weights = mdl.ModelConfig(), mdl.load_weights(args.weights)
     tasks = bg.generate_tasks(args.tasks, seed=args.seed)
     by_split = {s: [] for s in bg.SPLITS}
     for i, task in enumerate(tasks):
@@ -208,7 +207,7 @@ def cmd_bongard(args):
 
 
 def cmd_dump_dist(args):
-    mconfig, weights = _load_model(args)
+    mconfig, weights = mdl.ModelConfig(), mdl.load_weights(args.weights)
     ds = _build_dataset(args)
     classes = hz.class_set(ds)
     i = args.sample

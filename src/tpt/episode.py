@@ -3,9 +3,9 @@
 One episode: augment the test image into N views, predict each view,
 keep the lowest-entropy fraction rho, minimize the entropy of their
 averaged distribution by updating the prompt, then classify the
-original image with the tuned prompt.  The episode snapshots all tuned
-state (prompt rows, the parameter group's weights, optimizer moments)
-and restores it before returning, so it leaves nothing behind.
+original image with the tuned prompt.  The episode restores the state
+it tunes (prompt rows, the parameter group's weights) before returning
+and builds a fresh optimizer, so it leaves nothing behind.
 """
 
 import time
@@ -25,15 +25,6 @@ _IMAGE = ("image.", "image_pos", "image_proj", "patch_")
 # weight-name prefixes tuned besides the prompt
 PARAMETER_GROUPS = {"prompt": (), "text_encoder": _TEXT, "image_encoder": _IMAGE,
                     "all": _TEXT + _IMAGE}
-
-
-@dataclass
-class PredictionSet:
-    probs: Tensor  # N x K, tape-attached
-    entropies: np.ndarray  # N self-entropies
-    averaged: Tensor = None  # 1 x K, stays on the tape
-    threshold: float = None
-    selected: np.ndarray = None  # indices, == k lowest-entropy views
 
 
 @dataclass(frozen=True)
@@ -88,51 +79,31 @@ def view_features(weights, config, views, index):
 
 
 def predict_views(weights, config, prompt_state, classes, image_features):
-    """Per-view class probabilities from the current prompt; image_features
-    is an N x proj_dim Tensor."""
+    """N x K per-view class probabilities (a Tensor, on the tape) from the
+    current prompt; image_features is an N x proj_dim Tensor."""
     tfeats = text_features(weights, config, prompt_state, classes)
-    probs = mdl.class_probabilities(tfeats, image_features, config.logit_scale)
-    return PredictionSet(probs=probs, entropies=row_entropies(probs.data))
+    return mdl.class_probabilities(tfeats, image_features, config.logit_scale)
 
 
-def _confidence_order(entropies, rho):
-    """(threshold, k, order): the stable ascending entropy order and the
-    entropy of its k-th view, k = max(1, floor(rho * N))."""
-    entropies = np.asarray(entropies, dtype=np.float64)
+def select_and_average(probs, rho):
+    """(averaged, selected, threshold) of N x K view probabilities.
+
+    selected holds, ascending, the k = max(1, floor(rho * N)) lowest-
+    entropy views, ties to the lower index so exactly k; threshold is the
+    entropy of the k-th.  averaged is the mean of their rows, 1 x K on
+    the tape; its divisor k keeps it a distribution for every rho and N.
+    """
+    entropies = row_entropies(probs.data)
     k = max(1, int(np.floor(rho * len(entropies))))
     order = np.argsort(entropies, kind="stable")
-    return float(entropies[order[k - 1]]), k, order
-
-
-def confidence_threshold(entropies, rho):
-    """(threshold, k): nearest-rank rho-percentile of the self-entropies.
-
-    k = max(1, floor(rho * N)); ties at the threshold go to the lower
-    view index so exactly k views are selected.
-    """
-    threshold, k, _ = _confidence_order(entropies, rho)
-    return threshold, k
-
-
-def select_and_average(pred, rho):
-    """Confidence-mask the views and average the selected rows on-tape.
-
-    The divisor is the actual selected count k, which keeps the average
-    a proper distribution for every rho and N.
-    """
-    threshold, k, order = _confidence_order(pred.entropies, rho)
     selected = np.sort(order[:k])
-    pred.threshold = threshold
-    pred.selected = selected
-    pred.averaged = ad.mean_rows(ad.gather_rows(pred.probs, selected))
-    return pred
+    threshold = float(entropies[order[k - 1]])
+    return ad.mean_rows(ad.gather_rows(probs, selected)), selected, threshold
 
 
-def marginal_entropy_loss(pred):
-    """Differentiable entropy of the averaged prediction distribution."""
-    if pred.averaged is None:
-        raise ValueError("run select_and_average first")
-    return ad.scale(ad.sum_all(ad.mul(pred.averaged, ad.log(pred.averaged))), -1.0)
+def marginal_entropy_loss(averaged):
+    """Differentiable entropy of the 1 x K averaged distribution."""
+    return ad.scale(ad.sum_all(ad.mul(averaged, ad.log(averaged))), -1.0)
 
 
 def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
@@ -174,39 +145,39 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
 
         def predict():
             f = view_features(weights, config, views, index) if image_tuned else feats
-            return select_and_average(
-                predict_views(weights, config, prompt_state, classes, f), cfg.rho)
+            probs = predict_views(weights, config, prompt_state, classes, f)
+            return (probs, *select_and_average(probs, cfg.rho))
 
-        def record(when, pred):
-            trace[f"{when}_original"] = pred.probs.data[0].copy()
-            trace[f"{when}_averaged"] = pred.averaged.data[0].copy()
+        def record(when, probs, averaged):
+            trace[f"{when}_original"] = probs.data[0].copy()
+            trace[f"{when}_averaged"] = averaged.data[0].copy()
             if record_views:
-                trace[f"{when}_views"] = pred.probs.data.copy()
+                trace[f"{when}_views"] = probs.data.copy()
 
         mdl.set_trainable(tuned, True)
         opt = AdamW(params, lr=cfg.lr)
         for step in range(cfg.steps):
             with ad.Tape() as tape:
-                pred = predict()
-                loss = marginal_entropy_loss(pred)
+                probs, averaged, selected, threshold = predict()
+                loss = marginal_entropy_loss(averaged)
                 opt.zero_grad()
                 tape.backward(loss)
             if step == 0:
-                record("pre", pred)
-                trace["k"] = len(pred.selected)
-                trace["distinct_selected"] = len(np.unique(index[pred.selected]))
+                record("pre", probs, averaged)
+                trace["k"] = len(selected)
+                trace["distinct_selected"] = len(np.unique(index[selected]))
             trace["losses"].append(loss.item())
-            trace["thresholds"].append(pred.threshold)
-            trace["mask_indices"].append(pred.selected.tolist())
+            trace["thresholds"].append(threshold)
+            trace["mask_indices"].append(selected.tolist())
             opt.step()
         clock.append(time.perf_counter())
 
-        final = predict()  # inference with the tuned state, no tape
-        record("post", final)
+        probs, averaged, _, _ = predict()  # inference with the tuned state, no tape
+        record("post", probs, averaged)
         clock.append(time.perf_counter())
         trace["stage_ms"] = {stage: (end - start) * 1e3 for stage, start, end in zip(
             ("views", "encode", "tune", "predict"), clock, clock[1:])}
-        return int(np.argmax(final.probs.data[0])), final.averaged.data[0].copy(), trace
+        return int(np.argmax(probs.data[0])), averaged.data[0].copy(), trace
     finally:
         for p, snap in zip(params, snapshot):
             p.data[...] = snap

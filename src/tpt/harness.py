@@ -214,12 +214,11 @@ def gradcheck_report(seed):
     # prompt; the backward pass holds the selected set constant.  Fix the
     # selection at the base point so central differences probe the same
     # smooth branch the analytic gradient lives on.
-    selected = ep.select_and_average(view_predictions(), 0.5).selected
+    _, selected, _ = ep.select_and_average(view_predictions(), 0.5)
 
     def episode_loss(prompt):  # finite_diff_check perturbs it in place
-        pred = view_predictions()
-        pred.averaged = ad.mean_rows(ad.gather_rows(pred.probs, selected))
-        return ep.marginal_entropy_loss(pred)
+        return ep.marginal_entropy_loss(
+            ad.mean_rows(ad.gather_rows(view_predictions(), selected)))
 
     checks.append(("marginal_entropy_loss_vs_prompt",
                    ad.finite_diff_check(episode_loss, state.prompt)))

@@ -68,52 +68,49 @@ class TestEntropy:
         np.testing.assert_allclose(got, want, atol=1e-14)
 
 
-class TestConfidenceThreshold:
+class TestSelectAndAverage:
+    def select(self, probs, rho):
+        return ep.select_and_average(Tensor(np.asarray(probs, dtype=np.float64)), rho)
+
     def test_k_rule(self):
-        ents = np.linspace(0.1, 2.0, 64)
-        _, k = ep.confidence_threshold(ents, 0.1)
-        assert k == 6
-        assert ep.confidence_threshold(ents, 1.0)[1] == 64
-        assert ep.confidence_threshold(np.ones(3), 0.1)[1] == 1
+        rng = np.random.default_rng(0)
+        probs = np.stack([softmax(rng.normal(size=8)) for _ in range(64)])
+        assert len(self.select(probs, 0.1)[1]) == 6
+        assert len(self.select(probs, 1.0)[1]) == 64
+        assert len(self.select(np.full((3, 2), 0.5), 0.1)[1]) == 1
 
     def test_threshold_is_kth_smallest(self):
         rng = np.random.default_rng(1)
-        ents = rng.random(40)
-        thr, k = ep.confidence_threshold(ents, 0.25)
-        assert k == 10
-        assert thr == np.sort(ents)[k - 1]
+        probs = np.stack([softmax(rng.normal(size=5)) for _ in range(40)])
+        _, selected, threshold = self.select(probs, 0.25)
+        assert len(selected) == 10
+        assert threshold == np.sort(ep.row_entropies(probs))[9]
 
     def test_ties_keep_exactly_k(self):
-        ents = np.zeros(64)
-        thr, k = ep.confidence_threshold(ents, 0.1)
-        assert (thr, k) == (0.0, 6)
-
-
-class TestSelectAndAverage:
-    def make_pred(self, probs):
-        t = Tensor(np.asarray(probs, dtype=np.float64))
-        return ep.PredictionSet(probs=t, entropies=ep.row_entropies(t.data))
+        _, selected, threshold = self.select(np.full((64, 8), 1 / 8), 0.1)
+        np.testing.assert_array_equal(selected, np.arange(6))
+        assert threshold == ep.row_entropies(np.full((1, 8), 1 / 8))[0]
 
     def test_selects_k_lowest_entropy(self):
         rng = np.random.default_rng(2)
         probs = np.stack([softmax(3 * rng.normal(size=5)) for _ in range(20)])
-        pred = ep.select_and_average(self.make_pred(probs), 0.25)
-        want = np.sort(np.argsort(pred.entropies, kind="stable")[:5])
-        np.testing.assert_array_equal(pred.selected, want)
-        assert len(pred.selected) == 5
+        _, selected, _ = self.select(probs, 0.25)
+        want = np.sort(np.argsort(ep.row_entropies(probs), kind="stable")[:5])
+        np.testing.assert_array_equal(selected, want)
+        assert len(selected) == 5
 
     def test_average_uses_actual_k(self):
         probs = np.array([[0.9, 0.1], [0.5, 0.5], [0.8, 0.2]])
-        pred = ep.select_and_average(self.make_pred(probs), 0.67)
-        np.testing.assert_allclose(pred.averaged.data,
+        averaged, _, _ = self.select(probs, 0.67)
+        np.testing.assert_allclose(averaged.data,
                                    (probs[0] + probs[2])[None] / 2.0, atol=1e-15)
-        assert abs(pred.averaged.data.sum() - 1.0) <= 1e-12
+        assert abs(averaged.data.sum() - 1.0) <= 1e-12
 
     def test_rho_one_is_plain_mean(self):
         rng = np.random.default_rng(3)
         probs = np.stack([softmax(rng.normal(size=4)) for _ in range(16)])
-        pred = ep.select_and_average(self.make_pred(probs), 1.0)
-        np.testing.assert_allclose(pred.averaged.data[0], probs.mean(axis=0),
+        averaged, _, _ = self.select(probs, 1.0)
+        np.testing.assert_allclose(averaged.data[0], probs.mean(axis=0),
                                    atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -124,40 +121,34 @@ class TestSelectAndAverage:
         rng = np.random.default_rng(seed)
         table = np.stack([softmax(3 * rng.normal(size=5)) for _ in range(4)])
         probs = table[rows]
-        pred = ep.select_and_average(self.make_pred(probs), rho)
+        averaged, chosen, threshold = self.select(probs, rho)
         k = max(1, int(np.floor(rho * len(rows))))
-        chosen = pred.selected
         assert len(chosen) == len(set(chosen.tolist())) == k
         assert np.all(np.diff(chosen) > 0)
         others = np.setdiff1d(np.arange(len(rows)), chosen)
-        ents = pred.entropies
-        assert pred.threshold == ents[chosen].max()
+        ents = ep.row_entropies(probs)
+        assert threshold == ents[chosen].max()
         for j in others:
-            assert ents[j] >= pred.threshold
+            assert ents[j] >= threshold
             # a view that ties a selected one has a higher index
             assert not np.any((ents[chosen] == ents[j]) & (chosen > j))
-        np.testing.assert_array_equal(pred.averaged.data[0], probs[chosen].mean(axis=0))
+        np.testing.assert_array_equal(averaged.data[0], probs[chosen].mean(axis=0))
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
     def test_rho_one_averages_every_row(self, n, seed):
         rng = np.random.default_rng(seed)
         probs = np.stack([softmax(rng.normal(size=8)) for _ in range(n)])
-        pred = ep.select_and_average(self.make_pred(probs), 1.0)
-        np.testing.assert_array_equal(pred.selected, np.arange(n))
-        np.testing.assert_array_equal(pred.averaged.data[0], probs.mean(axis=0))
-
-    def test_loss_requires_selection(self):
-        probs = np.array([[0.9, 0.1]])
-        with pytest.raises(ValueError, match="select_and_average"):
-            ep.marginal_entropy_loss(self.make_pred(probs))
+        averaged, selected, _ = self.select(probs, 1.0)
+        np.testing.assert_array_equal(selected, np.arange(n))
+        np.testing.assert_array_equal(averaged.data[0], probs.mean(axis=0))
 
     def test_loss_equals_entropy_of_average(self):
         rng = np.random.default_rng(4)
         probs = np.stack([softmax(rng.normal(size=6)) for _ in range(10)])
-        pred = ep.select_and_average(self.make_pred(probs), 0.5)
-        loss = ep.marginal_entropy_loss(pred)
-        assert abs(loss.item() - ep.entropy(pred.averaged.data[0])) <= 1e-12
+        averaged, _, _ = self.select(probs, 0.5)
+        loss = ep.marginal_entropy_loss(averaged)
+        assert abs(loss.item() - ep.entropy(averaged.data[0])) <= 1e-12
 
 
 class TestTPTConfig:

@@ -405,6 +405,35 @@ class TestCli:
             assert rows[1:] == [[str(v), *(f"{p:.6f}" for p in row)]
                                 for v, row in enumerate(trace[f"{when}_views"])]
 
+    def test_ablate_writes_a_row_per_grid_point_and_seed(self, tmp_path,
+                                                        varied_weights, config):
+        """Each row is evaluate_tpt's accuracy for its config; the header
+        records the grids and leaves out the base flags they replace."""
+        wpath = tmp_path / "w.tptw"
+        mdl.save_weights(varied_weights, wpath)
+        out = tmp_path / "ablation.csv"
+        assert cli.main(["ablate", "--weights", str(wpath), "--samples", "6",
+                         "--views", "8", "--shift", "noise:0.3",
+                         "--grid-rho", "0.5,1.0", "--grid-steps", "1,2",
+                         "--seeds", "0,1", "--out", str(out)]) == 0
+        header, rows = read_results(out)
+        assert header["grid_rho"] == "[0.5, 1.0]"
+        assert header["grid_steps"] == "[1, 2]"
+        assert header["views"] == "8"
+        assert "rho" not in header and "steps" not in header
+        assert len(rows) == 8
+        ds = cli._build_dataset(argparse.Namespace(shift="noise:0.3", samples=6))
+        classes = hz.class_set(ds)
+        runs = [(rho, steps, seed) for rho in (0.5, 1.0) for steps in (1, 2)
+                for seed in (0, 1)]
+        assert [(r["method"], r["seed"]) for r in rows] == [
+            (f"tpt[rho={rho},steps={steps}]", str(seed)) for rho, steps, seed in runs]
+        for row, (rho, steps, seed) in zip(rows, runs):
+            cfg = TPTConfig(n_views=8, rho=rho, steps=steps, seed=seed)
+            acc, _, _ = hz.evaluate_tpt(varied_weights, config, TEMPLATE, classes,
+                                        ds, cfg)
+            assert float(row["accuracy"]) == acc
+
     def test_dump_dist_rejects_sample_out_of_range(self, tmp_path, weights):
         wpath = tmp_path / "w.tptw"
         mdl.save_weights(weights, wpath)
