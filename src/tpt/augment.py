@@ -275,10 +275,9 @@ def generate_views(image, n, policy, seed):
     image = np.asarray(image, dtype=np.float64)
     rng = np.random.default_rng(seed)
     if policy.kind == "augmix":
-        views = np.empty((n,) + image.shape)
-        views[0] = image
-        for view in views[1:]:
-            view[...] = augmix_view(image, rng)
+        views = image[None].copy()
+        if n > 1:
+            views = np.concatenate([views, make_views([image] * (n - 1), policy, rng)])
         return views, np.arange(n)
     h, w = image.shape[1:]
     draws, patches = _draw_views(policy, rng, n - 1, image.shape)

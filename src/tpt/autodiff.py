@@ -39,10 +39,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros(self.data.shape) if requires_grad else None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def zero_grad(self):
         if self.grad is not None:
             self.grad[...] = 0.0
@@ -51,7 +47,7 @@ class Tensor:
         return self.data.item()
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 class Tape:

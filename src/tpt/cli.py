@@ -98,8 +98,7 @@ def _settings(args, unread=()):
 
 def _build_dataset(args):
     ds = dat.generate(dat.DatasetSpec(), seed=_DATA_SEED)
-    if args.shift != "none":
-        ds = dat.apply_shift(ds, dat.ShiftSpec.parse(args.shift), seed=_DATA_SEED + 1)
+    ds = dat.apply_shift(ds, dat.ShiftSpec.parse(args.shift), seed=_DATA_SEED + 1)
     if args.samples is not None:
         rng = np.random.default_rng(_DATA_SEED + 2)
         ds = ds.subset(np.sort(rng.permutation(len(ds))[:args.samples]))

@@ -1,12 +1,10 @@
 """Synthetic labeled images with controllable distribution shifts.
 
 Eight procedural pattern classes at 3x32x32 in [0, 1], a tiny fixed
-vocabulary for captions, caption pairing for contrastive pretraining,
-and a binary image file format.  No dataset is stored: each is
-regenerated from its seed.
+vocabulary for captions and caption pairing for contrastive pretraining.
+No dataset is stored: each is regenerated from its seed.
 """
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,53 +224,3 @@ def caption_pairs(dataset):
         ids = tokenize(template) + dataset.class_token_ids[dataset.labels[i]]
         pairs.append((dataset.images[i], ids))
     return pairs
-
-
-# ---------------------------------------------------------------------------
-# persistence: image files are magic "TPTIMG1", u32 C,H,W, raw float64 LE.
-
-_IMG_MAGIC = b"TPTIMG1"
-
-
-def save_image(image, path):
-    image = np.asarray(image, dtype=np.float64)
-    with open(path, "wb") as f:
-        f.write(_IMG_MAGIC)
-        f.write(struct.pack("<III", *image.shape))
-        f.write(image.astype("<f8").tobytes())
-
-
-class FileFields:
-    """A file read into memory once, for fields to be taken from it in
-    order.  Errors name the file."""
-
-    def __init__(self, path, magic, kind):
-        with open(path, "rb") as f:
-            self.data = memoryview(f.read())
-        if self.data[:len(magic)] != magic:
-            raise ValueError(f"{path}: bad magic, not {kind}")
-        self.path, self.pos = path, len(magic)
-
-    def take(self, n, what):
-        """The next n bytes.  A length past the end of the file is an error
-        that names `what` was being read."""
-        if n > len(self.data) - self.pos:
-            raise ValueError(f"{self.path}: file truncated in {what}")
-        self.pos += n
-        return self.data[self.pos - n:self.pos]
-
-    def end(self, what):
-        """Check that nothing follows the last field, `what`."""
-        if rest := len(self.data) - self.pos:
-            raise ValueError(f"{self.path}: {rest} bytes after {what}")
-
-
-def load_image(path):
-    """Read an image file; errors name the file and the field."""
-    f = FileFields(path, _IMG_MAGIC, "an image file")
-    c, h, w = struct.unpack("<III", f.take(12, "the shape"))
-    data = np.frombuffer(f.take(8 * c * h * w, "the pixels"), dtype="<f8")
-    f.end("the pixels")
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: the pixels have a non-finite value")
-    return data.reshape(c, h, w).copy()

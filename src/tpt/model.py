@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .augment import make_views
 from .autodiff import Tensor
-from .data import IMAGE_SIZE, FileFields
+from .data import IMAGE_SIZE
 from .optim import AdamW
 
 
@@ -275,8 +275,9 @@ def rescale_text_embeddings(weights, factor):
 # The pretraining recipe.  `tpt pretrain` and the acceptance suite's
 # cached model are trained with exactly these settings, on the images of
 # DatasetSpec() drawn with TRAIN_DATA_SEED.  The benchmark checkpoint
-# used the same settings but predates the multi-positive targets and the
-# fused log-softmax, so it is an older model than this code trains.
+# used the same settings but predates the multi-positive targets, the
+# fused log-softmax and one-generator views, so it is an older model than
+# this code trains.
 PRETRAIN = dict(epochs=80, lr=0.001, batch=16, seed=0, weight_decay=0.1,
                 embed_rescale=0.1)
 PRETRAIN_POLICY = dict(scale_range=(0.8, 1.0), noise_patch_prob=0.3)
@@ -309,7 +310,9 @@ def pretrain_contrastive(weights, config, pairs, *, epochs, lr, batch, seed,
     relies on.  After training, text embeddings are rescaled by
     `embed_rescale` (see rescale_text_embeddings) to set the test-time
     step sensitivity.  The recipe is PRETRAIN with the policy
-    PRETRAIN_POLICY.
+    PRETRAIN_POLICY.  An epoch takes one AdamW step per batch of
+    `batch` pairs, except that a last batch of a single pair is skipped,
+    as it has no negative: 17 pairs at batch 16 take one step, 18 take two.
     Trains all weights in place; returns (weights, per-epoch mean losses).
     """
     if batch < 2:
@@ -369,6 +372,31 @@ def retrieval_top1(weights, config, pairs):
 # u16 name length, UTF-8 name, u8 rank, u32 dims, raw float64 LE.
 
 _MAGIC = b"TPTW1"
+
+
+class FileFields:
+    """A file read into memory once, for fields to be taken from it in
+    order.  Errors name the file."""
+
+    def __init__(self, path, magic, kind):
+        with open(path, "rb") as f:
+            self.data = memoryview(f.read())
+        if self.data[:len(magic)] != magic:
+            raise ValueError(f"{path}: bad magic, not {kind}")
+        self.path, self.pos = path, len(magic)
+
+    def take(self, n, what):
+        """The next n bytes.  A length past the end of the file is an error
+        that names `what` was being read."""
+        if n > len(self.data) - self.pos:
+            raise ValueError(f"{self.path}: file truncated in {what}")
+        self.pos += n
+        return self.data[self.pos - n:self.pos]
+
+    def end(self, what):
+        """Check that nothing follows the last field, `what`."""
+        if rest := len(self.data) - self.pos:
+            raise ValueError(f"{self.path}: {rest} bytes after {what}")
 
 
 def save_weights(weights, path):

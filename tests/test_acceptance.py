@@ -249,7 +249,3 @@ def test_c12_persistence_roundtrips(pretrained, tmp_path):
     assert set(back) == set(pretrained)
     for name, t in pretrained.items():
         np.testing.assert_array_equal(back[name].data, t.data)
-    img = np.random.default_rng(0).random((3, 32, 32))
-    ipath = tmp_path / "img.tptimg"
-    dat.save_image(img, ipath)
-    np.testing.assert_array_equal(dat.load_image(ipath), img)

@@ -84,6 +84,12 @@ def test_make_views_rejects_no_images(image):
         make_views([], AugmentPolicy(), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("policy", [AugmentPolicy(), AUGMIX[0]])
+def test_generate_views_rejects_no_views(image, policy):
+    with pytest.raises(ValueError, match="need at least one view"):
+        generate_views(image, 0, policy, seed=0)
+
+
 @pytest.mark.parametrize("policy", [AugmentPolicy(noise_patch_prob=0.5), AUGMIX[0]])
 def test_make_views_advances_its_generator(image, policy):
     """Successive batches from one generator, as pretraining draws them,

@@ -76,6 +76,12 @@ class TestLayerNorm:
         out = ad.layer_norm(x, Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2))))
         np.testing.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-7)
 
+    @pytest.mark.parametrize("gain,bias", [(3, 4), (4, 3), (1, 1)])
+    def test_affine_must_match_the_last_dimension(self, gain, bias):
+        x = Tensor(np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="gain/bias must match the last dimension"):
+            ad.layer_norm(x, Tensor(np.ones((1, gain))), Tensor(np.zeros((1, bias))))
+
     def test_gradcheck(self):
         x = rand((2, 8), seed=4)
         gain = rand((1, 8), seed=5, grad=False)
@@ -135,6 +141,15 @@ class TestBackward:
             out = ad.mul(p, p)
             with pytest.raises(ValueError, match="scalar"):
                 tape.backward(out)
+
+    def test_loss_from_another_tape_rejected(self):
+        p = rand((2, 2), seed=11)
+        with Tape():
+            loss = ad.sum_all(p)
+        with Tape() as tape:
+            ad.sum_all(p)
+            with pytest.raises(ValueError, match="loss was not produced on this tape"):
+                tape.backward(loss)
 
     def test_repeated_backward_accumulates_on_leaves(self):
         p = rand((2, 2), seed=12)

@@ -13,6 +13,7 @@ from tpt import data as dat
 from tpt import model as mdl
 from tpt.augment import AugmentPolicy, generate_views, make_views
 from tpt.autodiff import Tape, Tensor
+from tpt.optim import AdamW
 
 
 @pytest.fixture(scope="module")
@@ -213,8 +214,33 @@ def tiny_setup():
 class TestPretrain:
     def test_batch_of_one_rejected(self, config, tiny_setup):
         w = mdl.init_weights(config, seed=1)
-        with pytest.raises(ValueError, match="at least 2"):
+        with pytest.raises(ValueError, match="contrastive batches need at least 2 pairs"):
             pretrain(w, config, tiny_setup, epochs=1, batch=1)
+        with pytest.raises(ValueError, match=r"need at least 2 \(image, caption\) pairs"):
+            pretrain(w, config, tiny_setup[:1], epochs=1)
+
+    @pytest.mark.parametrize("n,steps", [(16, 1), (17, 1), (18, 2)])
+    def test_last_batch_of_one_pair_is_skipped(self, config, tiny_setup, monkeypatch, n,
+                                                steps):
+        """An epoch steps once per batch of at least 2 pairs: a last batch
+        of one pair has no negative and is skipped."""
+        taken = []
+        step = AdamW.step
+
+        def counted(opt):
+            taken.append(opt.t)
+            step(opt)
+
+        monkeypatch.setattr(AdamW, "step", counted)
+        _, losses = pretrain(mdl.init_weights(config, seed=1), config, tiny_setup[:n],
+                             epochs=1, batch=16)
+        assert len(taken) == steps and len(losses) == 1
+
+    @pytest.mark.parametrize("factor", [0.0, -0.5])
+    def test_rescale_factor_must_be_positive(self, config, factor):
+        w = mdl.init_weights(config, seed=1)
+        with pytest.raises(ValueError, match="factor must be positive"):
+            mdl.rescale_text_embeddings(w, factor)
 
     def test_failure_leaves_weights_frozen_and_unrescaled(self, config, tiny_setup):
         pairs = list(tiny_setup[:8])

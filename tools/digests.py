@@ -126,9 +126,12 @@ def _library_digests(weights, config):
 
 def _cli_digests():
     """The files the CLI writes, run in a scratch directory with relative
-    paths so that no results header holds a path that differs by run."""
+    paths so that no results header holds a path that differs by run.
+    none.csv is `eval` under the default --shift none."""
     runs = [["eval", "--weights", "w.tptw", "--method", "tpt", "--shift", SHIFT,
              "--samples", "8", "--out", "eval.csv"],
+            ["eval", "--weights", "w.tptw", "--method", "tpt",
+             "--samples", "8", "--out", "none.csv"],
             ["dump-dist", "--weights", "w.tptw", "--shift", SHIFT,
              "--samples", "8", "--sample", "3", "--out", "dist"],
             ["bongard", "--weights", "w.tptw", "--tasks", "4", "--out", "bongard.csv"]]
