@@ -125,6 +125,20 @@ def _accumulate(t, g):
         t.grad += item
 
 
+def _accumulate_product(t, a, b):
+    """_accumulate(t, a @ b) without the stacked product where a 2-D t
+    meets a batch (a weight shared by views, captions or patches): each
+    item's 2-D product is added in reverse item order, as _accumulate
+    adds the items of the stack, and each rounds as that item of the
+    stack does."""
+    if t.data.ndim != 2 or a.ndim == 2 or a.shape[:-2] != b.shape[:-2]:
+        _accumulate(t, np.matmul(a, b))
+        return
+    for a_i, b_i in zip(a.reshape((-1,) + a.shape[-2:])[::-1],
+                        b.reshape((-1,) + b.shape[-2:])[::-1]):
+        t.grad += np.matmul(a_i, b_i)
+
+
 # ---------------------------------------------------------------------------
 # ops
 
@@ -137,9 +151,9 @@ def matmul(a, b):
 
     def bw():
         if a.requires_grad:
-            _accumulate(a, np.matmul(out.grad, b.data.swapaxes(-1, -2)))
+            _accumulate_product(a, out.grad, b.data.swapaxes(-1, -2))
         if b.requires_grad:
-            _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), out.grad))
+            _accumulate_product(b, a.data.swapaxes(-1, -2), out.grad)
 
     return _record(out, (a, b), bw)
 
@@ -418,7 +432,7 @@ def _affine_grads(x, w, b, g):
     if b.requires_grad:
         _accumulate(b, g)
     if w.requires_grad:
-        _accumulate(w, np.matmul(x.swapaxes(-1, -2), g))
+        _accumulate_product(w, x.swapaxes(-1, -2), g)
     return np.matmul(g, w.data.swapaxes(-1, -2))
 
 

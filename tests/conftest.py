@@ -1,7 +1,7 @@
 """Shared fixtures.
 
 A single contrastively pretrained model backs the acceptance suite.
-Training it takes a few minutes on one core, so the weights are cached
+Training it takes about 18 s on one core, so the weights are cached
 on disk next to the tests and reused across pytest runs.  The cached
 file is named by a digest of what trains it: the recipe below and the
 source of every module that training runs through.  A change to either

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from scipy.special import erf
 
 from tpt import autodiff as ad
 from tpt.autodiff import Tape, Tensor
-from tpt.model import causal_mask
+from tpt.model import ENCODE_BLOCK, ModelConfig, causal_mask, encode_images, init_weights
 
 
 def rand(shape, seed=0, grad=True):
@@ -372,16 +374,87 @@ class TestBatchedOps:
             np.testing.assert_array_equal(batched[i], chain(Tensor(x[i])).data)
 
     def test_shared_weight_gradient_sums_items_in_reverse(self):
+        """11 items, past numpy's 8-way pairwise unroll, added onto a
+        gradient that is not zero, as the second encode block finds it."""
         rng = np.random.default_rng(17)
-        items = rng.normal(size=(5, 2, 4))
-        r = Tensor(rng.normal(size=(5, 2, 3)))
+        items = rng.normal(size=(11, 2, 4))
+        r = Tensor(rng.normal(size=(11, 2, 3)))
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        start = rng.normal(size=(4, 3))
+        w.grad[...] = start
         with Tape() as tape:
             tape.backward(ad.sum_all(ad.mul(ad.matmul(Tensor(items), w), r)))
-        expected = np.zeros((4, 3))
-        for i in reversed(range(5)):
+        expected = start.copy()
+        for i in reversed(range(11)):
             expected += items[i].T @ (r.data[i])
         np.testing.assert_array_equal(w.grad, expected)
+
+    @pytest.mark.parametrize("sublayer", ["attention", "mlp"])
+    def test_sublayer_weight_gradients_sum_items_in_reverse(self, sublayer):
+        """A batched sublayer gives each weight and bias, from a non-zero
+        start, the gradient that a tape of one-item sublayers gives: that
+        tape replays the items in reverse."""
+        rng = np.random.default_rng(21)
+        n, t, d = 11, 5, 32
+        if sublayer == "attention":
+            shapes = [(d, d), (1, d)] * 4
+
+            def op(x, *ws):
+                return ad.attention(x, *ws, 2, causal_mask(t))
+        else:
+            shapes, op = [(d, 4 * d), (1, 4 * d), (4 * d, d), (1, d)], ad.mlp
+        x, r = rng.normal(size=(n, t, d)), rng.normal(size=(n, t, d))
+        values = [rng.normal(0.0, 0.3, size=s) for s in shapes]
+        starts = [rng.normal(size=s) for s in shapes]
+
+        def weight_grads(batched):
+            ws = [Tensor(v, requires_grad=True) for v in values]
+            for w, start in zip(ws, starts):
+                w.grad[...] = start
+            with Tape() as tape:
+                if batched:
+                    loss = ad.sum_all(ad.mul(op(Tensor(x), *ws), Tensor(r)))
+                else:
+                    loss = functools.reduce(ad.add, [
+                        ad.sum_all(ad.mul(op(Tensor(x[i]), *ws), Tensor(r[i])))
+                        for i in range(n)])
+                tape.backward(loss)
+            return [w.grad for w in ws]
+
+        for i, (got, want) in enumerate(zip(weight_grads(True), weight_grads(False))):
+            assert np.array_equal(got, want), f"weight {i}"
+
+    def test_image_weight_gradients_across_encode_blocks(self):
+        """patch_proj and every other image weight, from a non-zero start,
+        get through two encode blocks the gradient of one encode per
+        image on one tape."""
+        config = ModelConfig()
+        rng = np.random.default_rng(22)
+        n = ENCODE_BLOCK + 3
+        images = rng.random((n,) + config.image_shape)
+        r = rng.normal(size=(n, config.proj_dim))
+        values = init_weights(config, seed=3)
+        starts = {k: rng.normal(size=v.data.shape) for k, v in values.items()}
+
+        def weight_grads(batched):
+            weights = {k: Tensor(v.data, requires_grad=True) for k, v in values.items()}
+            for k, w in weights.items():
+                w.grad[...] = starts[k]
+            with Tape() as tape:
+                if batched:
+                    loss = ad.sum_all(ad.mul(encode_images(weights, config, images),
+                                             Tensor(r)))
+                else:
+                    loss = functools.reduce(ad.add, [
+                        ad.sum_all(ad.mul(encode_images(weights, config, images[i:i + 1]),
+                                          Tensor(r[i:i + 1]))) for i in range(n)])
+                tape.backward(loss)
+            return {k: w.grad for k, w in weights.items()}
+
+        got, want = weight_grads(True), weight_grads(False)
+        assert not np.array_equal(got["patch_proj"], starts["patch_proj"])
+        for name in got:
+            assert np.array_equal(got[name], want[name]), name
 
     def test_mismatched_batch_broadcast_rejected(self):
         a = rand((2, 3, 4), seed=18)
