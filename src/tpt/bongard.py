@@ -54,16 +54,16 @@ def generate_tasks(n_tasks, seed):
     spec = dat.DatasetSpec
     rng = np.random.default_rng(seed)
     names = spec.class_names
+    prototypes = 0.5 + spec.contrast * dat.class_patterns(names)
+
+    def noisy(proto):
+        img = proto + rng.normal(0.0, spec.noise_sigma, size=proto.shape)
+        return np.clip(img, *dat.PIXEL_RANGE, out=img)
+
     tasks = []
     for t in range(n_tasks):
         pos_k, neg_k = rng.choice(len(names), size=2, replace=False)
-        proto_pos = dat.class_prototype(names[pos_k], spec.contrast)
-        proto_neg = dat.class_prototype(names[neg_k], spec.contrast)
-
-        def noisy(proto):
-            img = proto + rng.normal(0.0, spec.noise_sigma, size=proto.shape)
-            return np.clip(img, *dat.PIXEL_RANGE)
-
+        proto_pos, proto_neg = prototypes[pos_k], prototypes[neg_k]
         positives = [noisy(proto_pos) for _ in range(SUPPORT_PER_SIDE)]
         negatives = [noisy(proto_neg) for _ in range(SUPPORT_PER_SIDE)]
         query_label = t % 2  # balanced across tasks

@@ -104,6 +104,7 @@ class ShiftSpec:
 class Dataset:
     images: np.ndarray  # (n, C, H, W)
     labels: np.ndarray  # (n,)
+    contrasts: np.ndarray  # (n,) float64, each sample's drawn prototype contrast
     class_names: tuple
     class_token_ids: list  # per class, token id list for the class name
     ids: np.ndarray = field(default=None)  # stable per-sample identity
@@ -117,8 +118,8 @@ class Dataset:
 
     def subset(self, indices):
         idx = np.asarray(indices)
-        return Dataset(self.images[idx], self.labels[idx], self.class_names,
-                       self.class_token_ids, self.ids[idx])
+        return Dataset(self.images[idx], self.labels[idx], self.contrasts[idx],
+                       self.class_names, self.class_token_ids, self.ids[idx])
 
 
 def _pattern_mask(name):
@@ -148,39 +149,53 @@ def _pattern_mask(name):
     raise ValueError(f"no prototype for class {name!r}")
 
 
+def class_patterns(names):
+    """(len(names), 3, IMAGE_SIZE, IMAGE_SIZE) full-contrast class patterns
+    less mid-gray: each class color on its mask, the background elsewhere.
+    A class's prototype at contrast c is 0.5 + c * its pattern."""
+    patterns = np.empty((len(names), 3, IMAGE_SIZE, IMAGE_SIZE))
+    for pattern, name in zip(patterns, names):
+        mask = _pattern_mask(name)[None, :, :]
+        color = np.array(_CLASS_COLORS[name]).reshape(3, 1, 1)
+        background = 0.1
+        np.subtract(mask * color + (1.0 - mask) * background, 0.5, out=pattern)
+    return patterns
+
+
 def class_prototype(name, contrast):
     """Noise-free (3, IMAGE_SIZE, IMAGE_SIZE) prototype image for a class.
 
     Full-contrast pattern lerped toward mid-gray so the class signal
     amplitude is tunable against additive pixel noise."""
-    mask = _pattern_mask(name)
-    color = np.array(_CLASS_COLORS[name]).reshape(3, 1, 1)
-    background = 0.1
-    full = mask[None, :, :] * color + (1.0 - mask[None, :, :]) * background
-    return 0.5 + contrast * (full - 0.5)
+    return 0.5 + contrast * class_patterns((name,))[0]
 
 
 def generate(spec, seed):
     """Labeled dataset: per-class prototype plus Gaussian pixel noise.
 
     Each sample draws its own contrast from U(contrast_min, contrast), so
-    the difficulty spectrum runs from comfortable to genuinely borderline."""
+    the difficulty spectrum runs from comfortable to genuinely borderline;
+    the draw is kept in `contrasts`.  Samples are built in the array
+    returned, and each class pattern is made once."""
     rng = np.random.default_rng(seed)
-    images, labels = [], []
-    for k, name in enumerate(spec.class_names):
-        for _ in range(spec.samples_per_class):
-            c = rng.uniform(spec.contrast_min, spec.contrast)
-            proto = class_prototype(name, c)
-            img = proto + rng.normal(0.0, spec.noise_sigma, size=proto.shape)
-            images.append(np.clip(img, *PIXEL_RANGE))
-            labels.append(k)
-    token_ids = [tokenize((n,)) for n in spec.class_names]
-    return Dataset(np.array(images), np.array(labels), tuple(spec.class_names),
-                   token_ids)
+    n = spec.samples_per_class
+    patterns = class_patterns(spec.class_names)
+    images = np.empty((len(patterns) * n, 3, IMAGE_SIZE, IMAGE_SIZE))
+    contrasts = np.empty(len(images))
+    for i, img in enumerate(images):
+        contrasts[i] = rng.uniform(spec.contrast_min, spec.contrast)
+        np.multiply(contrasts[i], patterns[i // n], out=img)
+        img += 0.5
+        img += rng.normal(0.0, spec.noise_sigma, size=img.shape)
+    np.clip(images, *PIXEL_RANGE, out=images)
+    token_ids = [tokenize((name,)) for name in spec.class_names]
+    return Dataset(images, np.repeat(np.arange(len(patterns)), n), contrasts,
+                   tuple(spec.class_names), token_ids)
 
 
 def apply_shift(dataset, shift, seed):
-    """Label-preserving pixel transform; deterministic under seed."""
+    """Label-preserving pixel transform; deterministic under seed.  Makes
+    one new image array and clips it in place."""
     lo, hi = PIXEL_RANGE
     imgs = dataset.images
     if shift.kind == "none":
@@ -210,10 +225,11 @@ def apply_shift(dataset, shift, seed):
         size = 2 * int(shift.param) + 1
         out = uniform_filter(imgs, size=(1, 1, size, size), mode="nearest")
     else:  # style: a fixed channel remap, R/B swapped under a mild gamma curve
-        out = imgs[:, [2, 1, 0]] ** 1.5
-    out = np.clip(out, lo, hi)
-    return Dataset(out, dataset.labels.copy(), dataset.class_names,
-                   dataset.class_token_ids, dataset.ids.copy())
+        out = imgs[:, [2, 1, 0]]
+        out **= 1.5
+    np.clip(out, lo, hi, out=out)
+    return Dataset(out, dataset.labels.copy(), dataset.contrasts.copy(),
+                   dataset.class_names, dataset.class_token_ids, dataset.ids.copy())
 
 
 def caption_pairs(dataset):

@@ -51,6 +51,39 @@ class TestGenerateTasks:
             bg.BongardSample([], [img], img, 0, {})
 
 
+def _ref_generate_tasks(n_tasks, seed):
+    """generate_tasks written out with two prototypes made per task and a
+    new array for each step, as the reference it equals to the bit."""
+    spec = dat.DatasetSpec
+    rng = np.random.default_rng(seed)
+    names = spec.class_names
+    tasks = []
+    for t in range(n_tasks):
+        pos_k, neg_k = rng.choice(len(names), size=2, replace=False)
+        proto_pos = dat.class_prototype(names[pos_k], spec.contrast)
+        proto_neg = dat.class_prototype(names[neg_k], spec.contrast)
+
+        def noisy(proto):
+            img = proto + rng.normal(0.0, spec.noise_sigma, size=proto.shape)
+            return np.clip(img, *dat.PIXEL_RANGE)
+
+        positives = [noisy(proto_pos) for _ in range(bg.SUPPORT_PER_SIDE)]
+        negatives = [noisy(proto_neg) for _ in range(bg.SUPPORT_PER_SIDE)]
+        query = noisy(proto_pos if t % 2 == 1 else proto_neg)
+        tasks.append((positives, negatives, query, names[pos_k], names[neg_k]))
+    return tasks
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_generate_tasks_matches_reference(seed):
+    for task, (positives, negatives, query, present, absent) in zip(
+            bg.generate_tasks(8, seed), _ref_generate_tasks(8, seed), strict=True):
+        np.testing.assert_array_equal(task.positives, positives)
+        np.testing.assert_array_equal(task.negatives, negatives)
+        np.testing.assert_array_equal(task.query, query)
+        assert (task.concept["present"], task.concept["absent"]) == (present, absent)
+
+
 def test_reason_config_validation():
     with pytest.raises(ValueError, match="steps=-1"):
         bg.ReasonConfig(steps=-1)

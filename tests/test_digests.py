@@ -22,6 +22,7 @@ def test_digests_write_and_compare(tmp_path, capsys):
     digests = json.loads(out.read_text())
     assert "tpt_classify/record_views" in digests and "cli/eval.csv" in digests
     assert "cli/none.csv" in digests  # the unshifted dataset path
+    assert {"generate", "apply_shift/style", "generate_tasks"} <= digests.keys()
     assert all(len(v) == 64 for v in digests.values())
     assert tool.main(["--compare", str(out), str(out)]) == 0
 

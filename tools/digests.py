@@ -8,11 +8,12 @@ bit-identical.
 --out runs fixed inputs through the public entry points and writes
 {name: sha256 hex} as JSON.  The inputs are the benchmark checkpoint
 (read, never written) and every 32nd sample of data seed 1 under
-noise:0.3.  The tool calls only long-standing entry points (harness,
-tpt_classify, bongard, pretraining, the CLI), so it runs against the
-`src/` of an older tree as well.  --compare names each digest that
-differs between two files, or that one of them lacks, and exits 1 if
-any does.  No test pins a digest: they change whenever an output is
+noise:0.3; data seed 1 itself is digested clean and under every shift
+kind.  The tool calls only long-standing entry points (data generation,
+harness, tpt_classify, bongard, pretraining, the CLI), so it runs
+against the `src/` of an older tree as well.  --compare names each
+digest that differs between two files, or that one of them lacks, and
+exits 1 if any does.  No test pins a digest: they change whenever an output is
 meant to change, and then the comparison lists which outputs did.
 """
 
@@ -41,6 +42,8 @@ from tpt.prompt import init_from_template
 CHECKPOINT = (pathlib.Path(__file__).resolve().parents[1]
               / "perfbench" / "checkpoint" / "pretrained.tptw")
 SHIFT = "noise:0.3"
+SHIFTS = ("none", "noise:0", "noise:0.3", "invert", "channel_drop:0", "channel_drop:1",
+          "channel_drop:2", "blur:0", "blur:2", "style")
 
 
 def _feed(h, obj):
@@ -71,14 +74,27 @@ def digest(obj):
     return h.hexdigest()
 
 
+def _data_digests(clean):
+    """generate's dataset, the same under every shift kind, and Bongard
+    task images; a dataset's contrasts are left out, as older trees have
+    none."""
+    out = {"generate": digest([clean.images, clean.labels, clean.ids])}
+    for text in SHIFTS:
+        shifted = dat.apply_shift(clean, dat.ShiftSpec.parse(text), seed=2)
+        out[f"apply_shift/{text}"] = digest([shifted.images, shifted.labels, shifted.ids])
+    out["generate_tasks"] = digest([(t.positives, t.negatives, t.query, t.query_label,
+                                     t.concept) for t in bg.generate_tasks(16, seed=0)])
+    return out
+
+
 def _library_digests(weights, config):
-    full = dat.apply_shift(dat.generate(dat.DatasetSpec(), seed=1),
-                           dat.ShiftSpec.parse(SHIFT), seed=2)
+    clean = dat.generate(dat.DatasetSpec(), seed=1)
+    full = dat.apply_shift(clean, dat.ShiftSpec.parse(SHIFT), seed=2)
     ds = full.subset(np.arange(0, len(full), 32))
     classes = hz.class_set(ds)
     template = dat.template_ids()
     tcfg = ep.TPTConfig()
-    out = {}
+    out = _data_digests(clean)
     for group in ep.PARAMETER_GROUPS:
         for kind in ("rrc", "augmix"):
             cfg = ep.TPTConfig(steps=2, parameter_group=group,
