@@ -54,11 +54,11 @@ class Tape:
     """Ordered record of differentiable ops; a context manager.
 
     Backward traversal replays the record in exact reverse execution
-    order.  Recording allocates nothing: each backward() call gives every
-    Tensor produced on the tape one fresh zero gradient buffer, laid out
-    as its data (an array taken from an earlier call keeps that call's
-    values), while inputs from outside the tape keep accumulating across
-    calls.
+    order.  Recording allocates nothing: each walk gives every Tensor
+    produced on the tape one fresh zero gradient buffer, laid out as its
+    data (an array taken from an earlier walk keeps that walk's values),
+    while inputs from outside the tape keep accumulating across walks, so
+    a kept tape can be walked again.
     """
 
     def __init__(self):
@@ -83,13 +83,19 @@ class Tape:
         recorded = {id(out) for out, _ in self._records}
         if id(loss) not in recorded:
             raise ValueError("loss was not produced on this tape")
+        self.walk(loss, 1.0)
+
+    def walk(self, root, grad):
+        """The reverse walk from root, a Tensor produced on this tape, whose
+        gradient is set to grad (a scalar or an array of its shape) after
+        every buffer is made."""
         for out, _ in self._records:
             # a strided output (a transpose, a concat of broadcast rows)
             # keeps its layout, because numpy sums the rows of a strided
             # gradient in another order
             data = out.data
             out.grad = np.zeros(data.shape) if data.flags.c_contiguous else np.zeros_like(data)
-        loss.grad[...] = 1.0
+        root.grad[...] = grad
         for out, backward_fn in reversed(self._records):
             backward_fn()
 
@@ -332,9 +338,13 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def _gelu(x):
     """GELU of an array, 0.5 * x * (1 + erf(x / sqrt(2))), and the map
     from an output gradient g to the input's, g * (0.5 * (1 + erf) + x *
-    pdf(x)), each computed in that order."""
+    pdf(x)), each computed in that order.  erf is odd bit for bit (scipy
+    takes erf(-x) as -erf(x)), so it runs on |x / sqrt(2)| and takes x's
+    sign back: the same values, without a branch on the sign per element."""
     one_plus_erf = x * _INV_SQRT2
+    np.abs(one_plus_erf, out=one_plus_erf)
     _erf(one_plus_erf, out=one_plus_erf)
+    np.copysign(one_plus_erf, x, out=one_plus_erf)
     one_plus_erf += 1.0
 
     def grad(g):

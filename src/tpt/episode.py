@@ -5,7 +5,12 @@ keep the lowest-entropy fraction rho, minimize the entropy of their
 averaged distribution by updating the prompt, then classify the
 original image with the tuned prompt.  The episode restores the state
 it tunes (prompt rows, the parameter group's weights) before returning
-and builds a fresh optimizer, so it leaves nothing behind.
+and builds a fresh optimizer, so it leaves no tuned state behind.
+
+Every sample starts from the same prompt and classes, so the first
+step's text pass, the zero-shot classifier, is kept across episodes
+(start_text_features): one entry, recorded again whenever what it read
+changes.
 """
 
 import time
@@ -18,7 +23,7 @@ from . import model as mdl
 from .augment import AugmentPolicy, generate_views
 from .autodiff import Tensor
 from .optim import AdamW
-from .prompt import assemble
+from .prompt import PromptState, assemble
 
 _TEXT = ("text.", "text_pos", "text_proj")
 _IMAGE = ("image.", "image_pos", "image_proj", "patch_")
@@ -78,6 +83,48 @@ def view_features(weights, config, views, index):
     return ad.gather_rows(mdl.encode_images(weights, config, views), index)
 
 
+_TEXT_READ = ("token_embedding",) + _TEXT  # the weights encode_texts reads
+
+# The one kept start pass: (key, tape, leaf, features), text_features
+# recorded on a tape of its own from `leaf`, a copy of the start prompt.
+_start = None
+
+
+def start_text_features(weights, config, prompt_state, classes, tape):
+    """text_features of an episode's start state as one record on tape,
+    from the kept start pass.
+
+    The pass's key is what it reads: the prompt's values, the class ids,
+    and each text weight's Tensor, values and requires_grad flag.  A
+    differing key records the pass afresh and keeps it instead; the entry
+    holds its activations and the key's copy of the text weights.  The
+    record's output is a copy of the kept features.  Its backward walks
+    the kept tape from the copy's gradient and adds the leaf's gradient
+    into the prompt's, which the episode has zeroed: the sums a fresh
+    pass would make."""
+    global _start
+    prompt = prompt_state.prompt
+    text = [weights[n] for n in sorted(weights) if n.startswith(_TEXT_READ)]
+    key = (prompt.data.tobytes(),
+           [np.asarray(ids, dtype=np.intp).tobytes() for ids in classes],
+           [(t, t.requires_grad, t.data.tobytes()) for t in text])
+    if _start is None or _start[0] != key:
+        leaf = PromptState(prompt.data)
+        with ad.Tape() as kept:
+            features = text_features(weights, config, leaf, classes)
+        _start = (key, kept, leaf.prompt, features)
+    _, kept, leaf, features = _start
+    out = Tensor(features.data.copy())
+
+    def bw():
+        leaf.zero_grad()
+        kept.walk(features, out.grad)
+        prompt.grad += leaf.grad
+
+    tape.record(out, bw)
+    return out
+
+
 def predict_views(weights, config, prompt_state, classes, image_features):
     """N x K per-view class probabilities (a Tensor, on the tape) from the
     current prompt; image_features is an N x proj_dim Tensor."""
@@ -116,8 +163,10 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
     from any prompt.  The view features are computed once, before any
     tuned state changes (encoding rejects bad input), unless the group
     holds image weights; then on each step's tape and for the final
-    prediction.  The final prediction is the argmax on the original image
-    under the tuned state.  The trace keeps per-step loss/threshold/mask,
+    prediction.  The first step's text pass is the kept start pass
+    (start_text_features), with the same values and gradients as a fresh
+    one.  The final prediction is the argmax on the original image under
+    the tuned state.  The trace keeps per-step loss/threshold/mask,
     the pre/post distributions of the original view, the number of
     distinct images among the N views and among the k views the first
     step selected, and stage_ms: the wall-clock milliseconds
@@ -143,9 +192,14 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
                  "pre_averaged": None, "post_averaged": None,
                  "distinct_views": len(views), "distinct_selected": None}
 
-        def predict():
+        def predict(start_tape=None):
             f = view_features(weights, config, views, index) if image_tuned else feats
-            probs = predict_views(weights, config, prompt_state, classes, f)
+            if start_tape is None:
+                tfeats = text_features(weights, config, prompt_state, classes)
+            else:
+                tfeats = start_text_features(weights, config, prompt_state, classes,
+                                             start_tape)
+            probs = mdl.class_probabilities(tfeats, f, config.logit_scale)
             return (probs, *select_and_average(probs, cfg.rho))
 
         def record(when, probs, averaged):
@@ -158,7 +212,7 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
         opt = AdamW(params, lr=cfg.lr)
         for step in range(cfg.steps):
             with ad.Tape() as tape:
-                probs, averaged, selected, threshold = predict()
+                probs, averaged, selected, threshold = predict(tape if step == 0 else None)
                 loss = marginal_entropy_loss(averaged)
                 opt.zero_grad()
                 tape.backward(loss)

@@ -108,39 +108,48 @@ def prompt_ensemble(weights, config, templates, classes, dataset):
 
 
 def _pool_views(weights, config, template_ids, classes, dataset, tpt_config,
-                pool):
+                *pools):
     """Untuned per-view probabilities of the view batch an episode would
-    see, reduced to one class by pool(N x K probabilities)."""
+    see, reduced to one class by each pool(N x K probabilities): one
+    prediction array per pool, from one pass of views and encodes."""
     tfeats = _template_text_features(weights, config, template_ids, classes)
-    preds = []
-    for image, sample_id in zip(dataset.images, dataset.ids):
+    preds = np.empty((len(pools), len(dataset)), dtype=np.int64)
+    for i, (image, sample_id) in enumerate(zip(dataset.images, dataset.ids)):
         seed = split_seed(tpt_config.seed, int(sample_id))
         views, index = generate_views(image, tpt_config.n_views, tpt_config.policy, seed)
         feats = ep.view_features(weights, config, views, index)
         probs = mdl.class_probabilities(tfeats, feats, config.logit_scale).data
-        preds.append(int(pool(probs)))
-    preds = np.array(preds)
-    return float(np.mean(preds == dataset.labels)), preds
+        preds[:, i] = [pool(probs) for pool in pools]
+    return list(preds)
+
+
+def averaged_prediction(probs):
+    """Argmax of the mean probability over the views."""
+    return np.argmax(probs.mean(axis=0))
+
+
+def majority_vote(probs):
+    """Majority vote over per-view argmaxes, ties to the lowest class id
+    (argmax takes the first maximum)."""
+    return np.argmax(np.bincount(np.argmax(probs, axis=1), minlength=probs.shape[1]))
 
 
 def baseline_averaged_prediction(weights, config, template_ids, classes,
                                  dataset, tpt_config):
-    """No optimization: argmax of the mean probability over the same
-    view batch an episode would see."""
-    return _pool_views(weights, config, template_ids, classes, dataset,
-                       tpt_config, lambda probs: np.argmax(probs.mean(axis=0)))
+    """No optimization: averaged_prediction over the same view batch an
+    episode would see.  Returns (accuracy, per-sample predictions)."""
+    [preds] = _pool_views(weights, config, template_ids, classes, dataset,
+                          tpt_config, averaged_prediction)
+    return float(np.mean(preds == dataset.labels)), preds
 
 
 def baseline_majority_vote(weights, config, template_ids, classes, dataset,
                            tpt_config):
-    """No optimization: majority vote over per-view argmaxes, ties to the
-    lowest class id (argmax takes the first maximum)."""
-    def vote(probs):
-        return np.argmax(np.bincount(np.argmax(probs, axis=1),
-                                     minlength=len(classes)))
-
-    return _pool_views(weights, config, template_ids, classes, dataset,
-                       tpt_config, vote)
+    """No optimization: majority_vote over the same view batch an episode
+    would see.  Returns (accuracy, per-sample predictions)."""
+    [preds] = _pool_views(weights, config, template_ids, classes, dataset,
+                          tpt_config, majority_vote)
+    return float(np.mean(preds == dataset.labels)), preds
 
 
 def ablate(weights, config, template_ids, classes, dataset, base_config,

@@ -724,6 +724,51 @@ class TestTapeBuffers:
         assert t.grad.strides == t.data.strides
 
 
+class TestWalk:
+    def test_walk_from_any_output_equals_backward_of_its_weighted_sum(self):
+        """A walk seeded with an array g gives the leaves the gradients of
+        sum(out * g): the multiply passes g to out bit for bit."""
+        x, w = rand((3, 4), seed=34), rand((4, 5), seed=35)
+        g = np.random.default_rng(36).normal(size=(3, 5))
+        with Tape() as tape:
+            out = ad.gelu(ad.matmul(x, w))
+        tape.walk(out, g)
+        walked = [x.grad.copy(), w.grad.copy()]
+        for t in (x, w):
+            t.zero_grad()
+        with Tape() as tape:
+            tape.backward(ad.sum_all(ad.mul(ad.gelu(ad.matmul(x, w)), Tensor(g))))
+        for got, t in zip(walked, (x, w)):
+            assert got.tobytes() == t.grad.tobytes()
+
+
+def _wide_sample(seed):
+    """Magnitudes from 1e-3 to 30 on a log scale, both signs, with +-0,
+    subnormals and the normal boundary."""
+    rng = np.random.default_rng(seed)
+    mags = np.exp(rng.uniform(np.log(1e-3), np.log(30.0), 200_000))
+    edges = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-8, 1.0, 6.0])
+    x = np.concatenate([mags, edges])
+    return np.concatenate([x, -x])
+
+
+class TestGeluErfOnAbs:
+    def test_scipy_erf_is_bitwise_odd(self):
+        x = _wide_sample(37)
+        assert erf(-x).tobytes() == np.negative(erf(x)).tobytes()
+
+    def test_gelu_equals_the_signed_erf_formula_bitwise(self):
+        """_gelu takes erf of |x / sqrt(2)| and copies x's sign back; its
+        output and gradient are those of erf(x / sqrt(2)) to the bit,
+        -0.0 included."""
+        x = _wide_sample(38)
+        g = np.random.default_rng(39).normal(size=x.shape)
+        y, grad = ad._gelu(x)
+        want_y, want_grad = _gelu_oop(x)
+        assert y.tobytes() == want_y.tobytes()
+        assert grad(g).tobytes() == want_grad(g).tobytes()
+
+
 class TestOneElementLoss:
     """backward accepts (1,) and (1, 1) losses; item() and the gradient
     check read them as Python floats."""

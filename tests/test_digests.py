@@ -21,6 +21,7 @@ def test_digests_write_and_compare(tmp_path, capsys):
     assert tool.main(["--out", str(out)]) == 0
     digests = json.loads(out.read_text())
     assert "tpt_classify/record_views" in digests and "cli/eval.csv" in digests
+    assert "tpt_classify/interleaved_groups" in digests
     assert "cli/none.csv" in digests  # the unshifted dataset path
     assert {"generate", "apply_shift/style", "generate_tasks"} <= digests.keys()
     assert all(len(v) == 64 for v in digests.values())

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,12 @@ def classes():
 @pytest.fixture()
 def prompt(weights, config):
     return init_from_template(weights, config, dat.template_ids())
+
+
+def copied(weights):
+    """The same weights as new Tensors: no episode has kept a pass over
+    them, so the next one records its start pass afresh."""
+    return {name: Tensor(t.data.copy()) for name, t in weights.items()}
 
 
 def softmax(x):
@@ -247,7 +255,10 @@ class TestTptClassify:
     def test_view_distributions_are_those_of_all_n_views(
             self, weights, config, classes, prompt, image, monkeypatch):
         """Each distinct view is encoded once, yet every view's
-        distribution equals that of encoding all N views, bit for bit."""
+        distribution equals that of encoding all N views, bit for bit.
+        The first step takes the kept start pass, so the features before
+        tuning are those of the start state."""
+        pre = ep.text_features(weights, config, prompt, classes).data
         text = []
         text_features = ep.text_features
 
@@ -263,7 +274,7 @@ class TestTptClassify:
         views, index = generate_views(image, cfg.n_views, cfg.policy, cfg.seed)
         assert len(views) < cfg.n_views
         feats = mdl.encode_images(weights, config, [views[i] for i in index])
-        for tag, tfeats in (("pre_views", text[0]), ("post_views", text[-1])):
+        for tag, tfeats in (("pre_views", pre), ("post_views", text[-1])):
             want = mdl.class_probabilities(Tensor(tfeats), feats, config.logit_scale)
             np.testing.assert_array_equal(trace[tag], want.data)
         assert trace["distinct_views"] == len(views)
@@ -289,10 +300,13 @@ class TestTptClassify:
         image_tuned = group in ("image_encoder", "all")
         assert sizes == [trace["distinct_views"]] * (cfg.steps + 1 if image_tuned else 1)
 
-    def test_a_tuning_step_records_29_tape_entries(
-            self, weights, config, classes, prompt, image, monkeypatch):
+    def test_a_tuning_step_records_30_tape_entries_fresh_and_11_kept(
+            self, weights, config, classes, image, monkeypatch):
         """Each attention and MLP sublayer is one tape op: 13 per text
-        transformer pass, 16 for the rest of the step."""
+        transformer pass.  A fresh start records its text pass, 19
+        entries, on the kept tape; the step's tape then takes one entry
+        for that pass and 10 for the rest.  A kept start records only the
+        step's 11 and replays the kept 19."""
         records = []
         record = ad.Tape.record
 
@@ -301,8 +315,15 @@ class TestTptClassify:
             record(tape, out, backward_fn)
 
         monkeypatch.setattr(ad.Tape, "record", counting)
-        ep.tpt_classify(weights, config, prompt, classes, image, ep.TPTConfig())
-        assert len(records) == 29
+        weights = copied(weights)
+        counts = []
+        for _ in range(2):
+            records.clear()
+            prompt = init_from_template(weights, config, dat.template_ids())
+            ep.tpt_classify(weights, config, prompt, classes, image, ep.TPTConfig())
+            counts.append(len(records))
+        assert counts == [30, 11]
+        assert len(ep._start[1]._records) == 19
 
     def test_view_feature_gradients_equal_those_of_all_n_views(self, config, image):
         """Summing a view's copies in the gather before the encoder's
@@ -360,3 +381,123 @@ class TestTptClassify:
                                                 image, cfg)
         assert trace["k"] == 1
         assert 0 <= pred < len(classes)
+
+
+class TestStartPass:
+    """The first step's text pass is kept across episodes and recorded
+    afresh whenever a part of its key changes.  Each test forces its
+    first pass with a copied weights dict, so none depends on test order."""
+
+    CFG = ep.TPTConfig(n_views=8, rho=0.25, steps=2, seed=4)
+
+    def episode(self, weights, config, classes, image, group="prompt", prompt=None):
+        """(pred, averaged, trace without stage_ms, whether the start pass
+        was recorded afresh)."""
+        if prompt is None:
+            prompt = init_from_template(weights, config, dat.template_ids())
+        kept = ep._start
+        cfg = replace(self.CFG, parameter_group=group)
+        pred, averaged, trace = ep.tpt_classify(weights, config, prompt, classes,
+                                                image, cfg, record_views=True)
+        del trace["stage_ms"]
+        return pred, averaged, trace, ep._start is not kept
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a[0] == b[0]
+        assert a[1].tobytes() == b[1].tobytes()
+        assert a[2].keys() == b[2].keys()
+        for key, value in a[2].items():
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == b[2][key].tobytes(), key
+            else:
+                assert value == b[2][key], key
+
+    @pytest.mark.parametrize("group", ["prompt", "text_encoder", "all"])
+    def test_a_miss_and_a_hit_give_the_same_episode(self, weights, config, classes,
+                                                    image, group):
+        weights = copied(weights)
+        miss = self.episode(weights, config, classes, image, group)
+        hit = self.episode(weights, config, classes, image, group)
+        assert miss[3] and not hit[3]
+        self.assert_same(miss, hit)
+
+    def test_the_prompt_values_are_in_the_key(self, weights, config, classes, image):
+        weights = copied(weights)
+        self.episode(weights, config, classes, image)
+        other = init_from_template(weights, config, dat.template_ids())
+        other.prompt.data[0, 0] += 1e-3
+        got = self.episode(weights, config, classes, image, prompt=other)
+        assert got[3]
+        other = init_from_template(weights, config, dat.template_ids())
+        other.prompt.data[0, 0] += 1e-3
+        want = self.episode(copied(weights), config, classes, image, prompt=other)
+        self.assert_same(got, want)
+
+    def test_the_class_ids_are_in_the_key(self, weights, config, classes, image):
+        weights = copied(weights)
+        self.episode(weights, config, classes, image)
+        assert self.episode(weights, config, classes[::-1], image)[3]
+        assert self.episode(weights, config, classes[:4], image)[3]
+        assert self.episode(weights, config, classes, image)[3]
+
+    def test_a_text_weight_changed_in_place_and_restored(self, weights, config,
+                                                          classes, image):
+        weights = copied(weights)
+        before = self.episode(weights, config, classes, image)
+        bias = weights["text.1.mlp.b1"].data
+        bias[0, 3] += 0.5
+        changed = self.episode(weights, config, classes, image)
+        assert changed[3]
+        self.assert_same(changed, self.episode(copied(weights), config, classes, image))
+        assert changed[1].tobytes() != before[1].tobytes()
+        bias[0, 3] -= 0.5
+        restored = self.episode(weights, config, classes, image)
+        assert restored[3]
+        self.assert_same(restored, before)
+
+    def test_new_tensors_with_equal_values_are_another_key(self, weights, config,
+                                                          classes, image):
+        first = self.episode(copied(weights), config, classes, image)
+        second = self.episode(copied(weights), config, classes, image)
+        assert first[3] and second[3]
+        self.assert_same(first, second)
+
+    def test_requires_grad_is_in_the_key(self, weights, config, classes, image):
+        """The text_encoder group flags the text weights for the episode."""
+        weights = copied(weights)
+        runs = [self.episode(weights, config, classes, image, group)
+                for group in ("prompt", "text_encoder", "text_encoder", "prompt")]
+        assert [run[3] for run in runs] == [True, True, False, True]
+        self.assert_same(runs[0], runs[3])
+
+    @pytest.mark.parametrize("where", ["loss", "replay", "step"])
+    def test_an_exception_in_a_step_leaves_the_entry_reusable(
+            self, weights, config, classes, image, monkeypatch, where):
+        weights = copied(weights)
+        want = self.episode(weights, config, classes, image)
+        kept = ep._start
+
+        def fail(*args):
+            raise RuntimeError(where)
+
+        with monkeypatch.context() as patch:
+            if where == "loss":
+                patch.setattr(ep, "marginal_entropy_loss", fail)
+            elif where == "step":
+                patch.setattr(ep.AdamW, "step", fail)
+            else:  # after the kept tape's walk, inside the step's backward
+                walk = ad.Tape.walk
+
+                def walk_then_fail(tape, root, grad):
+                    walk(tape, root, grad)
+                    if tape is kept[1]:
+                        fail()
+
+                patch.setattr(ad.Tape, "walk", walk_then_fail)
+            with pytest.raises(RuntimeError, match=where):
+                self.episode(weights, config, classes, image)
+        assert ep._start is kept
+        got = self.episode(weights, config, classes, image)
+        assert not got[3]
+        self.assert_same(got, want)

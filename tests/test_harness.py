@@ -139,6 +139,23 @@ class TestBaselines:
                                           dataset.images[i], seeded, record_views=True)
             np.testing.assert_array_equal(probs, trace["pre_views"])
 
+    def test_several_pools_take_one_pass(self, varied_weights, config, classes,
+                                         dataset, monkeypatch):
+        """One prediction array per pool, each that of its baseline, from
+        one set of views per sample."""
+        calls = []
+        views = hz.generate_views
+        monkeypatch.setattr(hz, "generate_views", lambda *a: calls.append(1) or views(*a))
+        pooled = hz._pool_views(varied_weights, config, TEMPLATE, classes, dataset, FAST,
+                                hz.averaged_prediction, hz.majority_vote)
+        assert len(calls) == len(dataset)
+        monkeypatch.undo()
+        for fn, preds in zip((hz.baseline_averaged_prediction, hz.baseline_majority_vote),
+                             pooled, strict=True):
+            acc, want = fn(varied_weights, config, TEMPLATE, classes, dataset, FAST)
+            assert preds.tobytes() == want.tobytes() and preds.dtype == want.dtype
+            assert acc == np.mean(preds == dataset.labels)
+
     def test_single_view_baselines_agree(self, weights, config, classes,
                                          dataset):
         cfg = TPTConfig(n_views=1, rho=1.0)

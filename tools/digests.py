@@ -112,6 +112,24 @@ def _library_digests(weights, config):
         episodes.append((pred, averaged, trace))
     out["tpt_classify/record_views"] = digest(episodes)
 
+    # parameter groups interleaved on the same samples, each flagging other
+    # weights for its episode, then an episode from the same prompt with
+    # the text embeddings halved in place (and doubled back, exactly)
+    episodes = []
+    for image, sample_id in zip(ds.images[::4], ds.ids[::4]):
+        for group, scale in (("prompt", 1.0), ("text_encoder", 1.0), ("prompt", 1.0),
+                             ("all", 1.0), ("prompt", 0.5)):
+            state = init_from_template(weights, config, template)
+            mdl.rescale_text_embeddings(weights, scale)
+            cfg = ep.TPTConfig(steps=2, parameter_group=group,
+                               seed=split_seed(tcfg.seed, int(sample_id)))
+            pred, averaged, trace = ep.tpt_classify(weights, config, state, classes,
+                                                    image, cfg, record_views=True)
+            mdl.rescale_text_embeddings(weights, 1.0 / scale)
+            del trace["stage_ms"]
+            episodes.append((pred, averaged, trace))
+    out["tpt_classify/interleaved_groups"] = digest(episodes)
+
     out["zero_shot"] = digest(hz.evaluate_zero_shot(weights, config, template,
                                                     classes, ds))
     out["avgpred"] = digest(hz.baseline_averaged_prediction(
