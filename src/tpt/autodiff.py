@@ -16,6 +16,8 @@ place, which rounds as the chain of new arrays would.
 Ops record onto the innermost active Tape only when an input requires
 gradients; with no active tape they are plain numpy and cost nothing
 extra, which is how the image branch runs during test-time tuning.
+Such an untaped pass takes its large temporaries from a kept scratch
+pool (scratch), which no backward closure can hold.
 """
 
 import math
@@ -100,10 +102,48 @@ class Tape:
             backward_fn()
 
 
+def recording(*inputs):
+    """Whether an op on these Tensors would be recorded: a tape is active
+    and one of them requires gradients."""
+    return bool(_TAPES) and any(t.requires_grad for t in inputs)
+
+
 def _record(out, inputs, backward_fn):
     if _TAPES and any(t.requires_grad for t in inputs):
         _TAPES[-1].record(out, backward_fn)
     return out
+
+
+# The kept scratch pool: slot -> capacity in float64 elements.  Each slot
+# keeps one C-contiguous buffer of its capacity, made at its first
+# request, for the lifetime of the process: 1.94 MB in all, of which
+# only the pages a request has touched are resident.  The capacities
+# cover an untaped pass's largest temporaries: the MLP pre-activation
+# and 1 + erf of an 8-image encode block (model.ENCODE_BLOCK images of
+# 16 patches, hidden width 128), that block's patch matrix (192 values
+# a patch) and an episode's 64 views of a 3 x 32 x 32 image.  Without
+# the pool each is a new array of 128 KB or more, which glibc's malloc
+# serves by a fresh mmap once its mmap threshold is fixed, and whose
+# pages then fault in zeroed on every pass.  Like the tape stack, the
+# pool is the process's: two threads may not run passes at once.
+SCRATCH_CAPACITY = {"mlp.pre": 8 * 16 * 128, "mlp.erf": 8 * 16 * 128,
+                    "patches": 8 * 16 * 192, "views": 64 * 3 * 32 * 32}
+_scratch = {}
+
+
+def scratch(slot, shape):
+    """An uninitialised C-contiguous float64 array of `shape`: a reshaped
+    prefix of the slot's kept buffer, which the slot's next request
+    overwrites, so only an array that cannot outlive the call that takes
+    it may come from here.  A request above the slot's capacity gets a
+    new array and leaves the slot as it was."""
+    n = math.prod(shape)
+    capacity = SCRATCH_CAPACITY[slot]
+    if n > capacity:
+        return np.empty(shape)
+    if slot not in _scratch:
+        _scratch[slot] = np.empty(capacity)
+    return _scratch[slot][:n].reshape(shape)
 
 
 def _accumulate(t, g):
@@ -335,17 +375,24 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def _one_plus_erf(x, out):
+    """1 + erf(x / sqrt(2)) of an array, written into out.  erf is odd bit
+    for bit (scipy takes erf(-x) as -erf(x)), so it runs on |x / sqrt(2)|
+    and takes x's sign back: the same values, without a branch on the
+    sign per element."""
+    np.multiply(x, _INV_SQRT2, out=out)
+    np.abs(out, out=out)
+    _erf(out, out=out)
+    np.copysign(out, x, out=out)
+    out += 1.0
+    return out
+
+
 def _gelu(x):
     """GELU of an array, 0.5 * x * (1 + erf(x / sqrt(2))), and the map
     from an output gradient g to the input's, g * (0.5 * (1 + erf) + x *
-    pdf(x)), each computed in that order.  erf is odd bit for bit (scipy
-    takes erf(-x) as -erf(x)), so it runs on |x / sqrt(2)| and takes x's
-    sign back: the same values, without a branch on the sign per element."""
-    one_plus_erf = x * _INV_SQRT2
-    np.abs(one_plus_erf, out=one_plus_erf)
-    _erf(one_plus_erf, out=one_plus_erf)
-    np.copysign(one_plus_erf, x, out=one_plus_erf)
-    one_plus_erf += 1.0
+    pdf(x)), each computed in that order."""
+    one_plus_erf = _one_plus_erf(x, np.empty_like(x))
 
     def grad(g):
         pdf = -0.5 * x
@@ -429,9 +476,10 @@ def layer_norm(x, gain, bias):
 # new array at each step, a sublayer updates its own buffer in place.
 
 
-def _affine(x, w, b):
-    """x @ w + b of an array x and Tensors w and b, the bias added in place."""
-    out = np.matmul(x, w.data)
+def _affine(x, w, b, out=None):
+    """x @ w + b of an array x and Tensors w and b, the bias added in
+    place, into out if given."""
+    out = np.matmul(x, w.data, out=out)
     out += b.data
     return out
 
@@ -486,7 +534,18 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
 
 
 def mlp(x, w1, b1, w2, b2):
-    """GELU(x @ w1 + b1) @ w2 + b2."""
+    """GELU(x @ w1 + b1) @ w2 + b2.
+
+    Off the tape the pre-activation and 1 + erf are scratch, and GELU
+    runs in place on the pre-activation, halved and then multiplied by
+    1 + erf: the taped pass's products in its order, so the same bits."""
+    if not recording(x, w1, b1, w2, b2):
+        shape = x.data.shape[:-1] + w1.data.shape[-1:]
+        pre = _affine(x.data, w1, b1, scratch("mlp.pre", shape))
+        one_plus_erf = _one_plus_erf(pre, scratch("mlp.erf", shape))
+        pre *= 0.5
+        pre *= one_plus_erf
+        return Tensor(_affine(pre, w2, b2))
     hidden, gelu_grad = _gelu(_affine(x.data, w1, b1))
     out = Tensor(_affine(hidden, w2, b2))
 

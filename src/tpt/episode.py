@@ -90,9 +90,9 @@ _TEXT_READ = ("token_embedding",) + _TEXT  # the weights encode_texts reads
 _start = None
 
 
-def start_text_features(weights, config, prompt_state, classes, tape):
-    """text_features of an episode's start state as one record on tape,
-    from the kept start pass.
+def start_text_features(weights, config, prompt_state, classes):
+    """text_features of an episode's start state as one op, recorded on
+    the innermost active tape, from the kept start pass.
 
     The pass's key is what it reads: the prompt's values, the class ids,
     and each text weight's Tensor, values and requires_grad flag.  A
@@ -121,8 +121,7 @@ def start_text_features(weights, config, prompt_state, classes, tape):
         kept.walk(features, out.grad)
         prompt.grad += leaf.grad
 
-    tape.record(out, bw)
-    return out
+    return ad._record(out, (prompt,), bw)
 
 
 def predict_views(weights, config, prompt_state, classes, image_features):
@@ -165,9 +164,10 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
     holds image weights; then on each step's tape and for the final
     prediction.  The first step's text pass is the kept start pass
     (start_text_features), with the same values and gradients as a fresh
-    one.  The final prediction is the argmax on the original image under
-    the tuned state.  The trace keeps per-step loss/threshold/mask,
-    the pre/post distributions of the original view, the number of
+    one.  The views are made into the kept scratch (autodiff.scratch),
+    which only the episode reads.  The final prediction is the argmax on
+    the original image under the tuned state.  The trace keeps per-step
+    loss/threshold/mask, the pre/post distributions of the original view, the number of
     distinct images among the N views and among the k views the first
     step selected, and stage_ms: the wall-clock milliseconds
     (time.perf_counter) of making the views, encoding them before any
@@ -182,7 +182,8 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
     snapshot = [p.data.copy() for p in params]
     try:
         clock = [time.perf_counter()]
-        views, index = generate_views(image, cfg.n_views, cfg.policy, cfg.seed)
+        views, index = generate_views(image, cfg.n_views, cfg.policy, cfg.seed,
+                                      ad.scratch("views", (cfg.n_views,) + np.shape(image)))
         clock.append(time.perf_counter())
         feats = None if image_tuned else view_features(weights, config, views, index)
         clock.append(time.perf_counter())
@@ -192,13 +193,10 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
                  "pre_averaged": None, "post_averaged": None,
                  "distinct_views": len(views), "distinct_selected": None}
 
-        def predict(start_tape=None):
+        def predict(start=False):
             f = view_features(weights, config, views, index) if image_tuned else feats
-            if start_tape is None:
-                tfeats = text_features(weights, config, prompt_state, classes)
-            else:
-                tfeats = start_text_features(weights, config, prompt_state, classes,
-                                             start_tape)
+            tfeats = (start_text_features if start else text_features)(
+                weights, config, prompt_state, classes)
             probs = mdl.class_probabilities(tfeats, f, config.logit_scale)
             return (probs, *select_and_average(probs, cfg.rho))
 
@@ -212,7 +210,7 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
         opt = AdamW(params, lr=cfg.lr)
         for step in range(cfg.steps):
             with ad.Tape() as tape:
-                probs, averaged, selected, threshold = predict(tape if step == 0 else None)
+                probs, averaged, selected, threshold = predict(start=step == 0)
                 loss = marginal_entropy_loss(averaged)
                 opt.zero_grad()
                 tape.backward(loss)

@@ -116,7 +116,9 @@ def _pool_views(weights, config, template_ids, classes, dataset, tpt_config,
     preds = np.empty((len(pools), len(dataset)), dtype=np.int64)
     for i, (image, sample_id) in enumerate(zip(dataset.images, dataset.ids)):
         seed = split_seed(tpt_config.seed, int(sample_id))
-        views, index = generate_views(image, tpt_config.n_views, tpt_config.policy, seed)
+        views, index = generate_views(
+            image, tpt_config.n_views, tpt_config.policy, seed,
+            ad.scratch("views", (tpt_config.n_views,) + image.shape))
         feats = ep.view_features(weights, config, views, index)
         probs = mdl.class_probabilities(tfeats, feats, config.logit_scale).data
         preds[:, i] = [pool(probs) for pool in pools]
@@ -179,7 +181,8 @@ def ablate(weights, config, template_ids, classes, dataset, base_config,
 
 def gradcheck_report(seed):
     """finite_diff_check over every differentiable op plus the end-to-end
-    marginal-entropy loss w.r.t. prompt rows.  Returns [(name, max_err)]."""
+    marginal-entropy loss w.r.t. prompt rows, with a fresh text pass and
+    with the kept start pass.  Returns [(name, max_err)]."""
     rng = np.random.default_rng(seed)
 
     def normal(*shape):  # a leaf; check differentiates in its x alone
@@ -231,6 +234,17 @@ def gradcheck_report(seed):
 
     checks.append(("marginal_entropy_loss_vs_prompt",
                    ad.finite_diff_check(episode_loss, state.prompt)))
+
+    # the same loss as an episode's step 0 takes it: the text features are
+    # one record over the kept start pass's replayed tape, and each
+    # perturbed prompt re-keys the kept entry
+    def kept_start_loss(prompt):
+        tfeats = ep.start_text_features(weights, config, state, classes)
+        probs = mdl.class_probabilities(tfeats, img_feats, config.logit_scale)
+        return ep.marginal_entropy_loss(ad.mean_rows(ad.gather_rows(probs, selected)))
+
+    checks.append(("marginal_entropy_loss_vs_prompt_kept_start",
+                   ad.finite_diff_check(kept_start_loss, state.prompt)))
 
     # batched ops: a 2-D weight shared by every item of a batch
     items = normal(3, 2, 4)

@@ -175,25 +175,29 @@ def encode_text(weights, config, seq):
     return encode_texts(weights, config, ad.reshape(seq, (1,) + seq.data.shape))
 
 
-def patchify(images, patch_size):
-    """(..., C, H, W) array -> (..., P, C*ps*ps) patch matrices, row-major patches."""
+def patchify(images, patch_size, out=None):
+    """(..., C, H, W) array -> (..., P, C*ps*ps) patch matrices, row-major
+    patches, written into out (C-contiguous) if given, else into a new
+    array."""
     *batch, c, h, w = images.shape
     ps = patch_size
     x = images.reshape(*batch, c, h // ps, ps, w // ps, ps)
     x = np.moveaxis(x, (-5, -3, -1), (-3, -2, -1))
-    return np.ascontiguousarray(x.reshape(*batch, (h // ps) * (w // ps), c * ps * ps))
+    if out is None:
+        out = np.empty((*batch, (h // ps) * (w // ps), c * ps * ps))
+    out.reshape(x.shape)[...] = x
+    return out
 
 
 # Images per transformer pass.  Blocks keep the activations small: at 8
 # images of 16 patches the largest, the MLP hidden, is 128 KB, against
-# 1 MB for a 64-view episode in one pass.  glibc's malloc serves a request
-# of 128 KB or more that its heap cannot hold by a fresh mmap, whose
-# pages fault in zeroed on first touch.  With that threshold pinned, a
-# default episode took a median of about 1.2k minor faults and 5.1 ms in
-# one pass, 0.9k and 5.3 ms at 16 images per pass, 0.5k and 4.9 ms at 8,
-# and 0.35k and 5.1 ms at 4; at 7, whose MLP arrays stay under 128 KB,
-# 0.56k and 5.1 ms.  A 16-image pretraining batch took 8.0 ms at 8 and
-# 8.4-8.6 ms at 4 or 16.
+# 1 MB for a 64-view episode in one pass.  Off the tape a block's patch
+# matrix and MLP buffers are kept scratch (autodiff.scratch, sized for
+# this block), so an untaped encode maps no fresh pages; on a tape they
+# are new arrays, which the backward pass holds.  A 16-image pretraining
+# batch took 8.0 ms at 8 and 8.4-8.6 ms at 4 or 16.  With the scratch
+# sized for it, one 64-view pass per episode encoded faster in-process
+# but ran slower under perfbench, so the block stays at 8.
 ENCODE_BLOCK = 8
 
 
@@ -203,8 +207,12 @@ def _encode_block(weights, config, images):
         raise ValueError(f"image shape {imgs.shape[1:]} != config {config.image_shape}")
     if not np.all(np.isfinite(imgs)):
         raise ValueError("image has non-finite pixels")
-    patches = Tensor(patchify(imgs, config.patch_size))
-    x = ad.add(ad.matmul(patches, weights["patch_proj"]), weights["patch_bias"])
+    proj = weights["patch_proj"]
+    shape = (len(imgs), config.num_patches, config.patch_dim)
+    # off the tape no backward closure holds the patch matrix
+    patches = Tensor(patchify(imgs, config.patch_size,
+                              None if ad.recording(proj) else ad.scratch("patches", shape)))
+    x = ad.add(ad.matmul(patches, proj), weights["patch_bias"])
     x = ad.add(x, weights["image_pos"])
     x = _transformer(weights, "image", x, config.image_layers, config.heads, causal=False)
     return _project(weights, "image_proj", ad.mean_rows(x))

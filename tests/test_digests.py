@@ -22,6 +22,8 @@ def test_digests_write_and_compare(tmp_path, capsys):
     digests = json.loads(out.read_text())
     assert "tpt_classify/record_views" in digests and "cli/eval.csv" in digests
     assert "tpt_classify/interleaved_groups" in digests
+    assert "tpt_classify/prompt_after_image_encoder" in digests
+    assert "encode_images/after_pretraining_batches" in digests
     assert "cli/none.csv" in digests  # the unshifted dataset path
     assert {"generate", "apply_shift/style", "generate_tasks"} <= digests.keys()
     assert all(len(v) == 64 for v in digests.values())

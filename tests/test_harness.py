@@ -250,7 +250,8 @@ class TestGradcheck:
         assert [n for n, _ in checks] == [
             "matmul", "softmax_rows", "layer_norm", "gelu", "l2_normalize_rows",
             "mean_rows", "log", "marginal_entropy_loss_vs_prompt",
-            "matmul_shared_weight", "attention", "mlp", "log_softmax_rows"]
+            "marginal_entropy_loss_vs_prompt_kept_start", "matmul_shared_weight",
+            "attention", "mlp", "log_softmax_rows"]
         for name, err in checks:
             assert err <= 1e-4, f"{name}: {err}"
 

@@ -102,15 +102,21 @@ def _library_digests(weights, config):
             out[f"evaluate_tpt/{group}/{kind}"] = digest(
                 hz.evaluate_tpt(weights, config, template, classes, ds, cfg))
 
-    episodes = []
-    for image, sample_id in zip(ds.images, ds.ids):
+    def episode(image, sample_id, scale=1.0, **fields):
+        """A default episode but for `fields`, from the template prompt,
+        less its wall-clock times; the text embeddings are scaled by
+        `scale` in place after the prompt is read, and back after."""
         state = init_from_template(weights, config, template)
-        cfg = ep.TPTConfig(seed=split_seed(tcfg.seed, int(sample_id)))
+        cfg = ep.TPTConfig(seed=split_seed(tcfg.seed, int(sample_id)), **fields)
+        mdl.rescale_text_embeddings(weights, scale)
         pred, averaged, trace = ep.tpt_classify(weights, config, state, classes,
                                                 image, cfg, record_views=True)
-        del trace["stage_ms"]  # wall-clock times
-        episodes.append((pred, averaged, trace))
-    out["tpt_classify/record_views"] = digest(episodes)
+        mdl.rescale_text_embeddings(weights, 1.0 / scale)
+        del trace["stage_ms"]
+        return pred, averaged, trace
+
+    out["tpt_classify/record_views"] = digest(
+        [episode(image, sample_id) for image, sample_id in zip(ds.images, ds.ids)])
 
     # parameter groups interleaved on the same samples, each flagging other
     # weights for its episode, then an episode from the same prompt with
@@ -119,16 +125,13 @@ def _library_digests(weights, config):
     for image, sample_id in zip(ds.images[::4], ds.ids[::4]):
         for group, scale in (("prompt", 1.0), ("text_encoder", 1.0), ("prompt", 1.0),
                              ("all", 1.0), ("prompt", 0.5)):
-            state = init_from_template(weights, config, template)
-            mdl.rescale_text_embeddings(weights, scale)
-            cfg = ep.TPTConfig(steps=2, parameter_group=group,
-                               seed=split_seed(tcfg.seed, int(sample_id)))
-            pred, averaged, trace = ep.tpt_classify(weights, config, state, classes,
-                                                    image, cfg, record_views=True)
-            mdl.rescale_text_embeddings(weights, 1.0 / scale)
-            del trace["stage_ms"]
-            episodes.append((pred, averaged, trace))
+            episodes.append(episode(image, sample_id, scale, steps=2, parameter_group=group))
     out["tpt_classify/interleaved_groups"] = digest(episodes)
+    # a default episode right after one that encodes its views on the tape
+    out["tpt_classify/prompt_after_image_encoder"] = digest(
+        [episode(image, sample_id, parameter_group=group)
+         for image, sample_id in zip(ds.images[1::4], ds.ids[1::4])
+         for group in ("image_encoder", "prompt")])
 
     out["zero_shot"] = digest(hz.evaluate_zero_shot(weights, config, template,
                                                     classes, ds))
@@ -157,6 +160,17 @@ def _library_digests(weights, config):
         augment_policy=AugmentPolicy(**mdl.PRETRAIN_POLICY),
         **{**mdl.PRETRAIN, "epochs": 2})
     out["pretrain_2_epochs"] = digest((losses, {k: v.data for k, v in trained.items()}))
+
+    # untaped encodes of one, part of one and several blocks, each right
+    # after a taped pretraining batch
+    encodes = []
+    for n in (1, 7, 9, 23):
+        _, losses = mdl.pretrain_contrastive(
+            mdl.init_weights(config, seed=n), config, pairs[:16],
+            augment_policy=AugmentPolicy(**mdl.PRETRAIN_POLICY),
+            **{**mdl.PRETRAIN, "epochs": 1})
+        encodes.append((losses, mdl.encode_images(weights, config, full.images[:n]).data))
+    out["encode_images/after_pretraining_batches"] = digest(encodes)
     return out
 
 
