@@ -80,14 +80,17 @@ def _add_eval_flags(p):
     p.add_argument("--samples", type=_COUNT, help="cap the number of evaluated samples")
 
 
-# The eval flags a method does not read: zero-shot, the ensemble and CoOp
-# classify the image alone, and the pooling baselines do not tune.
+# Each eval method and the eval flags it does not read: zero-shot, the
+# ensemble and CoOp classify the image alone, and the pooling baselines
+# do not tune.
 _VIEW_FLAGS = ("aug", "views", "seed")
 _TUNING_FLAGS = ("rho", "steps", "lr")
-_UNREAD = {"zeroshot": _VIEW_FLAGS + _TUNING_FLAGS,
+_UNREAD = {"zeroshot": _VIEW_FLAGS + _TUNING_FLAGS, "tpt": (),
            "ensemble": _VIEW_FLAGS + _TUNING_FLAGS,
            "coop": ("aug", "views") + _TUNING_FLAGS,
-           "avgpred": _TUNING_FLAGS, "vote": _TUNING_FLAGS, "tpt": ()}
+           "avgpred": _TUNING_FLAGS, "vote": _TUNING_FLAGS}
+# the pool each pooling baseline reduces an episode's untuned views with
+_POOLS = {"avgpred": hz.averaged_prediction, "vote": hz.majority_vote}
 
 
 def _settings(args, unread=()):
@@ -143,12 +146,10 @@ def cmd_eval(args):
         acc, _ = hz.prompt_ensemble(weights, mconfig, templates, classes, ds)
     elif method == "coop":
         acc, _ = hz.evaluate_coop(weights, mconfig, classes, ds, args.seed)
-    elif method == "avgpred":
-        acc, _ = hz.baseline_averaged_prediction(weights, mconfig, template,
-                                                 classes, ds, tcfg)
-    elif method == "vote":
-        acc, _ = hz.baseline_majority_vote(weights, mconfig, template,
-                                           classes, ds, tcfg)
+    elif method in _POOLS:
+        [preds] = hz._pool_views(weights, mconfig, template, classes, ds, tcfg,
+                                 _POOLS[method])
+        acc = float(np.mean(preds == ds.labels))
     unread = _UNREAD[method]
     row = {"method": method, "shift": args.shift, "accuracy": acc,
            "n": len(ds), "seed": "" if "seed" in unread else args.seed}
@@ -257,8 +258,7 @@ def _build_parser():
 
     p = command("eval", cmd_eval, "evaluate a method")
     _add_eval_flags(p)
-    p.add_argument("--method", required=True,
-                   choices=["zeroshot", "tpt", "ensemble", "coop", "avgpred", "vote"])
+    p.add_argument("--method", required=True, choices=list(_UNREAD))
     p.add_argument("--seed", type=int, default=_TPT.seed)
     p.add_argument("--out", help="results CSV; none prints the accuracy only")
 

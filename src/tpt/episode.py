@@ -124,13 +124,6 @@ def start_text_features(weights, config, prompt_state, classes):
     return ad._record(out, (prompt,), bw)
 
 
-def predict_views(weights, config, prompt_state, classes, image_features):
-    """N x K per-view class probabilities (a Tensor, on the tape) from the
-    current prompt; image_features is an N x proj_dim Tensor."""
-    tfeats = text_features(weights, config, prompt_state, classes)
-    return mdl.class_probabilities(tfeats, image_features, config.logit_scale)
-
-
 def select_and_average(probs, rho):
     """(averaged, selected, threshold) of N x K view probabilities.
 

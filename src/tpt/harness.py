@@ -136,24 +136,6 @@ def majority_vote(probs):
     return np.argmax(np.bincount(np.argmax(probs, axis=1), minlength=probs.shape[1]))
 
 
-def baseline_averaged_prediction(weights, config, template_ids, classes,
-                                 dataset, tpt_config):
-    """No optimization: averaged_prediction over the same view batch an
-    episode would see.  Returns (accuracy, per-sample predictions)."""
-    [preds] = _pool_views(weights, config, template_ids, classes, dataset,
-                          tpt_config, averaged_prediction)
-    return float(np.mean(preds == dataset.labels)), preds
-
-
-def baseline_majority_vote(weights, config, template_ids, classes, dataset,
-                           tpt_config):
-    """No optimization: majority_vote over the same view batch an episode
-    would see.  Returns (accuracy, per-sample predictions)."""
-    [preds] = _pool_views(weights, config, template_ids, classes, dataset,
-                          tpt_config, majority_vote)
-    return float(np.mean(preds == dataset.labels)), preds
-
-
 def ablate(weights, config, template_ids, classes, dataset, base_config,
            grid, seeds, shift_label):
     """Grid sweep over {rho, n_views, steps, parameter_group}.
@@ -219,32 +201,27 @@ def gradcheck_report(seed):
 
     state = PromptState(rng.normal(0.0, 0.02, size=(4, config.embed_dim)))
 
-    def view_predictions():
-        return ep.predict_views(weights, config, state, classes, img_feats)
+    def view_probabilities(features):
+        tfeats = features(weights, config, state, classes)
+        return mdl.class_probabilities(tfeats, img_feats, config.logit_scale)
 
     # Selection is an argsort, so the loss is only piecewise smooth in the
     # prompt; the backward pass holds the selected set constant.  Fix the
     # selection at the base point so central differences probe the same
     # smooth branch the analytic gradient lives on.
-    _, selected, _ = ep.select_and_average(view_predictions(), 0.5)
+    _, selected, _ = ep.select_and_average(view_probabilities(ep.text_features), 0.5)
 
-    def episode_loss(prompt):  # finite_diff_check perturbs it in place
-        return ep.marginal_entropy_loss(
-            ad.mean_rows(ad.gather_rows(view_predictions(), selected)))
+    # the loss with a fresh text pass, then as an episode's step 0 takes
+    # it: the text features are one record over the kept start pass's
+    # replayed tape, and each perturbed prompt re-keys the kept entry
+    for name, features in (("marginal_entropy_loss_vs_prompt", ep.text_features),
+                           ("marginal_entropy_loss_vs_prompt_kept_start",
+                            ep.start_text_features)):
+        def loss(prompt):  # finite_diff_check perturbs it in place
+            probs = view_probabilities(features)
+            return ep.marginal_entropy_loss(ad.mean_rows(ad.gather_rows(probs, selected)))
 
-    checks.append(("marginal_entropy_loss_vs_prompt",
-                   ad.finite_diff_check(episode_loss, state.prompt)))
-
-    # the same loss as an episode's step 0 takes it: the text features are
-    # one record over the kept start pass's replayed tape, and each
-    # perturbed prompt re-keys the kept entry
-    def kept_start_loss(prompt):
-        tfeats = ep.start_text_features(weights, config, state, classes)
-        probs = mdl.class_probabilities(tfeats, img_feats, config.logit_scale)
-        return ep.marginal_entropy_loss(ad.mean_rows(ad.gather_rows(probs, selected)))
-
-    checks.append(("marginal_entropy_loss_vs_prompt_kept_start",
-                   ad.finite_diff_check(kept_start_loss, state.prompt)))
+        checks.append((name, ad.finite_diff_check(loss, state.prompt)))
 
     # batched ops: a 2-D weight shared by every item of a batch
     items = normal(3, 2, 4)

@@ -232,8 +232,9 @@ def test_c11_probability_and_entropy_invariants(pretrained, model_config,
     feats = np.concatenate(
         [mdl.encode_image(pretrained, model_config, img).data
          for img in split500[1].images[:32]])
-    probs = ep.predict_views(pretrained, model_config, state, classes,
-                             Tensor(feats)).data
+    probs = mdl.class_probabilities(
+        ep.text_features(pretrained, model_config, state, classes), Tensor(feats),
+        model_config.logit_scale).data
     sums = probs.sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-10)
     entropies = ep.row_entropies(probs)

@@ -26,11 +26,18 @@ def test_digests_write_and_compare(tmp_path, capsys):
     assert "encode_images/after_pretraining_batches" in digests
     assert "cli/none.csv" in digests  # the unshifted dataset path
     assert {"generate", "apply_shift/style", "generate_tasks"} <= digests.keys()
+    assert {"avgpred", "vote", "gradcheck_report/marginal_entropy_loss_vs_prompt"} \
+        <= digests.keys()
     assert all(len(v) == 64 for v in digests.values())
     assert tool.main(["--compare", str(out), str(out)]) == 0
 
     altered = tmp_path / "b.json"
-    altered.write_text(json.dumps({**digests, "gradcheck_report": "0" * 64}))
+    altered.write_text(json.dumps({**digests, "generate": "0" * 64}))
     capsys.readouterr()
     assert tool.main(["--compare", str(out), str(altered)]) == 1
-    assert capsys.readouterr().out.splitlines()[0] == "differs: gradcheck_report"
+    assert capsys.readouterr().out.splitlines()[0] == "differs: generate"
+
+    added = tmp_path / "c.json"  # a digest only one side has, as an added check
+    added.write_text(json.dumps({**digests, "gradcheck_report/new": "0" * 64}))
+    assert tool.main(["--compare", str(out), str(added)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"only in {added}: gradcheck_report/new"

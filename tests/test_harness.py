@@ -101,18 +101,18 @@ class TestEvaluateTpt:
 
 
 class TestBaselines:
+    POOLS = (hz.averaged_prediction, hz.majority_vote)
+
     def test_outputs_in_range(self, weights, config, classes, dataset):
-        for fn in (hz.baseline_averaged_prediction, hz.baseline_majority_vote):
-            acc, preds = fn(weights, config, TEMPLATE, classes, dataset, FAST)
-            assert 0.0 <= acc <= 1.0
+        for preds in hz._pool_views(weights, config, TEMPLATE, classes, dataset, FAST,
+                                    *self.POOLS):
             assert preds.shape == (len(dataset),)
+            assert np.all((0 <= preds) & (preds < len(classes)))
 
     def test_pool_the_episode_view_distributions(self, varied_weights, config,
                                                  classes, dataset):
-        _, avg = hz.baseline_averaged_prediction(varied_weights, config, TEMPLATE,
-                                                 classes, dataset, FAST)
-        _, vote = hz.baseline_majority_vote(varied_weights, config, TEMPLATE,
-                                            classes, dataset, FAST)
+        avg, vote = hz._pool_views(varied_weights, config, TEMPLATE, classes, dataset,
+                                   FAST, *self.POOLS)
         for i in range(len(dataset)):
             cfg = replace(FAST, seed=split_seed(FAST.seed, int(dataset.ids[i])))
             state = init_from_template(varied_weights, config, TEMPLATE)
@@ -141,28 +141,25 @@ class TestBaselines:
 
     def test_several_pools_take_one_pass(self, varied_weights, config, classes,
                                          dataset, monkeypatch):
-        """One prediction array per pool, each that of its baseline, from
+        """One prediction array per pool, each that of the pool alone, from
         one set of views per sample."""
         calls = []
         views = hz.generate_views
         monkeypatch.setattr(hz, "generate_views", lambda *a: calls.append(1) or views(*a))
         pooled = hz._pool_views(varied_weights, config, TEMPLATE, classes, dataset, FAST,
-                                hz.averaged_prediction, hz.majority_vote)
+                                *self.POOLS)
         assert len(calls) == len(dataset)
         monkeypatch.undo()
-        for fn, preds in zip((hz.baseline_averaged_prediction, hz.baseline_majority_vote),
-                             pooled, strict=True):
-            acc, want = fn(varied_weights, config, TEMPLATE, classes, dataset, FAST)
+        for pool, preds in zip(self.POOLS, pooled, strict=True):
+            [want] = hz._pool_views(varied_weights, config, TEMPLATE, classes, dataset,
+                                    FAST, pool)
             assert preds.tobytes() == want.tobytes() and preds.dtype == want.dtype
-            assert acc == np.mean(preds == dataset.labels)
 
     def test_single_view_baselines_agree(self, weights, config, classes,
                                          dataset):
         cfg = TPTConfig(n_views=1, rho=1.0)
-        _, a = hz.baseline_averaged_prediction(weights, config, TEMPLATE,
-                                               classes, dataset, cfg)
-        _, b = hz.baseline_majority_vote(weights, config, TEMPLATE, classes,
-                                         dataset, cfg)
+        a, b = hz._pool_views(weights, config, TEMPLATE, classes, dataset, cfg,
+                              *self.POOLS)
         _, z = hz.evaluate_zero_shot(weights, config, TEMPLATE, classes, dataset)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, z)  # single view is the original image
@@ -622,6 +619,30 @@ class TestCli:
                           "weights": str(wpath), "method": method, "shift": "none",
                           "samples": "2", "out": str(out), **read}
         assert rows[0]["seed"] == read.get("seed", "")
+
+
+    @pytest.mark.parametrize("method, pool", [("avgpred", hz.averaged_prediction),
+                                              ("vote", hz.majority_vote)])
+    def test_pooling_accuracy_is_that_of_the_pool(self, tmp_path, capsys, config,
+                                                  varied_weights, method, pool):
+        """The accuracy `eval` writes and prints for a pooling baseline is
+        the share of the pool's predictions on the scored set that match
+        the labels (here 0.125 for avgpred and 0.1875 for vote)."""
+        wpath = tmp_path / "w.tptw"
+        mdl.save_weights(varied_weights, wpath)
+        out = tmp_path / "res.csv"
+        assert cli.main(["eval", "--weights", str(wpath), "--method", method,
+                         "--shift", "noise:0.3", "--views", "8", "--seed", "3",
+                         "--samples", "16", "--out", str(out)]) == 0
+        ds = dat.generate(dat.DatasetSpec(), seed=1)
+        ds = dat.apply_shift(ds, dat.ShiftSpec.parse("noise:0.3"), seed=2)
+        ds = ds.subset(np.sort(np.random.default_rng(3).permutation(len(ds))[:16]))
+        [preds] = hz._pool_views(varied_weights, config, TEMPLATE,
+                                 hz.class_set(ds), ds, TPTConfig(n_views=8, seed=3), pool)
+        acc = float(np.mean(preds == ds.labels))
+        _, rows = read_results(out)
+        assert float(rows[0]["accuracy"]) == acc
+        assert capsys.readouterr().out == f"{method}: accuracy {acc:.4f} on 16 samples\n"
 
 
 def readme_commands():

@@ -11,10 +11,12 @@ bit-identical.
 noise:0.3; data seed 1 itself is digested clean and under every shift
 kind.  The tool calls only long-standing entry points (data generation,
 harness, tpt_classify, bongard, pretraining, the CLI), so it runs
-against the `src/` of an older tree as well.  --compare names each
-digest that differs between two files, or that one of them lacks, and
-exits 1 if any does.  No test pins a digest: they change whenever an output is
-meant to change, and then the comparison lists which outputs did.
+against the `src/` of an older tree as well.  Each gradcheck_report
+check is its own digest, `gradcheck_report/<check>`.  --compare names
+each digest that differs between two files, or that one of them lacks
+(as "only in FILE"), and exits 1 if any does.  No test pins a digest:
+they change whenever an output is meant to change, and then the
+comparison lists which outputs did.
 """
 
 import argparse
@@ -135,10 +137,11 @@ def _library_digests(weights, config):
 
     out["zero_shot"] = digest(hz.evaluate_zero_shot(weights, config, template,
                                                     classes, ds))
-    out["avgpred"] = digest(hz.baseline_averaged_prediction(
-        weights, config, template, classes, ds, tcfg))
-    out["vote"] = digest(hz.baseline_majority_vote(weights, config, template,
-                                                   classes, ds, tcfg))
+    # both pooling baselines from one pass, as (accuracy, predictions)
+    for name, preds in zip(("avgpred", "vote"), hz._pool_views(
+            weights, config, template, classes, ds, tcfg,
+            hz.averaged_prediction, hz.majority_vote)):
+        out[name] = digest((float(np.mean(preds == ds.labels)), preds))
     out["coop"] = digest(hz.evaluate_coop(weights, config, classes, ds, 0))
     # on these samples every baseline predicts the labels, so digest CoOp's
     # tuned prompt too
@@ -146,7 +149,9 @@ def _library_digests(weights, config):
     state = hz.fewshot_train_prompt(weights, config, classes, train.images[::32],
                                     train.labels[::32])
     out["coop_prompt"] = digest([p.data for p in state.params()])
-    out["gradcheck_report"] = digest(hz.gradcheck_report(0))
+    # one digest per check, so that an added check is a new name
+    for name, err in hz.gradcheck_report(0):
+        out[f"gradcheck_report/{name}"] = digest(err)
 
     tasks = bg.generate_tasks(4, seed=0)
     out["bongard"] = digest([bg.tpt_reason(weights, config, task, bg.ReasonConfig(seed=i))
@@ -231,7 +236,10 @@ def main(argv=None):
         a, b = json.load(fa), json.load(fb)
     differ = compare(a, b)
     for name in differ:
-        print(f"differs: {name}")
+        if name in a and name in b:
+            print(f"differs: {name}")
+        else:
+            print(f"only in {args.compare[0] if name in a else args.compare[1]}: {name}")
     print(f"{len(differ)} of {len(a.keys() | b.keys())} digests differ")
     return 1 if differ else 0
 

@@ -3,9 +3,9 @@
     PYTHONPATH=src python tools/stages.py --samples 200 --passes 3
 
 Runs default episodes (as harness.evaluate_tpt runs them) on the first
---samples samples of the acceptance split (data seed 200, noise:0.3,
-shift seed 0) with the benchmark checkpoint, --passes times over, and
-prints the medians over the last pass of each stage of
+--samples samples (at most its 512) of the acceptance split (data seed
+200, noise:0.3, shift seed 0) with the benchmark checkpoint, --passes
+times over, and prints the medians over the last pass of each stage of
 `tpt_classify`'s trace["stage_ms"] (views, image encode, tune, final
 predict), of their total, and of the minor page faults per episode
 (getrusage).  The earlier passes warm the process up.  As perfbench
@@ -48,6 +48,7 @@ from tpt.prompt import init_from_template  # noqa: E402
 CHECKPOINT = (pathlib.Path(__file__).resolve().parents[1]
               / "perfbench" / "checkpoint" / "pretrained.tptw")
 STAGES = ("views", "encode", "tune", "predict")
+SPLIT_SIZE = dat.DatasetSpec.samples_per_class * len(dat.DatasetSpec.class_names)
 
 
 def episode_costs(samples, passes):
@@ -78,6 +79,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.samples < 1 or args.passes < 1:
         parser.error("--samples and --passes must be at least 1")
+    if args.samples > SPLIT_SIZE:
+        parser.error(f"--samples must be at most {SPLIT_SIZE}, the size of the split")
     costs = episode_costs(args.samples, args.passes)
     medians = {key: statistics.median(c[key] for c in costs) for key in costs[0]}
     threshold = f"{MMAP_THRESHOLD // 1024} KB" if MALLOC_PINNED else "dynamic"
