@@ -142,8 +142,7 @@ def cmd_eval(args):
         acc, _, traces = hz.evaluate_tpt(weights, mconfig, template, classes,
                                          ds, tcfg)
     elif method == "ensemble":
-        templates = [dat.tokenize(t) for t in dat.CAPTION_TEMPLATES]
-        acc, _ = hz.prompt_ensemble(weights, mconfig, templates, classes, ds)
+        acc, _ = hz.prompt_ensemble(weights, mconfig, classes, ds)
     elif method == "coop":
         acc, _ = hz.evaluate_coop(weights, mconfig, classes, ds, args.seed)
     elif method in _POOLS:

@@ -5,7 +5,7 @@ vocabulary for captions and caption pairing for contrastive pretraining.
 No dataset is stored: each is regenerated from its seed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import uniform_filter
@@ -107,11 +107,7 @@ class Dataset:
     contrasts: np.ndarray  # (n,) float64, each sample's drawn prototype contrast
     class_names: tuple
     class_token_ids: list  # per class, token id list for the class name
-    ids: np.ndarray = field(default=None)  # stable per-sample identity
-
-    def __post_init__(self):
-        if self.ids is None:
-            self.ids = np.arange(len(self.labels))
+    ids: np.ndarray  # (n,) stable per-sample identity
 
     def __len__(self):
         return len(self.labels)
@@ -190,7 +186,7 @@ def generate(spec, seed):
     np.clip(images, *PIXEL_RANGE, out=images)
     token_ids = [tokenize((name,)) for name in spec.class_names]
     return Dataset(images, np.repeat(np.arange(len(patterns)), n), contrasts,
-                   tuple(spec.class_names), token_ids)
+                   tuple(spec.class_names), token_ids, np.arange(len(images)))
 
 
 def apply_shift(dataset, shift, seed):

@@ -159,13 +159,20 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
     (start_text_features), with the same values and gradients as a fresh
     one.  The views are made into the kept scratch (autodiff.scratch),
     which only the episode reads.  The final prediction is the argmax on
-    the original image under the tuned state.  The trace keeps per-step
-    loss/threshold/mask, the pre/post distributions of the original view, the number of
-    distinct images among the N views and among the k views the first
-    step selected, and stage_ms: the wall-clock milliseconds
-    (time.perf_counter) of making the views, encoding them before any
-    step (nothing when the group holds image weights, whose steps encode
-    on their tape), the tuning steps, and the final prediction.
+    the original image under the tuned state.
+
+    The trace is built once, after the final prediction.  Its keys, in
+    order: losses, k (views selected), thresholds (k-th lowest view
+    entropy) and mask_indices, the lists one entry per step;
+    distinct_views and distinct_selected (distinct images among the N
+    views and the first step's k); pre_original, post_original,
+    pre_averaged and post_averaged (the original view's and the selected
+    views' averaged distribution, before and after tuning); with
+    record_views, the N x K pre_views and post_views; and last stage_ms:
+    the wall-clock milliseconds (time.perf_counter) of making the views,
+    encoding them before any step (nothing when the group holds image
+    weights, whose steps encode on their tape), the tuning steps, and the
+    final prediction.
     """
     cfg = tpt_config
     prefixes = PARAMETER_GROUPS[cfg.parameter_group]
@@ -180,11 +187,6 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
         clock.append(time.perf_counter())
         feats = None if image_tuned else view_features(weights, config, views, index)
         clock.append(time.perf_counter())
-        trace = {"losses": [], "thresholds": [], "k": None, "mask_indices": [],
-                 "pre_original": None, "post_original": None,
-                 "pre_views": None, "post_views": None,
-                 "pre_averaged": None, "post_averaged": None,
-                 "distinct_views": len(views), "distinct_selected": None}
 
         def predict(start=False):
             f = view_features(weights, config, views, index) if image_tuned else feats
@@ -193,14 +195,9 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
             probs = mdl.class_probabilities(tfeats, f, config.logit_scale)
             return (probs, *select_and_average(probs, cfg.rho))
 
-        def record(when, probs, averaged):
-            trace[f"{when}_original"] = probs.data[0].copy()
-            trace[f"{when}_averaged"] = averaged.data[0].copy()
-            if record_views:
-                trace[f"{when}_views"] = probs.data.copy()
-
         mdl.set_trainable(tuned, True)
         opt = AdamW(params, lr=cfg.lr)
+        losses, thresholds, masks = [], [], []
         for step in range(cfg.steps):
             with ad.Tape() as tape:
                 probs, averaged, selected, threshold = predict(start=step == 0)
@@ -208,18 +205,22 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
                 opt.zero_grad()
                 tape.backward(loss)
             if step == 0:
-                record("pre", probs, averaged)
-                trace["k"] = len(selected)
-                trace["distinct_selected"] = len(np.unique(index[selected]))
-            trace["losses"].append(loss.item())
-            trace["thresholds"].append(threshold)
-            trace["mask_indices"].append(selected.tolist())
+                pre, pre_averaged = probs.data.copy(), averaged.data[0].copy()
+            losses.append(loss.item())
+            thresholds.append(threshold)
+            masks.append(selected.tolist())
             opt.step()
         clock.append(time.perf_counter())
 
         probs, averaged, _, _ = predict()  # inference with the tuned state, no tape
-        record("post", probs, averaged)
         clock.append(time.perf_counter())
+        trace = {"losses": losses, "k": len(masks[0]), "thresholds": thresholds,
+                 "mask_indices": masks, "distinct_views": len(views),
+                 "distinct_selected": len(np.unique(index[masks[0]])),
+                 "pre_original": pre[0].copy(), "post_original": probs.data[0].copy(),
+                 "pre_averaged": pre_averaged, "post_averaged": averaged.data[0].copy()}
+        if record_views:
+            trace.update(pre_views=pre, post_views=probs.data.copy())
         trace["stage_ms"] = {stage: (end - start) * 1e3 for stage, start, end in zip(
             ("views", "encode", "tune", "predict"), clock, clock[1:])}
         return int(np.argmax(probs.data[0])), averaged.data[0].copy(), trace

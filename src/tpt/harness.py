@@ -53,20 +53,20 @@ def evaluate_zero_shot(weights, config, template_ids, classes, dataset):
 def evaluate_tpt(weights, config, template_ids, classes, dataset, tpt_config):
     """Per-sample episodic tuning.  The episode seed is derived from the
     sample's stable id, so evaluation order cannot change any prediction.
+    Every episode starts from one template prompt, which it restores.
 
-    Returns (accuracy, predictions, traces)."""
+    Returns (accuracy, predictions, traces); a trace is the sample's id,
+    label and prediction, then its episode's record less the wall-clock
+    stage_ms, arrays as lists (the lines of `tpt eval`'s X.traces.jsonl)."""
+    state = init_from_template(weights, config, template_ids)
     preds, traces = [], []
     for image, sample_id, label in zip(dataset.images, dataset.ids, dataset.labels):
-        state = init_from_template(weights, config, template_ids)
         cfg = replace(tpt_config, seed=split_seed(tpt_config.seed, int(sample_id)))
         pred, _, trace = ep.tpt_classify(weights, config, state, classes, image, cfg)
         preds.append(pred)
-        traces.append({
-            "sample_id": int(sample_id), "label": int(label), "prediction": pred,
-            **{k: trace[k] for k in ("losses", "k", "thresholds", "mask_indices",
-                                     "distinct_views", "distinct_selected")},
-            **{k: trace[k].tolist() for k in ("pre_original", "post_original",
-                                              "pre_averaged", "post_averaged")}})
+        traces.append({"sample_id": int(sample_id), "label": int(label), "prediction": pred,
+                       **{k: v.tolist() if isinstance(v, np.ndarray) else v
+                          for k, v in trace.items() if k != "stage_ms"}})
     preds = np.array(preds)
     return float(np.mean(preds == dataset.labels)), preds, traces
 
@@ -99,10 +99,10 @@ def evaluate_coop(weights, config, classes, dataset, seed):
     return _classify_images(weights, config, tfeats, dataset)
 
 
-def prompt_ensemble(weights, config, templates, classes, dataset):
-    """Per-class feature = normalized mean of per-template text features."""
-    per_template = [_template_text_features(weights, config, t, classes).data
-                    for t in templates]
+def prompt_ensemble(weights, config, classes, dataset):
+    """Per-class feature = normalized mean of its CAPTION_TEMPLATES text features."""
+    per_template = [_template_text_features(weights, config, dat.tokenize(t), classes).data
+                    for t in dat.CAPTION_TEMPLATES]
     tfeats = ad.l2_normalize_rows(Tensor(np.mean(per_template, axis=0)))
     return _classify_images(weights, config, tfeats, dataset)
 

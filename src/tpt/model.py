@@ -175,12 +175,12 @@ def encode_text(weights, config, seq):
     return encode_texts(weights, config, ad.reshape(seq, (1,) + seq.data.shape))
 
 
-def patchify(images, patch_size, out=None):
+def patchify(images, out=None):
     """(..., C, H, W) array -> (..., P, C*ps*ps) patch matrices, row-major
-    patches, written into out (C-contiguous) if given, else into a new
-    array."""
+    patches of side ps = ModelConfig.patch_size, written into out
+    (C-contiguous) if given, else into a new array."""
     *batch, c, h, w = images.shape
-    ps = patch_size
+    ps = ModelConfig.patch_size
     x = images.reshape(*batch, c, h // ps, ps, w // ps, ps)
     x = np.moveaxis(x, (-5, -3, -1), (-3, -2, -1))
     if out is None:
@@ -210,8 +210,8 @@ def _encode_block(weights, config, images):
     proj = weights["patch_proj"]
     shape = (len(imgs), config.num_patches, config.patch_dim)
     # off the tape no backward closure holds the patch matrix
-    patches = Tensor(patchify(imgs, config.patch_size,
-                              None if ad.recording(proj) else ad.scratch("patches", shape)))
+    patches = Tensor(patchify(imgs, None if ad.recording(proj)
+                              else ad.scratch("patches", shape)))
     x = ad.add(ad.matmul(patches, proj), weights["patch_bias"])
     x = ad.add(x, weights["image_pos"])
     x = _transformer(weights, "image", x, config.image_layers, config.heads, causal=False)
@@ -382,31 +382,6 @@ def retrieval_top1(weights, config, pairs):
 _MAGIC = b"TPTW1"
 
 
-class FileFields:
-    """A file read into memory once, for fields to be taken from it in
-    order.  Errors name the file."""
-
-    def __init__(self, path, magic, kind):
-        with open(path, "rb") as f:
-            self.data = memoryview(f.read())
-        if self.data[:len(magic)] != magic:
-            raise ValueError(f"{path}: bad magic, not {kind}")
-        self.path, self.pos = path, len(magic)
-
-    def take(self, n, what):
-        """The next n bytes.  A length past the end of the file is an error
-        that names `what` was being read."""
-        if n > len(self.data) - self.pos:
-            raise ValueError(f"{self.path}: file truncated in {what}")
-        self.pos += n
-        return self.data[self.pos - n:self.pos]
-
-    def end(self, what):
-        """Check that nothing follows the last field, `what`."""
-        if rest := len(self.data) - self.pos:
-            raise ValueError(f"{self.path}: {rest} bytes after {what}")
-
-
 def save_weights(weights, path):
     with open(path, "wb") as f:
         f.write(_MAGIC)
@@ -424,30 +399,44 @@ def save_weights(weights, path):
 def load_weights(path):
     """Read a weights file that names each tensor once and ends after its
     last tensor, whose names and shapes match weight_shapes(ModelConfig())
-    and whose values are finite.  The file is read once, and each header
-    is checked before its data is parsed.  Errors name the file and
-    tensor."""
+    and whose values are finite.  The file is read into memory once and
+    its fields are taken from it in order; each header is checked before
+    its data is parsed.  Errors name the file and tensor."""
     expected = weight_shapes(ModelConfig())
+    with open(path, "rb") as f:
+        buf = memoryview(f.read())
+    if buf[:len(_MAGIC)] != _MAGIC:
+        raise ValueError(f"{path}: bad magic, not a weights file")
+    pos = len(_MAGIC)
+
+    def take(n, what):
+        """The next n bytes; past the end of the file, an error naming `what`."""
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise ValueError(f"{path}: file truncated in {what}")
+        pos += n
+        return buf[pos - n:pos]
+
     weights = {}
-    f = FileFields(path, _MAGIC, "a weights file")
-    (count,) = struct.unpack("<I", f.take(4, "the header"))
+    (count,) = struct.unpack("<I", take(4, "the header"))
     for i in range(count):
-        (nlen,) = struct.unpack("<H", f.take(2, f"the name of tensor #{i}"))
-        name = str(f.take(nlen, f"the name of tensor #{i}"), "utf-8", "replace")
+        (nlen,) = struct.unpack("<H", take(2, f"the name of tensor #{i}"))
+        name = str(take(nlen, f"the name of tensor #{i}"), "utf-8", "replace")
         what = f"tensor {name!r}"
         if name in weights:
             raise ValueError(f"{path}: {what} appears twice in the file")
-        (rank,) = struct.unpack("<B", f.take(1, what))
-        shape = struct.unpack(f"<{rank}I", f.take(4 * rank, what))
+        (rank,) = struct.unpack("<B", take(1, what))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank, what))
         want = expected.get(name, "absent")
         if shape != want:
             raise ValueError(f"{path}: {what} is {shape} in the file "
                              f"but {want} in the model config")
-        data = np.frombuffer(f.take(8 * int(np.prod(shape)), what), dtype="<f8")
+        data = np.frombuffer(take(8 * int(np.prod(shape)), what), dtype="<f8")
         if not np.all(np.isfinite(data)):
             raise ValueError(f"{path}: {what} has a non-finite value")
         weights[name] = Tensor(data.reshape(shape).copy())
-    f.end("the last tensor")
+    if rest := len(buf) - pos:
+        raise ValueError(f"{path}: {rest} bytes after the last tensor")
     for name, want in expected.items():
         if name not in weights:
             raise ValueError(f"{path}: tensor {name!r} is absent in the file "

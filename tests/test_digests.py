@@ -25,6 +25,7 @@ def test_digests_write_and_compare(tmp_path, capsys):
     assert "tpt_classify/prompt_after_image_encoder" in digests
     assert "encode_images/after_pretraining_batches" in digests
     assert "cli/none.csv" in digests  # the unshifted dataset path
+    assert {"cli/ensemble.csv", "cli/zeroshot.csv"} <= digests.keys()
     assert {"generate", "apply_shift/style", "generate_tasks"} <= digests.keys()
     assert {"avgpred", "vote", "gradcheck_report/marginal_entropy_loss_vs_prompt"} \
         <= digests.keys()

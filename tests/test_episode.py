@@ -383,6 +383,14 @@ class TestTptClassify:
         assert 0 <= pred < len(classes)
 
 
+# the weights text_features reads, by the names tpt.model gives them, and
+# the rest, which only the image encoder reads
+TEXT_WEIGHTS = [name for name in mdl.weight_shapes(mdl.ModelConfig())
+                if name.startswith(("token_embedding", "text_pos", "text.", "text_proj"))]
+IMAGE_WEIGHTS = [name for name in mdl.weight_shapes(mdl.ModelConfig())
+                 if name not in TEXT_WEIGHTS]
+
+
 class TestStartPass:
     """The first step's text pass is kept across episodes and recorded
     afresh whenever a part of its key changes.  Each test forces its
@@ -441,20 +449,36 @@ class TestStartPass:
         assert self.episode(weights, config, classes[:4], image)[3]
         assert self.episode(weights, config, classes, image)[3]
 
+    @pytest.mark.parametrize("name", TEXT_WEIGHTS)
     def test_a_text_weight_changed_in_place_and_restored(self, weights, config,
-                                                          classes, image):
+                                                          classes, image, name):
+        """Every episode starts from one prompt, read before the change,
+        so that only the key's weights can tell the passes apart."""
         weights = copied(weights)
-        before = self.episode(weights, config, classes, image)
-        bias = weights["text.1.mlp.b1"].data
-        bias[0, 3] += 0.5
-        changed = self.episode(weights, config, classes, image)
+        prompt = init_from_template(weights, config, dat.template_ids())
+        before = self.episode(weights, config, classes, image, prompt=prompt)
+        values = weights[name].data
+        saved = values.copy()
+        values += 0.5
+        changed = self.episode(weights, config, classes, image, prompt=prompt)
         assert changed[3]
-        self.assert_same(changed, self.episode(copied(weights), config, classes, image))
-        assert changed[1].tobytes() != before[1].tobytes()
-        bias[0, 3] -= 0.5
-        restored = self.episode(weights, config, classes, image)
+        self.assert_same(changed, self.episode(copied(weights), config, classes, image,
+                                               prompt=prompt))
+        values[...] = saved
+        restored = self.episode(weights, config, classes, image, prompt=prompt)
         assert restored[3]
         self.assert_same(restored, before)
+
+    @pytest.mark.parametrize("name", IMAGE_WEIGHTS)
+    def test_an_image_weight_changed_in_place_is_a_hit(self, weights, config, classes,
+                                                       image, name):
+        """The start pass reads no image weight, so its entry stays."""
+        weights = copied(weights)
+        self.episode(weights, config, classes, image)
+        weights[name].data += 0.5
+        got = self.episode(weights, config, classes, image)
+        assert not got[3]
+        self.assert_same(got, self.episode(copied(weights), config, classes, image))
 
     def test_new_tensors_with_equal_values_are_another_key(self, weights, config,
                                                           classes, image):

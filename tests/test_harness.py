@@ -1,5 +1,6 @@
 import argparse
 import csv
+import json
 import shlex
 from dataclasses import replace
 from pathlib import Path
@@ -163,6 +164,49 @@ class TestBaselines:
         _, z = hz.evaluate_zero_shot(weights, config, TEMPLATE, classes, dataset)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, z)  # single view is the original image
+
+
+class TestPromptEnsemble:
+    def test_features_are_the_normalised_template_mean(self, varied_weights, config,
+                                                        classes, dataset, monkeypatch):
+        """The class features are the L2-normalised mean of the features
+        under each caption template, and the predictions theirs."""
+        seen = []
+        classify = hz._classify_images
+
+        def spy(weights, config, tfeats, dataset):
+            seen.append(tfeats)
+            return classify(weights, config, tfeats, dataset)
+
+        monkeypatch.setattr(hz, "_classify_images", spy)
+        acc, preds = hz.prompt_ensemble(varied_weights, config, classes, dataset)
+        per_template = [ep.text_features(varied_weights, config, init_from_template(
+            varied_weights, config, dat.tokenize(t)), classes).data
+            for t in dat.CAPTION_TEMPLATES]
+        mean = np.mean(per_template, axis=0)
+        [tfeats] = seen
+        np.testing.assert_allclose(
+            tfeats.data, mean / np.linalg.norm(mean, axis=1, keepdims=True),
+            rtol=0, atol=1e-15)
+        feats = mdl.encode_images(varied_weights, config, dataset.images)
+        want = np.argmax(mdl.class_probabilities(tfeats, feats, config.logit_scale).data,
+                         axis=1)
+        np.testing.assert_array_equal(preds, want)
+        assert acc == float(np.mean(want == dataset.labels))
+
+    def test_cli_accuracy_is_that_of_the_predictions(self, tmp_path, capsys,
+                                                     varied_weights, config):
+        wpath = tmp_path / "w.tptw"
+        mdl.save_weights(varied_weights, wpath)
+        out = tmp_path / "res.csv"
+        assert cli.main(["eval", "--weights", str(wpath), "--method", "ensemble",
+                         "--shift", "noise:0.3", "--samples", "16", "--out", str(out)]) == 0
+        ds = cli._build_dataset(argparse.Namespace(shift="noise:0.3", samples=16))
+        _, preds = hz.prompt_ensemble(varied_weights, config, hz.class_set(ds), ds)
+        acc = float(np.mean(preds == ds.labels))
+        _, rows = read_results(out)
+        assert float(rows[0]["accuracy"]) == acc
+        assert capsys.readouterr().out == f"ensemble: accuracy {acc:.4f} on 16 samples\n"
 
 
 class TestFewshot:
@@ -355,15 +399,36 @@ class TestCli:
         assert rows[0]["method"] == "zeroshot"
         assert int(rows[0]["n"]) == 8
 
-    def test_cli_tpt_writes_traces(self, tmp_path, weights):
+    def test_cli_tpt_writes_traces(self, tmp_path, varied_weights, config):
+        """One JSON line per scored sample: its id, label and prediction,
+        then the episode's record in its order, less the wall-clock
+        stage_ms and the per-view rows; arrays read back bit for bit."""
         wpath = tmp_path / "w.tptw"
-        mdl.save_weights(weights, wpath)
+        mdl.save_weights(varied_weights, wpath)
         out = tmp_path / "res.csv"
         rc = cli.main(["eval", "--weights", str(wpath), "--method", "tpt",
-                       "--samples", "2", "--views", "4", "--rho", "0.5",
-                       "--out", str(out)])
+                       "--samples", "3", "--views", "4", "--rho", "0.5",
+                       "--steps", "2", "--out", str(out)])
         assert rc == 0
-        assert (tmp_path / "res.csv.traces.jsonl").exists()
+        lines = (tmp_path / "res.csv.traces.jsonl").read_text().splitlines()
+        ds = cli._build_dataset(argparse.Namespace(shift="none", samples=3))
+        assert len(lines) == len(ds)
+        for line, image, sample_id, label in zip(lines, ds.images, ds.ids, ds.labels):
+            trace = json.loads(line)
+            assert list(trace) == [
+                "sample_id", "label", "prediction", "losses", "k", "thresholds",
+                "mask_indices", "distinct_views", "distinct_selected", "pre_original",
+                "post_original", "pre_averaged", "post_averaged"]
+            cfg = TPTConfig(n_views=4, rho=0.5, steps=2,
+                            seed=split_seed(TPTConfig.seed, int(sample_id)))
+            state = init_from_template(varied_weights, config, TEMPLATE)
+            pred, _, want = ep.tpt_classify(varied_weights, config, state,
+                                            hz.class_set(ds), image, cfg)
+            assert (trace["sample_id"], trace["label"], trace["prediction"]) == (
+                int(sample_id), int(label), pred)
+            assert len(trace["losses"]) == len(trace["mask_indices"]) == 2
+            np.testing.assert_array_equal(np.array(trace["pre_original"]),
+                                          want["pre_original"])
 
     def test_eval_rejects_weights_of_another_config(self, tmp_path, weights):
         wpath = tmp_path / "w.tptw"

@@ -9,10 +9,12 @@ bit-identical.
 {name: sha256 hex} as JSON.  The inputs are the benchmark checkpoint
 (read, never written) and every 32nd sample of data seed 1 under
 noise:0.3; data seed 1 itself is digested clean and under every shift
-kind.  The tool calls only long-standing entry points (data generation,
-harness, tpt_classify, bongard, pretraining, the CLI), so it runs
-against the `src/` of an older tree as well.  Each gradcheck_report
-check is its own digest, `gradcheck_report/<check>`.  --compare names
+kind, and the CLI's ensemble and zero-shot results on all of its
+samples under noise:0.3.  The tool calls only long-standing entry
+points (data generation, harness, tpt_classify, bongard, pretraining,
+the CLI), so it runs against the `src/` of an older tree as well.
+Each gradcheck_report check is its own digest,
+`gradcheck_report/<check>`.  --compare names
 each digest that differs between two files, or that one of them lacks
 (as "only in FILE"), and exits 1 if any does.  No test pins a digest:
 they change whenever an output is meant to change, and then the
@@ -182,9 +184,13 @@ def _library_digests(weights, config):
 def _cli_digests():
     """The files the CLI writes, run in a scratch directory with relative
     paths so that no results header holds a path that differs by run.
-    none.csv is `eval` under the default --shift none."""
+    none.csv is `eval` under the default --shift none; ensemble.csv and
+    zeroshot.csv score all 512 samples, through the CLI, whose flags
+    stay put while library signatures change."""
     runs = [["eval", "--weights", "w.tptw", "--method", "tpt", "--shift", SHIFT,
              "--samples", "8", "--out", "eval.csv"],
+            *(["eval", "--weights", "w.tptw", "--method", method, "--shift", SHIFT,
+               "--out", f"{method}.csv"] for method in ("ensemble", "zeroshot")),
             ["eval", "--weights", "w.tptw", "--method", "tpt",
              "--samples", "8", "--out", "none.csv"],
             ["dump-dist", "--weights", "w.tptw", "--shift", SHIFT,

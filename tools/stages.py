@@ -56,11 +56,10 @@ def episode_costs(samples, passes):
     weights, config = mdl.load_weights(CHECKPOINT), mdl.ModelConfig()
     ds = dat.apply_shift(dat.generate(dat.DatasetSpec(), seed=200),
                          dat.ShiftSpec.parse("noise:0.3"), seed=0).subset(np.arange(samples))
-    template, base = dat.template_ids(), ep.TPTConfig()
+    state, base = init_from_template(weights, config, dat.template_ids()), ep.TPTConfig()
     for _ in range(passes):
         costs = []
         for image, sample_id in zip(ds.images, ds.ids):
-            state = init_from_template(weights, config, template)
             cfg = replace(base, seed=split_seed(base.seed, int(sample_id)))
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             _, _, trace = ep.tpt_classify(weights, config, state, ds.class_token_ids,
