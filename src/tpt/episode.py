@@ -205,7 +205,8 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
                 opt.zero_grad()
                 tape.backward(loss)
             if step == 0:
-                pre, pre_averaged = probs.data.copy(), averaged.data[0].copy()
+                pre = probs.data.copy() if record_views else probs.data[:1].copy()
+                pre_averaged = averaged.data[0].copy()
             losses.append(loss.item())
             thresholds.append(threshold)
             masks.append(selected.tolist())

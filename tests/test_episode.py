@@ -453,17 +453,24 @@ class TestStartPass:
     def test_a_text_weight_changed_in_place_and_restored(self, weights, config,
                                                           classes, image, name):
         """Every episode starts from one prompt, read before the change,
-        so that only the key's weights can tell the passes apart."""
+        so that only the key's weights can tell the passes apart.  The
+        change varies over the tensor: a uniform one is cancelled by the
+        next LayerNorm for most of them.  A key bias adds one term to all
+        of a query's scores, which the softmax cancels, so its change
+        moves the output only by rounding."""
         weights = copied(weights)
         prompt = init_from_template(weights, config, dat.template_ids())
         before = self.episode(weights, config, classes, image, prompt=prompt)
         values = weights[name].data
         saved = values.copy()
-        values += 0.5
+        values += 0.5 * np.cos(np.arange(values.size)).reshape(values.shape)
         changed = self.episode(weights, config, classes, image, prompt=prompt)
         assert changed[3]
         self.assert_same(changed, self.episode(copied(weights), config, classes, image,
                                                prompt=prompt))
+        assert changed[1].tobytes() != before[1].tobytes()
+        if not name.endswith("attn.bk"):
+            assert np.abs(changed[1] - before[1]).max() > 1e-9
         values[...] = saved
         restored = self.episode(weights, config, classes, image, prompt=prompt)
         assert restored[3]
