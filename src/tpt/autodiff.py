@@ -16,8 +16,12 @@ place, which rounds as the chain of new arrays would.
 Ops record onto the innermost active Tape only when an input requires
 gradients; with no active tape they are plain numpy and cost nothing
 extra, which is how the image branch runs during test-time tuning.
-Such an untaped pass takes its large temporaries from a kept scratch
-pool (scratch), which no backward closure can hold.
+Layer norm, attention and the MLP each keep their forward arithmetic in
+one array-level function (layer_norm_forward, attention_forward,
+mlp_forward) that writes into the arrays of a slot map: the op passes
+_NEW, whose every slot is None, so numpy makes the new arrays that its
+backward closure holds, and an untaped encoder pass (model._transformer)
+passes pass_scratch, buffers of a kept pool that no closure can hold.
 """
 
 import math
@@ -116,18 +120,26 @@ def _record(out, inputs, backward_fn):
 
 # The kept scratch pool: slot -> capacity in float64 elements.  Each slot
 # keeps one C-contiguous buffer of its capacity, made at its first
-# request, for the lifetime of the process: 1.94 MB in all, of which
-# only the pages a request has touched are resident.  The capacities
-# cover an untaped pass's largest temporaries: the MLP pre-activation
-# and 1 + erf of an 8-image encode block (model.ENCODE_BLOCK images of
-# 16 patches, hidden width 128), that block's patch matrix (192 values
-# a patch) and an episode's 64 views of a 3 x 32 x 32 image.  Without
-# the pool each is a new array of 128 KB or more, which glibc's malloc
-# serves by a fresh mmap once its mmap threshold is fixed, and whose
-# pages then fault in zeroed on every pass.  Like the tape stack, the
-# pool is the process's: two threads may not run passes at once.
-SCRATCH_CAPACITY = {"mlp.pre": 8 * 16 * 128, "mlp.erf": 8 * 16 * 128,
-                    "patches": 8 * 16 * 192, "views": 64 * 3 * 32 * 32}
+# request, for the lifetime of the process: 4.4 MB in all, of which only
+# the pages a request has touched are resident.  The capacities cover an
+# episode's 64 views of a 3 x 32 x 32 image and every array of an
+# untaped encoder pass (pass_scratch) of model.UNTAPED_BLOCK = 32 images
+# of 16 patches: the patch matrix (192 values a patch), the eight
+# (32, 16, 32) arrays of _ROW_SLOTS, attention's (32, 2, 16, 16) scores
+# and the MLP's two (32, 16, 128) buffers.  Without the pool each is a
+# new array, and at 32 images the smallest is exactly 128 KB, which
+# glibc's malloc serves by a fresh mmap once its mmap threshold is fixed
+# there, so its pages would fault in zeroed on every pass.  Like the tape
+# stack, the pool is the process's: two threads may not run passes at
+# once.
+_PASS_N = 32 * 16  # rows of a 32-image pass
+# the (..., T, D) arrays of a pass: the residual stream, layer norm's
+# output and square, attention's q, k, v, the heads' contexts side by
+# side, and each sublayer's output
+_ROW_SLOTS = ("x", "ln.y", "ln.sq", "attn.q", "attn.k", "attn.v", "attn.ctx", "out")
+SCRATCH_CAPACITY = {**dict.fromkeys(_ROW_SLOTS, _PASS_N * 32), "attn.p": _PASS_N * 2 * 16,
+                    "mlp.pre": _PASS_N * 128, "mlp.erf": _PASS_N * 128,
+                    "patches": _PASS_N * 192, "views": 64 * 3 * 32 * 32}
 _scratch = {}
 
 
@@ -144,6 +156,20 @@ def scratch(slot, shape):
     if slot not in _scratch:
         _scratch[slot] = np.empty(capacity)
     return _scratch[slot][:n].reshape(shape)
+
+
+# The slot map of a recorded op: every slot None, so numpy makes each array anew.
+_NEW = dict.fromkeys(_ROW_SLOTS + ("attn.p", "mlp.pre", "mlp.erf"))
+
+
+def pass_scratch(shape, heads, hidden):
+    """The slot map of an untaped encoder pass over (..., T, D) rows of
+    `shape` with `heads` heads and an MLP of width `hidden`: each slot's
+    kept buffer, taken once for all the pass's layers."""
+    *batch, t, _ = shape
+    shapes = {**dict.fromkeys(_ROW_SLOTS, shape), "attn.p": (*batch, heads, t, t),
+              "mlp.pre": (*batch, t, hidden), "mlp.erf": (*batch, t, hidden)}
+    return {slot: scratch(slot, s) for slot, s in shapes.items()}
 
 
 def _accumulate(t, g):
@@ -320,10 +346,11 @@ def gather_rows(a, indices):
     return _record(out, (a,), bw)
 
 
-def _softmax(x):
-    """Row softmax of an array, max-subtracted for stability, and the map
-    from an output gradient to the input's."""
-    y = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+def _softmax(x, out=None):
+    """Row softmax of an array, max-subtracted for stability, into out
+    (which may be x) or a new array, and the map from an output gradient
+    to the input's."""
+    y = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True), out=out)
     np.exp(y, out=y)
     y /= np.add.reduce(y, axis=-1, keepdims=True)
 
@@ -388,11 +415,13 @@ def _one_plus_erf(x, out):
     return out
 
 
-def _gelu(x):
-    """GELU of an array, 0.5 * x * (1 + erf(x / sqrt(2))), and the map
+def _gelu(x, one_plus_erf=None, out=None):
+    """GELU of an array, 0.5 * x * (1 + erf(x / sqrt(2))), with 1 + erf
+    written into one_plus_erf and the GELU into out (which may be x, if
+    the gradient map goes unused), each a new array if None, and the map
     from an output gradient g to the input's, g * (0.5 * (1 + erf) + x *
     pdf(x)), each computed in that order."""
-    one_plus_erf = _one_plus_erf(x, np.empty_like(x))
+    one_plus_erf = _one_plus_erf(x, np.empty_like(x) if one_plus_erf is None else one_plus_erf)
 
     def grad(g):
         pdf = -0.5 * x
@@ -405,7 +434,7 @@ def _gelu(x):
         slope *= g
         return slope
 
-    y = 0.5 * x
+    y = np.multiply(x, 0.5, out=out)
     y *= one_plus_erf
     return y, grad
 
@@ -436,18 +465,33 @@ def l2_normalize_rows(x):
     return _record(out, (x,), bw)
 
 
+def layer_norm_forward(x, gain, bias, buf):
+    """Per-row zero mean / unit variance of an array x, then affine by the
+    Tensors gain and bias.  Returns (out, y, sigma): y the normalized rows
+    and sigma their standard deviations, which the backward pass reads.
+
+    Each (..., T, D) array is written into its slot of the map buf, a new
+    array where the slot is None (_NEW) and a kept buffer off the tape
+    (pass_scratch).  out and y share the slot "ln.y", so off the tape the
+    affine runs in place on y."""
+    d = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
+    y = np.subtract(x, mu, out=buf["ln.y"])
+    var = np.add.reduce(np.multiply(y, y, out=buf["ln.sq"]), axis=-1, keepdims=True) / d
+    sigma = np.sqrt(var + LAYER_NORM_EPS)
+    y /= sigma
+    out = np.multiply(y, gain.data, out=buf["ln.y"])
+    out += bias.data
+    return out, y, sigma
+
+
 def layer_norm(x, gain, bias):
     """Per-row zero mean / unit variance, then affine by gain and bias."""
     if gain.data.shape[-1] != x.data.shape[-1] or bias.data.shape[-1] != x.data.shape[-1]:
         raise ValueError("layer_norm gain/bias must match the last dimension")
     d = x.data.shape[-1]
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    y = x.data - mu
-    var = np.add.reduce(y * y, axis=-1, keepdims=True) / d
-    sigma = np.sqrt(var + LAYER_NORM_EPS)
-    y /= sigma
-    out = Tensor(y * gain.data)
-    out.data += bias.data
+    y_out, y, sigma = layer_norm_forward(x.data, gain, bias, _NEW)
+    out = Tensor(y_out)
 
     def bw():
         g = out.grad
@@ -494,13 +538,19 @@ def _affine_grads(x, w, b, g):
     return np.matmul(g, w.data.swapaxes(-1, -2))
 
 
-def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
-    """Multi-head scaled dot-product self-attention over the rows of x.
+def attention_forward(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask, buf):
+    """Multi-head scaled dot-product self-attention over the rows of an
+    array x, each large array written into its slot of buf (see
+    layer_norm_forward).  Returns (out, grad): grad maps out's gradient to
+    the weights', which it accumulates, and yields x's gradient through v,
+    k and q, in the order the composition adds them.
 
     Each projection is x @ w + b; the D columns split into `heads` heads
     of D / heads.  `mask` is an array added to the (T, T) scores, a large
-    negative entry where a row may not attend, or None."""
-    *batch, t, d = x.data.shape
+    negative entry where a row may not attend, or None.  The softmax runs
+    in place on the scores, and the heads' contexts are multiplied into
+    their columns of one (..., T, D) array."""
+    *batch, t, d = x.shape
     dh = d // heads
     c = float(1.0 / np.sqrt(dh))
 
@@ -510,48 +560,66 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
     def merge(a):  # (..., heads, T, dh) -> (..., T, D)
         return a.swapaxes(-3, -2).reshape(*batch, t, d)
 
-    qh, kh, vh = (split(_affine(x.data, w, b)) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
-    scores = np.matmul(qh, kh.swapaxes(-1, -2))
+    qh, kh, vh = (split(_affine(x, w, b, buf[slot]))
+                  for slot, w, b in (("attn.q", wq, bq), ("attn.k", wk, bk), ("attn.v", wv, bv)))
+    scores = np.matmul(qh, kh.swapaxes(-1, -2), out=buf["attn.p"])
     scores *= c
     if mask is not None:
         scores += mask
-    p, softmax_grad = _softmax(scores)
-    ctx = merge(np.matmul(p, vh))
-    out = Tensor(_affine(ctx, wo, bo))
+    p, softmax_grad = _softmax(scores, scores)
+    ctx = buf["attn.ctx"]
+    if ctx is None:
+        ctx = np.empty(x.shape)
+    np.matmul(p, vh, out=split(ctx))
 
-    def bw():
-        g_heads = np.ascontiguousarray(split(_affine_grads(ctx, wo, bo, out.grad)))
+    def grad(g):
+        g_heads = np.ascontiguousarray(split(_affine_grads(ctx, wo, bo, g)))
         g_scores = softmax_grad(np.matmul(g_heads, vh.swapaxes(-1, -2))) * c
         g_v = np.matmul(p.swapaxes(-1, -2), g_heads)
         g_k = np.matmul(qh.swapaxes(-1, -2), g_scores).swapaxes(-1, -2)
         g_q = np.matmul(g_scores, kh)
-        for g, w, b in ((g_v, wv, bv), (g_k, wk, bk), (g_q, wq, bq)):
-            g_x = _affine_grads(x.data, w, b, np.ascontiguousarray(merge(g)))
+        for g_in, w, b in ((g_v, wv, bv), (g_k, wk, bk), (g_q, wq, bq)):
+            yield _affine_grads(x, w, b, np.ascontiguousarray(merge(g_in)))
+
+    return _affine(ctx, wo, bo, buf["out"]), grad
+
+
+def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
+    """attention_forward as one op on Tensors."""
+    y, grad = attention_forward(x.data, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask, _NEW)
+    out = Tensor(y)
+
+    def bw():
+        for g_x in grad(out.grad):
             if x.requires_grad:
                 _accumulate(x, g_x)
 
     return _record(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), bw)
 
 
-def mlp(x, w1, b1, w2, b2):
-    """GELU(x @ w1 + b1) @ w2 + b2.
+def mlp_forward(x, w1, b1, w2, b2, buf):
+    """GELU(x @ w1 + b1) @ w2 + b2 of an array x, each large array written
+    into its slot of buf (see layer_norm_forward).  Returns (out, grad):
+    grad maps out's gradient to the weights', which it accumulates, and
+    returns x's.  The GELU output shares the pre-activation's slot, so
+    off the tape it runs in place, halving the pre-activation and
+    multiplying by 1 + erf: the taped pass's products in its order."""
+    pre = _affine(x, w1, b1, buf["mlp.pre"])
+    hidden, gelu_grad = _gelu(pre, buf["mlp.erf"], buf["mlp.pre"])
 
-    Off the tape the pre-activation and 1 + erf are scratch, and GELU
-    runs in place on the pre-activation, halved and then multiplied by
-    1 + erf: the taped pass's products in its order, so the same bits."""
-    if not recording(x, w1, b1, w2, b2):
-        shape = x.data.shape[:-1] + w1.data.shape[-1:]
-        pre = _affine(x.data, w1, b1, scratch("mlp.pre", shape))
-        one_plus_erf = _one_plus_erf(pre, scratch("mlp.erf", shape))
-        pre *= 0.5
-        pre *= one_plus_erf
-        return Tensor(_affine(pre, w2, b2))
-    hidden, gelu_grad = _gelu(_affine(x.data, w1, b1))
-    out = Tensor(_affine(hidden, w2, b2))
+    def grad(g):
+        return _affine_grads(x, w1, b1, gelu_grad(_affine_grads(hidden, w2, b2, g)))
+
+    return _affine(hidden, w2, b2, buf["out"]), grad
+
+
+def mlp(x, w1, b1, w2, b2):
+    """mlp_forward as one op on Tensors."""
+    y, grad = mlp_forward(x.data, w1, b1, w2, b2, _NEW)
+    out = Tensor(y)
 
     def bw():
-        g_pre = gelu_grad(_affine_grads(hidden, w2, b2, out.grad))
-        g_x = _affine_grads(x.data, w1, b1, g_pre)
+        g_x = grad(out.grad)
         if x.requires_grad:
             _accumulate(x, g_x)
 

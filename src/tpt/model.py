@@ -124,23 +124,48 @@ def causal_mask(t):
     return mask
 
 
-def _transformer(weights, prefix, x, n_layers, heads, causal):
-    t = x.data.shape[-2]
-    mask = causal_mask(t) if causal else None
-    for i in range(n_layers):
-        p = f"{prefix}.{i}"
+# one block's weights: layer norm, attention, layer norm, MLP
+_BLOCK = (("ln1.gain", "ln1.bias"),
+          ("attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv", "attn.wo", "attn.bo"),
+          ("ln2.gain", "ln2.bias"), ("mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"))
 
-        def w(*names):
-            return [weights[f"{p}.{name}"] for name in names]
 
-        h = ad.layer_norm(x, *w("ln1.gain", "ln1.bias"))
-        x = ad.add(x, ad.attention(h, *w("attn.wq", "attn.bq", "attn.wk", "attn.bk",
-                                         "attn.wv", "attn.bv", "attn.wo", "attn.bo"),
-                                   heads, mask))
-        h = ad.layer_norm(x, *w("ln2.gain", "ln2.bias"))
-        x = ad.add(x, ad.mlp(h, *w("mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")))
-    return ad.layer_norm(x, weights[f"{prefix}.final_ln.gain"],
-                         weights[f"{prefix}.final_ln.bias"])
+def _transformer(weights, prefix, x, n_layers, heads, causal, taped):
+    """Pre-LN blocks and a final layer norm over the rows of the Tensor x.
+
+    Taped, the sublayers are recorded ops.  Untaped, the same arithmetic
+    runs in the pass's kept buffers (autodiff.pass_scratch): the residual
+    stream is the slot "x", the first residual sum written there and the
+    rest added in place, and the result is a kept buffer that the next
+    pass overwrites."""
+    mask = causal_mask(x.data.shape[-2]) if causal else None
+    blocks = [[[weights[f"{prefix}.{i}.{name}"] for name in names] for names in _BLOCK]
+              for i in range(n_layers)]
+    final = [weights[f"{prefix}.final_ln.{name}"] for name in ("gain", "bias")]
+    if taped:
+        for ln1, attn, ln2, mlp in blocks:
+            x = ad.add(x, ad.attention(ad.layer_norm(x, *ln1), *attn, heads, mask))
+            x = ad.add(x, ad.mlp(ad.layer_norm(x, *ln2), *mlp))
+        return ad.layer_norm(x, *final)
+    x = x.data
+    buf = ad.pass_scratch(x.shape, heads, blocks[0][3][0].data.shape[-1])
+    for ln1, attn, ln2, mlp in blocks:
+        h = ad.layer_norm_forward(x, *ln1, buf)[0]
+        x = np.add(x, ad.attention_forward(h, *attn, heads, mask, buf)[0], out=buf["x"])
+        x += ad.mlp_forward(ad.layer_norm_forward(x, *ln2, buf)[0], *mlp, buf)[0]
+    return Tensor(ad.layer_norm_forward(x, *final, buf)[0])
+
+
+# the weights each encoder reads
+_READS = {encoder: [name for name in weight_shapes(ModelConfig()) if name.startswith(prefixes)]
+          for encoder, prefixes in (("text", "text"), ("image", ("image", "patch_")))}
+
+
+def _taped(weights, encoder, *tensors):
+    """Whether an encoder pass over these Tensors records on a tape: one is
+    active and one of them or of the weights the encoder reads requires
+    gradients."""
+    return ad.recording(*tensors) or ad.recording(*(weights[name] for name in _READS[encoder]))
 
 
 def _project(weights, name, rows):
@@ -165,8 +190,8 @@ def encode_texts(weights, config, seqs):
         raise ValueError(f"sequence length {t} exceeds max_text_len {config.max_text_len}")
     pos = ad.gather_rows(weights["text_pos"],
                          np.broadcast_to(np.arange(t), seqs.data.shape[:-1]))
-    x = ad.add(seqs, pos)
-    x = _transformer(weights, "text", x, config.text_layers, config.heads, causal=True)
+    x = _transformer(weights, "text", ad.add(seqs, pos), config.text_layers, config.heads,
+                     causal=True, taped=_taped(weights, "text", seqs))
     return _project(weights, "text_proj", ad.gather_rows(x, [t - 1]))
 
 
@@ -189,32 +214,37 @@ def patchify(images, out=None):
     return out
 
 
-# Images per transformer pass.  Blocks keep the activations small: at 8
-# images of 16 patches the largest, the MLP hidden, is 128 KB, against
-# 1 MB for a 64-view episode in one pass.  Off the tape a block's patch
-# matrix and MLP buffers are kept scratch (autodiff.scratch, sized for
-# this block), so an untaped encode maps no fresh pages; on a tape they
-# are new arrays, which the backward pass holds.  A 16-image pretraining
-# batch took 8.0 ms at 8 and 8.4-8.6 ms at 4 or 16.  With the scratch
-# sized for it, one 64-view pass per episode encoded faster in-process
-# but ran slower under perfbench, so the block stays at 8.
+# Images per transformer pass, on a tape and off it.  Taped blocks keep
+# the activations that the backward pass holds small: at 8 images of 16
+# patches the largest, the MLP hidden, is 128 KB, and a 16-image
+# pretraining batch took 8.0 ms at 8 and 8.4-8.6 ms at 4 or 16.  An
+# untaped pass takes every block-sized array from the kept scratch
+# (autodiff.SCRATCH_CAPACITY, sized for UNTAPED_BLOCK), so it maps no
+# fresh pages, and fewer, larger passes cost less Python per image: a
+# default episode's 64-view encode took 2.68-2.97 ms at 32 images a
+# pass, 2.97-3.09 at 16 and 3.20-3.34 at 8 (tools/stages.py, 2 runs each).
 ENCODE_BLOCK = 8
+UNTAPED_BLOCK = 32
 
 
-def _encode_block(weights, config, images):
+def _encode_block(weights, config, images, taped):
     imgs = np.asarray(images, dtype=np.float64)
     if imgs.shape[1:] != config.image_shape:
         raise ValueError(f"image shape {imgs.shape[1:]} != config {config.image_shape}")
     if not np.all(np.isfinite(imgs)):
         raise ValueError("image has non-finite pixels")
-    proj = weights["patch_proj"]
+    proj, bias, pos = weights["patch_proj"], weights["patch_bias"], weights["image_pos"]
     shape = (len(imgs), config.num_patches, config.patch_dim)
-    # off the tape no backward closure holds the patch matrix
-    patches = Tensor(patchify(imgs, None if ad.recording(proj)
-                              else ad.scratch("patches", shape)))
-    x = ad.add(ad.matmul(patches, proj), weights["patch_bias"])
-    x = ad.add(x, weights["image_pos"])
-    x = _transformer(weights, "image", x, config.image_layers, config.heads, causal=False)
+    if taped:
+        x = ad.add(ad.add(ad.matmul(Tensor(patchify(imgs)), proj), bias), pos)
+    else:  # the same sums, in the kept patch matrix and residual stream
+        x = np.matmul(patchify(imgs, ad.scratch("patches", shape)), proj.data,
+                      out=ad.scratch("x", shape[:-1] + proj.data.shape[-1:]))
+        x += bias.data
+        x += pos.data
+        x = Tensor(x)
+    x = _transformer(weights, "image", x, config.image_layers, config.heads,
+                     causal=False, taped=taped)
     return _project(weights, "image_proj", ad.mean_rows(x))
 
 
@@ -222,14 +252,17 @@ def encode_images(weights, config, images):
     """Encode N (C, H, W) images, a list or one float64 (N, C, H, W)
     array, to an N x proj_dim Tensor of unit rows; mean-pooled patches.
 
-    One transformer pass per ENCODE_BLOCK images; a block of an array is
-    a slice of it, not a copy, as view batches are.  Each row rounds as a
-    one-image encode does, and on a tape a shared weight still gets its
-    gradient in reverse image order, so the blocks change no bit."""
+    One transformer pass per ENCODE_BLOCK images on a tape, per
+    UNTAPED_BLOCK off it; a block of an array is a slice of it, not a
+    copy, as view batches are.  Each row rounds as a one-image encode
+    does, and on a tape a shared weight still gets its gradient in
+    reverse image order, so the blocks change no bit."""
     if len(images) == 0:
         raise ValueError("no images to encode")
-    blocks = [_encode_block(weights, config, images[i:i + ENCODE_BLOCK])
-              for i in range(0, len(images), ENCODE_BLOCK)]
+    taped = _taped(weights, "image")
+    block = ENCODE_BLOCK if taped else UNTAPED_BLOCK
+    blocks = [_encode_block(weights, config, images[i:i + block], taped)
+              for i in range(0, len(images), block)]
     return blocks[0] if len(blocks) == 1 else ad.concat_rows(blocks)
 
 

@@ -487,8 +487,8 @@ class TestBatchInvariance:
 
     @pytest.fixture(scope="class")
     def images(self, config):
-        # more than one encode block, the last one part-filled
-        n = 2 * mdl.ENCODE_BLOCK + 3
+        # more than one untaped pass, the last one part-filled
+        n = 2 * mdl.UNTAPED_BLOCK + 3
         return list(np.random.default_rng(5).random((n,) + config.image_shape))
 
     def test_image_rows_equal_single_image_encodes(self, weights, config, images):
@@ -508,13 +508,13 @@ class TestBatchInvariance:
         views, _ = generate_views(image, 64, AugmentPolicy(noise_patch_prob=1.0), seed=2)
         blocks, encode_block = [], mdl._encode_block
 
-        def recording(weights, config, images):
+        def recording(weights, config, images, taped):
             blocks.append(images)
-            return encode_block(weights, config, images)
+            return encode_block(weights, config, images, taped)
 
         monkeypatch.setattr(mdl, "_encode_block", recording)
         full = mdl.encode_images(weights, config, views).data
-        assert len(blocks) == 64 // mdl.ENCODE_BLOCK
+        assert len(blocks) == 64 // mdl.UNTAPED_BLOCK
         assert all(b.base is views for b in blocks)
         assert full.shape == (64, config.proj_dim)
         np.testing.assert_array_equal(mdl.encode_images(weights, config, views[3:14]).data,

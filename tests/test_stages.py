@@ -1,7 +1,7 @@
-"""Smoke test of tools/stages.py: it runs and prints a median per stage,
-and refuses more samples than its split holds.  It runs in a process of
-its own, because the tool fixes malloc's mmap threshold in the process
-that imports it."""
+"""Smoke test of tools/stages.py: it runs and prints a median per stage
+and of the faults, in all and by part, and refuses more samples than its
+split holds.  It runs in a process of its own, because the tool fixes
+malloc's mmap threshold in the process that imports it."""
 
 import json
 import os
@@ -24,8 +24,10 @@ def test_stages_prints_the_medians_of_two_episodes():
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("2 samples, median of pass 1, mmap threshold ")
     medians = json.loads(lines[-1])
-    assert set(medians) == {"views", "encode", "tune", "predict", "total", "faults"}
+    assert set(medians) == {"views", "encode", "tune", "predict", "total", "faults",
+                            "views_faults", "encode_faults", "rest_faults"}
     assert all(v >= 0 for v in medians.values()) and medians["total"] > 0
+    assert lines[-2].startswith("faults ") and "(views " in lines[-2]
 
 
 def test_stages_refuses_more_samples_than_the_split_holds():

@@ -8,12 +8,14 @@ Runs default episodes (as harness.evaluate_tpt runs them) on the first
 times over, and prints the medians over the last pass of each stage of
 `tpt_classify`'s trace["stage_ms"] (views, image encode, tune, final
 predict), of their total, and of the minor page faults per episode
-(getrusage).  The earlier passes warm the process up.  As perfbench
-does, the tool fixes BLAS at one thread and glibc's mmap threshold at
-128 KB before numpy is imported, so its fault counts are the
-benchmark's; a C library without mallopt leaves the threshold dynamic,
-and the output says so.  The last line is the medians as one JSON
-object.
+(getrusage), in all and split into view generation, image encode and
+the rest of the episode.  The split wraps `episode.generate_views` and
+`episode.view_features` in this process only.  The earlier passes warm
+the process up.  As perfbench does, the tool fixes BLAS at one thread
+and glibc's mmap threshold at 128 KB before numpy is imported, so its
+fault counts are the benchmark's; a C library without mallopt leaves
+the threshold dynamic, and the output says so.  The last line is the
+medians as one JSON object.
 """
 
 import ctypes
@@ -48,26 +50,49 @@ from tpt.prompt import init_from_template  # noqa: E402
 CHECKPOINT = (pathlib.Path(__file__).resolve().parents[1]
               / "perfbench" / "checkpoint" / "pretrained.tptw")
 STAGES = ("views", "encode", "tune", "predict")
+FAULTS = ("views_faults", "encode_faults", "rest_faults")
 SPLIT_SIZE = dat.DatasetSpec.samples_per_class * len(dat.DatasetSpec.class_names)
 
 
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def counting_faults(fn, key, counts):
+    """fn, adding the minor faults of each call to counts[key]."""
+    def wrapped(*args, **kwargs):
+        start = minor_faults()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            counts[key] += minor_faults() - start
+    return wrapped
+
+
 def episode_costs(samples, passes):
-    """Per-episode {stage ms..., "total", "faults"} dicts of the last pass."""
+    """Per-episode {stage ms..., "total", "faults", FAULTS...} dicts of the
+    last pass."""
     weights, config = mdl.load_weights(CHECKPOINT), mdl.ModelConfig()
     ds = dat.apply_shift(dat.generate(dat.DatasetSpec(), seed=200),
                          dat.ShiftSpec.parse("noise:0.3"), seed=0).subset(np.arange(samples))
     state, base = init_from_template(weights, config, dat.template_ids()), ep.TPTConfig()
+    counts = dict.fromkeys(FAULTS, 0)
+    ep.generate_views = counting_faults(ep.generate_views, "views_faults", counts)
+    ep.view_features = counting_faults(ep.view_features, "encode_faults", counts)
     for _ in range(passes):
         costs = []
         for image, sample_id in zip(ds.images, ds.ids):
             cfg = replace(base, seed=split_seed(base.seed, int(sample_id)))
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            counts.update(dict.fromkeys(FAULTS, 0))
+            faults = minor_faults()
             _, _, trace = ep.tpt_classify(weights, config, state, ds.class_token_ids,
                                           image, cfg)
             cost = {s: trace["stage_ms"][s] for s in STAGES}
             cost["total"] = sum(cost.values())
-            cost["faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-            costs.append(cost)
+            cost["faults"] = minor_faults() - faults
+            counts["rest_faults"] = (cost["faults"] - counts["views_faults"]
+                                     - counts["encode_faults"])
+            costs.append({**cost, **counts})
     return costs
 
 
@@ -87,7 +112,8 @@ def main(argv=None):
           f"mmap threshold {threshold}")
     for key in STAGES + ("total",):
         print(f"{key:8s} {medians[key]:7.3f} ms")
-    print(f"faults   {medians['faults']:7.0f}")
+    print(f"faults   {medians['faults']:7.0f}  (views {medians['views_faults']:.0f}, "
+          f"encode {medians['encode_faults']:.0f}, rest {medians['rest_faults']:.0f})")
     print(json.dumps(medians))
     return 0
 
