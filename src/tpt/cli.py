@@ -22,7 +22,7 @@ from . import bongard as bg
 from . import data as dat
 from . import harness as hz
 from . import model as mdl
-from .augment import AugmentPolicy, split_seed
+from .augment import AugmentPolicy
 from .episode import PARAMETER_GROUPS, TPTConfig, tpt_classify
 from .prompt import init_from_template
 
@@ -213,9 +213,8 @@ def cmd_dump_dist(args):
     if not 0 <= i < len(ds):
         raise SystemExit(f"--sample {i} is out of range: the dataset has "
                          f"{len(ds)} samples, 0 to {len(ds) - 1}")
-    # the episode evaluate_tpt runs on this sample: its seed is split by the id
     state = init_from_template(weights, mconfig, dat.template_ids())
-    tcfg = _tpt_config(args, split_seed(args.seed, int(ds.ids[i])))
+    tcfg = _tpt_config(args, args.seed).for_sample(ds.ids[i])  # as evaluate_tpt's
     _, _, trace = tpt_classify(weights, mconfig, state, classes, ds.images[i],
                                tcfg, record_views=True)
     for tag, when in (("before", "pre"), ("after", "post")):

@@ -1,26 +1,22 @@
 """Episodic test-time prompt tuning.
 
-One episode: augment the test image into N views, predict each view,
-keep the lowest-entropy fraction rho, minimize the entropy of their
-averaged distribution by updating the prompt, then classify the
-original image with the tuned prompt.  The episode restores the state
-it tunes (prompt rows, the parameter group's weights) before returning
-and builds a fresh optimizer, so it leaves no tuned state behind.
-
-Every sample starts from the same prompt and classes, so the first
-step's text pass, the zero-shot classifier, is kept across episodes
-(start_text_features): one entry, recorded again whenever what it read
-changes.
+One episode: augment the test image into N views and encode them
+(encode_views), then keep the lowest-entropy fraction rho of the views'
+predictions, minimize the entropy of their averaged distribution by
+updating the prompt, and classify the original image with it
+(tune_on_views), leaving no tuned state behind.  Every sample starts
+from the same prompt and classes, so the first step's text pass, the
+zero-shot classifier, is kept across episodes (start_text_features).
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import model as mdl
-from .augment import AugmentPolicy, generate_views
+from .augment import AugmentPolicy, generate_views, split_seed
 from .autodiff import Tensor
 from .optim import AdamW
 from .prompt import PromptState, assemble
@@ -52,6 +48,14 @@ class TPTConfig:
         if self.parameter_group not in PARAMETER_GROUPS:
             raise ValueError(f"unknown parameter group {self.parameter_group!r}")
 
+    def for_sample(self, sample_id):
+        """The sample's episode: the seed split by its id, not its order."""
+        return replace(self, seed=split_seed(self.seed, int(sample_id)))
+
+    @property
+    def image_tuned(self):  # whether the group holds image weights
+        return any(p in _IMAGE for p in PARAMETER_GROUPS[self.parameter_group])
+
 
 def entropy(p):
     """Self-entropy -sum p_i ln max(p_i, 1e-12) of a distribution."""
@@ -75,11 +79,9 @@ def text_features(weights, config, prompt_state, classes):
 
 
 def view_features(weights, config, views, index):
-    """N x proj_dim features of the N views, row i that of views[index[i]].
-
-    Each distinct view is encoded once.  On a tape, the gradient rows of
-    a view's copies sum in the gather before the encoder's backward pass.
-    """
+    """N x proj_dim features of the N views, row i that of views[index[i]]:
+    each distinct view is encoded once, and on a tape the gradient rows of
+    a view's copies sum in the gather before the encoder's backward pass."""
     return ad.gather_rows(mdl.encode_images(weights, config, views), index)
 
 
@@ -91,17 +93,15 @@ _start = None
 
 
 def start_text_features(weights, config, prompt_state, classes):
-    """text_features of an episode's start state as one op, recorded on
-    the innermost active tape, from the kept start pass.
+    """text_features of an episode's start state as one op on the innermost
+    active tape, from the kept start pass.
 
     The pass's key is what it reads: the prompt's values, the class ids,
-    and each text weight's Tensor, values and requires_grad flag.  A
-    differing key records the pass afresh and keeps it instead; the entry
-    holds its activations and the key's copy of the text weights.  The
-    record's output is a copy of the kept features.  Its backward walks
-    the kept tape from the copy's gradient and adds the leaf's gradient
-    into the prompt's, which the episode has zeroed: the sums a fresh
-    pass would make."""
+    and each text weight's Tensor, values and requires_grad flag; another
+    key records and keeps the pass afresh.  The op's output is a copy of
+    the kept features; its backward walks the kept tape from the copy's
+    gradient and adds the leaf's into the prompt's, which the episode has
+    zeroed: the sums a fresh pass would make."""
     global _start
     prompt = prompt_state.prompt
     text = [weights[n] for n in sorted(weights) if n.startswith(_TEXT_READ)]
@@ -145,51 +145,56 @@ def marginal_entropy_loss(averaged):
     return ad.scale(ad.sum_all(ad.mul(averaged, ad.log(averaged))), -1.0)
 
 
-def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
-                 record_views=False):
-    """One full episode; returns (predicted class, final averaged dist, trace).
+def encode_views(weights, config, image, tpt_config):
+    """The image's half of an episode: (views, index, features, stage_ms).
 
-    The prompt and the parameter group's weights are tuned.  Each is
-    snapshotted on entry and, on return or exception, restored bit-exactly
-    with a zero gradient and the group frozen, so an episode may start
-    from any prompt.  The view features are computed once, before any
-    tuned state changes (encoding rejects bad input), unless the group
-    holds image weights; then on each step's tape and for the final
-    prediction.  The first step's text pass is the kept start pass
-    (start_text_features), with the same values and gradients as a fresh
-    one.  The views are made into the kept scratch (autodiff.scratch),
-    which only the episode reads.  The final prediction is the argmax on
-    the original image under the tuned state.
+    The views are made into the kept scratch (autodiff.scratch), which the
+    next episode's views overwrite; view i is views[index[i]], numbered in the
+    order first drawn.  features, their N x proj_dim view_features, are
+    encoded untaped (None if the group holds image weights).  stage_ms
+    times making ("views") and encoding ("encode") them, in ms."""
+    cfg = tpt_config
+    start = time.perf_counter()
+    views, index = generate_views(image, cfg.n_views, cfg.policy, cfg.seed,
+                                  ad.scratch("views", (cfg.n_views,) + np.shape(image)))
+    made = time.perf_counter()
+    features = None if cfg.image_tuned else view_features(weights, config, views, index)
+    return views, index, features, {"views": (made - start) * 1e3,
+                                    "encode": (time.perf_counter() - made) * 1e3}
 
-    The trace is built once, after the final prediction.  Its keys, in
-    order: losses, k (views selected), thresholds (k-th lowest view
-    entropy) and mask_indices, the lists one entry per step;
-    distinct_views and distinct_selected (distinct images among the N
-    views and the first step's k); pre_original, post_original,
+
+def tune_on_views(weights, config, prompt_state, classes, views, index, features,
+                  stage_ms, tpt_config, record_views=False):
+    """The rest of an episode, from encode_views' output: (predicted class,
+    final averaged dist, trace).  Of tpt_config it reads rho, steps, lr and
+    parameter_group.
+
+    The prompt and the group's weights are tuned, then restored bit-exactly
+    on return or exception with a zero gradient and the group frozen.  A
+    group that holds image weights encodes the views on each step's tape
+    and for the final prediction, the others read features; the first
+    step takes the kept start pass.  The prediction is the argmax on the
+    original image under the tuned state.
+
+    The trace's keys, in order: losses, k (views selected), thresholds
+    (k-th lowest view entropy) and mask_indices, the lists one entry per
+    step; distinct_views and distinct_selected (distinct images among the
+    N views and the first step's k); pre_original, post_original,
     pre_averaged and post_averaged (the original view's and the selected
     views' averaged distribution, before and after tuning); with
-    record_views, the N x K pre_views and post_views; and last stage_ms:
-    the wall-clock milliseconds (time.perf_counter) of making the views,
-    encoding them before any step (nothing when the group holds image
-    weights, whose steps encode on their tape), the tuning steps, and the
-    final prediction.
-    """
+    record_views, the N x K pre_views and post_views; and last stage_ms,
+    stage_ms's entries and the ms of the steps ("tune") and the final
+    prediction ("predict")."""
     cfg = tpt_config
     prefixes = PARAMETER_GROUPS[cfg.parameter_group]
-    image_tuned = any(p in _IMAGE for p in prefixes)
     tuned = [weights[name] for name in sorted(weights) if name.startswith(prefixes)]
     params = prompt_state.params() + tuned
     snapshot = [p.data.copy() for p in params]
     try:
         clock = [time.perf_counter()]
-        views, index = generate_views(image, cfg.n_views, cfg.policy, cfg.seed,
-                                      ad.scratch("views", (cfg.n_views,) + np.shape(image)))
-        clock.append(time.perf_counter())
-        feats = None if image_tuned else view_features(weights, config, views, index)
-        clock.append(time.perf_counter())
 
         def predict(start=False):
-            f = view_features(weights, config, views, index) if image_tuned else feats
+            f = view_features(weights, config, views, index) if cfg.image_tuned else features
             tfeats = (start_text_features if start else text_features)(
                 weights, config, prompt_state, classes)
             probs = mdl.class_probabilities(tfeats, f, config.logit_scale)
@@ -216,17 +221,24 @@ def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
         probs, averaged, _, _ = predict()  # inference with the tuned state, no tape
         clock.append(time.perf_counter())
         trace = {"losses": losses, "k": len(masks[0]), "thresholds": thresholds,
-                 "mask_indices": masks, "distinct_views": len(views),
+                 "mask_indices": masks, "distinct_views": int(index.max()) + 1,
                  "distinct_selected": len(np.unique(index[masks[0]])),
                  "pre_original": pre[0].copy(), "post_original": probs.data[0].copy(),
                  "pre_averaged": pre_averaged, "post_averaged": averaged.data[0].copy()}
         if record_views:
             trace.update(pre_views=pre, post_views=probs.data.copy())
-        trace["stage_ms"] = {stage: (end - start) * 1e3 for stage, start, end in zip(
-            ("views", "encode", "tune", "predict"), clock, clock[1:])}
+        trace["stage_ms"] = {**stage_ms, **{stage: (end - start) * 1e3 for stage, start, end
+                                            in zip(("tune", "predict"), clock, clock[1:])}}
         return int(np.argmax(probs.data[0])), averaged.data[0].copy(), trace
     finally:
         for p, snap in zip(params, snapshot):
             p.data[...] = snap
             p.zero_grad()
         mdl.set_trainable(tuned, False)
+
+
+def tpt_classify(weights, config, prompt_state, classes, image, tpt_config,
+                 record_views=False):
+    """One full episode: tune_on_views of encode_views."""
+    return tune_on_views(weights, config, prompt_state, classes, *encode_views(
+        weights, config, image, tpt_config), tpt_config, record_views)

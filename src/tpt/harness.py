@@ -13,7 +13,6 @@ from . import autodiff as ad
 from . import data as dat
 from . import episode as ep
 from . import model as mdl
-from .augment import generate_views, split_seed
 from .autodiff import Tensor
 from .bongard import fit_prompt
 from .prompt import PromptState, init_from_template
@@ -51,9 +50,8 @@ def evaluate_zero_shot(weights, config, template_ids, classes, dataset):
 
 
 def evaluate_tpt(weights, config, template_ids, classes, dataset, tpt_config):
-    """Per-sample episodic tuning.  The episode seed is derived from the
-    sample's stable id, so evaluation order cannot change any prediction.
-    Every episode starts from one template prompt, which it restores.
+    """Per-sample episodic tuning from one template prompt, which each
+    episode restores, its seed split by the sample's id (for_sample).
 
     Returns (accuracy, predictions, traces); a trace is the sample's id,
     label and prediction, then its episode's record less the wall-clock
@@ -61,8 +59,8 @@ def evaluate_tpt(weights, config, template_ids, classes, dataset, tpt_config):
     state = init_from_template(weights, config, template_ids)
     preds, traces = [], []
     for image, sample_id, label in zip(dataset.images, dataset.ids, dataset.labels):
-        cfg = replace(tpt_config, seed=split_seed(tpt_config.seed, int(sample_id)))
-        pred, _, trace = ep.tpt_classify(weights, config, state, classes, image, cfg)
+        pred, _, trace = ep.tpt_classify(weights, config, state, classes, image,
+                                         tpt_config.for_sample(sample_id))
         preds.append(pred)
         traces.append({"sample_id": int(sample_id), "label": int(label), "prediction": pred,
                        **{k: v.tolist() if isinstance(v, np.ndarray) else v
@@ -109,17 +107,13 @@ def prompt_ensemble(weights, config, classes, dataset):
 
 def _pool_views(weights, config, template_ids, classes, dataset, tpt_config,
                 *pools):
-    """Untuned per-view probabilities of the view batch an episode would
-    see, reduced to one class by each pool(N x K probabilities): one
-    prediction array per pool, from one pass of views and encodes."""
+    """Untuned per-view probabilities of the view batch that a prompt-group
+    episode of tpt_config sees, reduced to one class by each pool(N x K
+    probabilities): one prediction array per pool, from one encode_views."""
     tfeats = _template_text_features(weights, config, template_ids, classes)
     preds = np.empty((len(pools), len(dataset)), dtype=np.int64)
     for i, (image, sample_id) in enumerate(zip(dataset.images, dataset.ids)):
-        seed = split_seed(tpt_config.seed, int(sample_id))
-        views, index = generate_views(
-            image, tpt_config.n_views, tpt_config.policy, seed,
-            ad.scratch("views", (tpt_config.n_views,) + image.shape))
-        feats = ep.view_features(weights, config, views, index)
+        feats = ep.encode_views(weights, config, image, tpt_config.for_sample(sample_id))[2]
         probs = mdl.class_probabilities(tfeats, feats, config.logit_scale).data
         preds[:, i] = [pool(probs) for pool in pools]
     return list(preds)

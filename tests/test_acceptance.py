@@ -5,6 +5,11 @@ miniature scale: the orderings (tuned > untuned, confidence selection
 helps, prompt beats encoder tuning, more views help, optimization beats
 naive view pooling) must hold on a noise-shifted split, averaged over
 3 seeds.  The shared pretrained model comes from conftest.py.
+
+Only an episode's view making and encoding read the image and the seed,
+so each seed's view features of the shifted split are encoded once
+(view_tables): c03, c05, c06 and c08 tune and c09 pools from them, and
+c04 checks that this gives evaluate_tpt's predictions.
 """
 
 import time
@@ -20,6 +25,7 @@ from tpt import model as mdl
 from tpt.autodiff import Tensor
 from tpt.bongard import ReasonConfig, generate_tasks, tpt_reason
 from tpt.episode import TPTConfig
+from tpt.prompt import init_from_template
 
 pytestmark = pytest.mark.acceptance
 
@@ -55,14 +61,44 @@ def zero_shot_shifted(pretrained, model_config, classes, split500):
 
 
 @pytest.fixture(scope="module")
-def tpt_shifted(pretrained, model_config, classes, split500):
-    """Default-config TPT on the shifted split, one entry per seed."""
+def view_tables(pretrained, model_config, split500):
+    """One (index, features) per shifted sample for each seed: the default
+    episode's 64 views of the sample, made and encoded by
+    episode.encode_views as evaluate_tpt's episode for that seed does."""
     t0 = time.monotonic()
-    out = {}
-    for seed in SEEDS:
-        out[seed] = hz.evaluate_tpt(pretrained, model_config, TEMPLATE, classes,
-                                    split500[1], TPTConfig(seed=seed))
-    out["elapsed"] = time.monotonic() - t0
+    ds = split500[1]
+    tables = {seed: [ep.encode_views(pretrained, model_config, image,
+                                     TPTConfig(seed=seed).for_sample(sample_id))[1:3]
+                     for image, sample_id in zip(ds.images, ds.ids)] for seed in SEEDS}
+    tables["elapsed"] = time.monotonic() - t0
+    return tables
+
+
+def _tuned(pretrained, model_config, classes, ds, table, cfg):
+    """(accuracy, predictions, final averaged distributions) of
+    prompt-group episodes on `ds`, the first len(ds) samples of the
+    shifted split, each tuned by episode.tune_on_views from the first
+    cfg.n_views rows of its sample's entry in `table`, one seed's
+    view_tables.  Under the default policy those rows are the
+    cfg.n_views-view table (test_episode), so for cfg's seed these are
+    evaluate_tpt's predictions."""
+    state = init_from_template(pretrained, model_config, TEMPLATE)
+    n = cfg.n_views
+    runs = [ep.tune_on_views(pretrained, model_config, state, classes, None, index[:n],
+                             Tensor(feats.data[:n]), {}, cfg)[:2]
+            for index, feats in table[:len(ds)]]
+    preds = np.array([pred for pred, _ in runs])
+    return float(np.mean(preds == ds.labels)), preds, np.array([avg for _, avg in runs])
+
+
+@pytest.fixture(scope="module")
+def tpt_shifted(pretrained, model_config, classes, split500, view_tables):
+    """Default-config TPT on the shifted split, one _tuned per seed, from
+    view_tables; elapsed counts their encoding too."""
+    t0 = time.monotonic()
+    out = {seed: _tuned(pretrained, model_config, classes, split500[1], view_tables[seed],
+                        TPTConfig(seed=seed)) for seed in SEEDS}
+    out["elapsed"] = view_tables["elapsed"] + time.monotonic() - t0
     return out
 
 
@@ -105,20 +141,24 @@ def test_c02_selection_reductions():
 
 
 def test_c03_null_update_identity(pretrained, model_config, classes, split500,
-                                  zero_shot_shifted):
+                                  view_tables, zero_shot_shifted):
     _, zs_preds = zero_shot_shifted
-    cfg = TPTConfig(lr=0.0, seed=0)
-    _, preds, _ = hz.evaluate_tpt(pretrained, model_config, TEMPLATE, classes,
-                                  split500[1], cfg)
+    _, preds, _ = _tuned(pretrained, model_config, classes, split500[1], view_tables[0],
+                         TPTConfig(lr=0.0, seed=0))
     np.testing.assert_array_equal(preds, zs_preds)
 
 
 def test_c04_episodic_isolation_and_determinism(pretrained, model_config,
-                                                classes, split500, tmp_path):
+                                                classes, split500, tpt_shifted,
+                                                tmp_path):
     ds = split500[1].subset(np.arange(64))
     cfg = TPTConfig(seed=0)
-    acc, preds, _ = hz.evaluate_tpt(pretrained, model_config, TEMPLATE, classes,
-                                    ds, cfg)
+    acc, preds, traces = hz.evaluate_tpt(pretrained, model_config, TEMPLATE, classes,
+                                         ds, cfg)
+    # the shared tables give the program's episodes, which c03-c09 read
+    np.testing.assert_array_equal(preds, tpt_shifted[0][1][:len(ds)])
+    assert (np.array([t["post_averaged"] for t in traces]).tobytes()
+            == tpt_shifted[0][2][:len(ds)].tobytes())
     # shuffling evaluation order changes no per-sample prediction
     perm = np.random.default_rng(7).permutation(len(ds))
     _, shuffled, _ = hz.evaluate_tpt(pretrained, model_config, TEMPLATE,
@@ -149,12 +189,12 @@ def test_c05_tpt_beats_zero_shot_under_shift(tpt_shifted, zero_shot_shifted):
 
 
 def test_c06_confidence_selection_helps(pretrained, model_config, classes,
-                                        split500, tpt_shifted):
+                                        split500, view_tables, tpt_shifted):
     ds = split500[1].subset(np.arange(192))
     accs = {0.1: _default_accuracy(tpt_shifted, ds)}
     accs[1.0] = np.mean([
-        hz.evaluate_tpt(pretrained, model_config, TEMPLATE, classes, ds,
-                        TPTConfig(rho=1.0, seed=s))[0] for s in SEEDS])
+        _tuned(pretrained, model_config, classes, ds, view_tables[s],
+               TPTConfig(rho=1.0, seed=s))[0] for s in SEEDS])
     print(f"\n[c06] rho=0.1 {accs[0.1]:.4f}  rho=1.0 {accs[1.0]:.4f}")
     assert accs[0.1] >= accs[1.0]
 
@@ -173,11 +213,11 @@ def test_c07_prompt_beats_image_encoder(pretrained, model_config, classes,
 
 
 def test_c08_accuracy_grows_with_views(pretrained, model_config, classes,
-                                       split500, tpt_shifted):
+                                       split500, view_tables, tpt_shifted):
     ds = split500[1].subset(np.arange(192))
     accs = [np.mean([
-        hz.evaluate_tpt(pretrained, model_config, TEMPLATE, classes, ds,
-                        TPTConfig(n_views=n, seed=s))[0] for s in SEEDS])
+        _tuned(pretrained, model_config, classes, ds, view_tables[s],
+               TPTConfig(n_views=n, seed=s))[0] for s in SEEDS])
         for n in (2, 8, 32)]
     accs.append(_default_accuracy(tpt_shifted, ds))
     print(f"\n[c08] N=2/8/32/64 -> {['%.4f' % a for a in accs]}")
@@ -186,13 +226,25 @@ def test_c08_accuracy_grows_with_views(pretrained, model_config, classes,
 
 
 def test_c09_tpt_beats_naive_view_pooling(pretrained, model_config, classes,
-                                          split500, tpt_shifted):
+                                          split500, view_tables, tpt_shifted):
     ds = split500[1]
     tpt_acc = np.mean([tpt_shifted[s][0] for s in SEEDS])
-    # both baselines from one pass of each seed's views
-    accs = [[np.mean(preds == ds.labels) for preds in hz._pool_views(
-        pretrained, model_config, TEMPLATE, classes, ds, TPTConfig(seed=s),
-        hz.averaged_prediction, hz.majority_vote)] for s in SEEDS]
+    pools = (hz.averaged_prediction, hz.majority_vote)
+    tfeats = hz._template_text_features(pretrained, model_config, TEMPLATE, classes)
+
+    def pooled(table):
+        """Both baselines from shared tables, as harness._pool_views pools
+        its views' features: one prediction array per pool."""
+        probs = [mdl.class_probabilities(tfeats, feats, model_config.logit_scale).data
+                 for _, feats in table]
+        return [np.array([pool(p) for p in probs]) for pool in pools]
+
+    few = ds.subset(np.arange(32))
+    for got, want in zip(hz._pool_views(pretrained, model_config, TEMPLATE, classes, few,
+                                        TPTConfig(seed=0), *pools),
+                         pooled(view_tables[0][:len(few)]), strict=True):
+        np.testing.assert_array_equal(got, want)
+    accs = [[np.mean(p == ds.labels) for p in pooled(view_tables[s])] for s in SEEDS]
     base = dict(zip(("avgpred", "vote"), np.mean(accs, axis=0)))
     print(f"\n[c09] tpt {tpt_acc:.4f}  avgpred {base['avgpred']:.4f}  "
           f"vote {base['vote']:.4f}")
@@ -223,8 +275,6 @@ def test_c10_bongard_support_fit_and_query(pretrained, model_config):
 
 def test_c11_probability_and_entropy_invariants(pretrained, model_config,
                                                 classes, split500):
-    from tpt.prompt import init_from_template
-
     k = len(classes)
     assert abs(ep.entropy(np.full(k, 1.0 / k)) - np.log(k)) <= 1e-12
     assert ep.entropy(np.eye(k)[0]) == 0.0

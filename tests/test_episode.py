@@ -9,7 +9,7 @@ from tpt import autodiff as ad
 from tpt import data as dat
 from tpt import episode as ep
 from tpt import model as mdl
-from tpt.augment import generate_views
+from tpt.augment import generate_views, split_seed
 from tpt.autodiff import Tensor
 from tpt.prompt import init_from_template
 
@@ -177,6 +177,10 @@ class TestTPTConfig:
             with pytest.raises(ValueError, match="lr must be finite and >= 0"):
                 ep.TPTConfig(lr=lr)
         assert ep.TPTConfig(lr=0.0).lr == 0.0  # the null update
+
+    def test_a_samples_config_splits_only_the_seed(self):
+        cfg = ep.TPTConfig(n_views=8, rho=0.5, seed=3)
+        assert cfg.for_sample(np.int64(7)) == replace(cfg, seed=split_seed(3, 7))
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +354,33 @@ class TestTptClassify:
         scale = max(np.abs(g).max() for g in want.values())
         for name, g in want.items():
             assert np.abs(got[name] - g).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("group", ["prompt", "text_encoder"])
+    def test_the_episode_is_its_two_halves(self, weights, config, classes, prompt, image,
+                                           group):
+        """tpt_classify is tune_on_views of encode_views' output, bit for bit."""
+        cfg = self.small_cfg(parameter_group=group, steps=2, seed=5)
+        whole = ep.tpt_classify(weights, config, prompt, classes, image, cfg,
+                                record_views=True)
+        halves = ep.tune_on_views(weights, config, prompt, classes,
+                                  *ep.encode_views(weights, config, image, cfg), cfg,
+                                  record_views=True)
+        for _, _, trace in (whole, halves):
+            del trace["stage_ms"]
+        TestStartPass.assert_same(whole, halves)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_fewer_views_are_the_first_rows_of_the_table(self, weights, config, image,
+                                                         seed):
+        """Under the default policy the n-view index and features are the
+        first n rows of the 64-view ones, bit for bit."""
+        _, index, features, _ = ep.encode_views(weights, config, image,
+                                                ep.TPTConfig(seed=seed))
+        for n in (1, 2, 8, 32):
+            _, got_index, got, _ = ep.encode_views(weights, config, image,
+                                                   ep.TPTConfig(n_views=n, seed=seed))
+            assert got_index.tobytes() == index[:n].tobytes()
+            assert got.data.tobytes() == features.data[:n].tobytes()
 
     def test_same_seed_same_outcome(self, weights, config, classes, prompt, image):
         cfg = self.small_cfg(seed=11)

@@ -145,8 +145,9 @@ class TestBaselines:
         """One prediction array per pool, each that of the pool alone, from
         one set of views per sample."""
         calls = []
-        views = hz.generate_views
-        monkeypatch.setattr(hz, "generate_views", lambda *a: calls.append(1) or views(*a))
+        encode_views = ep.encode_views
+        monkeypatch.setattr(ep, "encode_views",
+                            lambda *a: calls.append(1) or encode_views(*a))
         pooled = hz._pool_views(varied_weights, config, TEMPLATE, classes, dataset, FAST,
                                 *self.POOLS)
         assert len(calls) == len(dataset)

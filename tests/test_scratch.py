@@ -229,9 +229,10 @@ def test_back_to_back_episodes_give_what_they_give_alone(weights, config, datase
 def test_peak_of_a_warm_untaped_encode_block(weights, config):
     """740 KB with a new patch matrix and MLP buffers per 8-image block,
     357 KB with those kept; 98 KB with every block-sized array of a
-    32-image pass kept, most of it the isfinite mask of its pixels.  The
-    bound, 128 KB, is one (32, 16, 32) array: a block-sized array made
-    anew passes it."""
+    32-image pass kept, most of it the isfinite mask of its pixels; 80 KB
+    with the finiteness check made from the pixels' min and max, the peak
+    then inside the transformer's sublayers.  The bound, 128 KB, is one
+    (32, 16, 32) array: a block-sized array made anew passes it."""
     imgs = images(config, mdl.UNTAPED_BLOCK)
     untaped(weights, config, imgs)
     tracemalloc.start()

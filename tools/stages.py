@@ -37,14 +37,12 @@ import pathlib  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
-from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from tpt import data as dat  # noqa: E402
 from tpt import episode as ep  # noqa: E402
 from tpt import model as mdl  # noqa: E402
-from tpt.augment import split_seed  # noqa: E402
 from tpt.prompt import init_from_template  # noqa: E402
 
 CHECKPOINT = (pathlib.Path(__file__).resolve().parents[1]
@@ -82,7 +80,7 @@ def episode_costs(samples, passes):
     for _ in range(passes):
         costs = []
         for image, sample_id in zip(ds.images, ds.ids):
-            cfg = replace(base, seed=split_seed(base.seed, int(sample_id)))
+            cfg = base.for_sample(sample_id)
             counts.update(dict.fromkeys(FAULTS, 0))
             faults = minor_faults()
             _, _, trace = ep.tpt_classify(weights, config, state, ds.class_token_ids,
