@@ -38,7 +38,7 @@ class AugmentPolicy:
 
     kind: str = "rrc"  # rrc | augmix
     scale_range: tuple = (0.9, 1.0)  # crop area fraction
-    noise_patch_prob: float = 0.0  # random-erasing-style noise block
+    noise_patch_prob: float = 0.0  # random-erasing-style noise block; make_views only
     smooth_prob = 0.2  # fraction of denoising (box-blurred) views
     smooth_scale_range = (0.9, 1.0)  # crop range used for smooth views
 
@@ -256,7 +256,8 @@ def make_views(images, policy, rng):
 
 
 def make_view(image, policy, seed):
-    """The first view that np.random.default_rng(seed) draws of image."""
+    """The first view that np.random.default_rng(seed) draws of image; kept
+    because perfbench/tracing.py spans it by name, until ROADMAP item 10."""
     return make_views([image], policy, np.random.default_rng(seed))[0]
 
 
@@ -269,14 +270,16 @@ def generate_views(image, n, policy, seed, out=None):
     the first M rows of out, a C-contiguous float64 (N, C, H, W) array,
     if given.  View 0 is a
     copy of the untouched original; views 1 .. N - 1 are what make_views
-    makes of N - 1 copies of the image with that generator, so without
-    noise patches the first n views are the same for every N >= n.
-    Random resized crops without a noise patch and with equal (smoothed,
-    side, y0, x0, flip) draws are one view; a view with a noise patch and
-    an AugMix view are their own.  A full-frame crop stays apart from
-    view 0: the view is clipped to the pixel range, the original is not."""
+    makes of N - 1 copies of the image with that generator, so the first
+    n views are the same for every N >= n.  Random resized crops with
+    equal (smoothed, side, y0, x0, flip) draws are one view; an AugMix
+    view is its own.  A full-frame crop stays apart from view 0: the
+    view is clipped to the pixel range, the original is not.  A policy
+    with noise patches is refused: only pretraining draws them."""
     if n < 1:
         raise ValueError("need at least one view")
+    if policy.noise_patch_prob:
+        raise ValueError("an episode's views take no noise patches")
     image = np.asarray(image, dtype=np.float64)
     if out is not None and out.shape != (n,) + image.shape:
         raise ValueError(f"out is {out.shape}, not {(n,) + image.shape}")
@@ -295,9 +298,6 @@ def generate_views(image, n, policy, seed, out=None):
     h, w = image.shape[1:]
     draws, patches = _draw_views(policy, rng, n - 1, image.shape)
     keys = np.ravel_multi_index(draws.T, (2, h + 1, h, w, 2))
-    for i, patch in enumerate(patches):
-        if patch is not None:
-            keys[i] = -1 - i
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)  # distinct views in the order they are first drawn
     kept = first[order]

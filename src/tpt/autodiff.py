@@ -337,11 +337,10 @@ def gather_rows(a, indices):
         if a.data.ndim > 2:
             np.add.at(a.grad, (Ellipsis, idx, slice(None)), out.grad)
             return
-        # a shared table: one lookup at a time, in reverse
-        rows = idx.reshape(-1, idx.shape[-1])
-        grads = out.grad.reshape(rows.shape + a.data.shape[-1:])
-        for i in reversed(range(len(rows))):
-            np.add.at(a.grad, rows[i], grads[i])
+        # a shared table: the lookups in reverse, each in its own order
+        rows = idx.reshape(-1, idx.shape[-1])[::-1]
+        grads = out.grad.reshape(rows.shape + a.data.shape[-1:])[::-1]
+        np.add.at(a.grad, rows.ravel(), grads.reshape(-1, a.data.shape[-1]))
 
     return _record(out, (a,), bw)
 

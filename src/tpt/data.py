@@ -158,14 +158,6 @@ def class_patterns(names):
     return patterns
 
 
-def class_prototype(name, contrast):
-    """Noise-free (3, IMAGE_SIZE, IMAGE_SIZE) prototype image for a class.
-
-    Full-contrast pattern lerped toward mid-gray so the class signal
-    amplitude is tunable against additive pixel noise."""
-    return 0.5 + contrast * class_patterns((name,))[0]
-
-
 def generate(spec, seed):
     """Labeled dataset: per-class prototype plus Gaussian pixel noise.
 

@@ -21,11 +21,9 @@ from .autodiff import Tensor
 from .optim import AdamW
 from .prompt import PromptState, assemble
 
-_TEXT = ("text.", "text_pos", "text_proj")
-_IMAGE = ("image.", "image_pos", "image_proj", "patch_")
-# weight-name prefixes tuned besides the prompt
-PARAMETER_GROUPS = {"prompt": (), "text_encoder": _TEXT, "image_encoder": _IMAGE,
-                    "all": _TEXT + _IMAGE}
+# the encoders whose weights (model.ENCODER_WEIGHTS) are tuned besides the prompt
+PARAMETER_GROUPS = {"prompt": (), "text_encoder": ("text",), "image_encoder": ("image",),
+                    "all": ("text", "image")}
 
 
 @dataclass(frozen=True)
@@ -54,13 +52,12 @@ class TPTConfig:
 
     @property
     def image_tuned(self):  # whether the group holds image weights
-        return any(p in _IMAGE for p in PARAMETER_GROUPS[self.parameter_group])
+        return "image" in PARAMETER_GROUPS[self.parameter_group]
 
 
 def entropy(p):
     """Self-entropy -sum p_i ln max(p_i, 1e-12) of a distribution."""
-    p = p.data if isinstance(p, Tensor) else np.asarray(p, dtype=np.float64)
-    p = p.reshape(-1)
+    p = np.asarray(p, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(p)) or abs(p.sum() - 1.0) > 1e-8 or np.any(p < 0):
         raise ValueError("input is not a probability distribution")
     return float(row_entropies(p[None])[0])
@@ -85,8 +82,6 @@ def view_features(weights, config, views, index):
     return ad.gather_rows(mdl.encode_images(weights, config, views), index)
 
 
-_TEXT_READ = ("token_embedding",) + _TEXT  # the weights encode_texts reads
-
 # The one kept start pass: (key, tape, leaf, features), text_features
 # recorded on a tape of its own from `leaf`, a copy of the start prompt.
 _start = None
@@ -104,7 +99,7 @@ def start_text_features(weights, config, prompt_state, classes):
     zeroed: the sums a fresh pass would make."""
     global _start
     prompt = prompt_state.prompt
-    text = [weights[n] for n in sorted(weights) if n.startswith(_TEXT_READ)]
+    text = [weights[n] for n in ("token_embedding",) + mdl.ENCODER_WEIGHTS["text"]]
     key = (prompt.data.tobytes(),
            [np.asarray(ids, dtype=np.intp).tobytes() for ids in classes],
            [(t, t.requires_grad, t.data.tobytes()) for t in text])
@@ -186,8 +181,8 @@ def tune_on_views(weights, config, prompt_state, classes, views, index, features
     stage_ms's entries and the ms of the steps ("tune") and the final
     prediction ("predict")."""
     cfg = tpt_config
-    prefixes = PARAMETER_GROUPS[cfg.parameter_group]
-    tuned = [weights[name] for name in sorted(weights) if name.startswith(prefixes)]
+    tuned = [weights[name] for encoder in PARAMETER_GROUPS[cfg.parameter_group]
+             for name in mdl.ENCODER_WEIGHTS[encoder]]
     params = prompt_state.params() + tuned
     snapshot = [p.data.copy() for p in params]
     try:

@@ -24,7 +24,8 @@ COOP_LR = 0.01
 
 
 def class_set(dataset):
-    """The K class-name token-id lists that an episode tunes against."""
+    """The K class-name token-id lists that an episode tunes against; kept
+    because perfbench/workloads.py calls it by name, until ROADMAP item 10."""
     return dataset.class_token_ids
 
 

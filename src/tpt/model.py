@@ -156,16 +156,16 @@ def _transformer(weights, prefix, x, n_layers, heads, causal, taped):
     return Tensor(ad.layer_norm_forward(x, *final, buf)[0])
 
 
-# the weights each encoder reads
-_READS = {encoder: [name for name in weight_shapes(ModelConfig()) if name.startswith(prefixes)]
-          for encoder, prefixes in (("text", "text"), ("image", ("image", "patch_")))}
+# the weights each encoder reads, in file order; token_embedding is in neither
+ENCODER_WEIGHTS = {encoder: tuple(n for n in weight_shapes(ModelConfig()) if n.startswith(prefix))
+                   for encoder, prefix in (("text", "text"), ("image", ("image", "patch_")))}
 
 
 def _taped(weights, encoder, *tensors):
     """Whether an encoder pass over these Tensors records on a tape: one is
     active and one of them or of the weights the encoder reads requires
     gradients."""
-    return ad.recording(*tensors) or ad.recording(*(weights[name] for name in _READS[encoder]))
+    return ad.recording(*tensors) or ad.recording(*(weights[n] for n in ENCODER_WEIGHTS[encoder]))
 
 
 def _project(weights, name, rows):
@@ -196,7 +196,8 @@ def encode_texts(weights, config, seqs):
 
 
 def encode_text(weights, config, seq):
-    """Encode one embedded token sequence (T x D) to a 1 x proj_dim unit row."""
+    """Encode one embedded token sequence (T x D) to a 1 x proj_dim unit
+    row; kept because perfbench/tracing.py spans it by name, until ROADMAP item 10."""
     return encode_texts(weights, config, ad.reshape(seq, (1,) + seq.data.shape))
 
 
@@ -215,9 +216,10 @@ def patchify(images, out=None):
 
 
 # Images per transformer pass, on a tape and off it.  Taped blocks keep
-# the activations that the backward pass holds small: at 8 images of 16
-# patches the largest, the MLP hidden, is 128 KB, and a 16-image
-# pretraining batch took 8.0 ms at 8 and 8.4-8.6 ms at 4 or 16.  An
+# each activation small (8 images' MLP hidden is 128 KB), which pays in
+# image-tuning episodes, not pretraining: medians of 8 processes a side,
+# malloc pinned as perfbench pins it, read 20.3 ms at 8 and 22.2 at 32
+# for an image_encoder episode and 16.9 and 16.4 for a 16-pair step.  An
 # untaped pass takes every block-sized array from the kept scratch
 # (autodiff.SCRATCH_CAPACITY, sized for UNTAPED_BLOCK), so it maps no
 # fresh pages, and fewer, larger passes cost less Python per image: a
@@ -267,7 +269,8 @@ def encode_images(weights, config, images):
 
 
 def encode_image(weights, config, image):
-    """Encode one (C, H, W) image to a 1 x proj_dim unit row."""
+    """Encode one (C, H, W) image to a 1 x proj_dim unit row; kept
+    because perfbench/tracing.py spans it by name, until ROADMAP item 10."""
     return encode_images(weights, config, [image])
 
 

@@ -15,11 +15,16 @@ from tpt.augment import (RESAMPLE_BLOCK, AugmentPolicy, augmix_view, crop_resize
 RRC_POLICIES = (
     (AugmentPolicy(), {}),
     (AugmentPolicy(), {"smooth_prob": 1.0}),
+    (AugmentPolicy(scale_range=(0.05, 1.0)),
+     {"smooth_scale_range": (0.2, 1.0), "smooth_prob": 0.5}),
     (AugmentPolicy(noise_patch_prob=1.0), {}),
     (AugmentPolicy(scale_range=(0.05, 1.0), noise_patch_prob=0.5),
      {"smooth_scale_range": (0.2, 1.0), "smooth_prob": 0.5}),
 )
 AUGMIX = (AugmentPolicy(kind="augmix"), {})
+# the policies an episode's views may take: those without noise patches
+EPISODE_POLICIES = tuple(case for case in RRC_POLICIES + (AUGMIX,)
+                         if not case[0].noise_patch_prob)
 
 
 @contextlib.contextmanager
@@ -35,8 +40,8 @@ def smooth_constants(values):
 @pytest.fixture
 def image():
     rng = np.random.default_rng(3)
-    return np.clip(dat.class_prototype("checker", 0.4) + rng.normal(0, 0.05, (3, 32, 32)),
-                   0.0, 1.0)
+    prototype = 0.5 + 0.4 * dat.class_patterns(("checker",))[0]
+    return np.clip(prototype + rng.normal(0, 0.05, (3, 32, 32)), 0.0, 1.0)
 
 
 def expanded_views(image, n, policy, seed):
@@ -66,15 +71,20 @@ def assert_one_view_array(views, n, image):
     assert views.shape == (n,) + image.shape
 
 
-@pytest.mark.parametrize("policy", [case[0] for case in RRC_POLICIES + (AUGMIX,)])
+@pytest.mark.parametrize("policy", [case[0] for case in EPISODE_POLICIES])
 def test_a_view_batch_is_one_array(image, policy):
-    """generate_views and make_views return one C-contiguous float64
-    (N, C, H, W) array; generate_views' row 0 is a copy of the image."""
+    """generate_views returns one C-contiguous float64 (N, C, H, W) array,
+    whose row 0 is a copy of the image."""
     for n in (1, 2 * RESAMPLE_BLOCK + 3, 64):
         views, index = generate_views(image, n, policy, seed=6)
         assert_one_view_array(views, index.max() + 1, image)
         np.testing.assert_array_equal(views[0], image)
         assert not np.shares_memory(views[0], image)
+
+
+@pytest.mark.parametrize("policy", [case[0] for case in RRC_POLICIES + (AUGMIX,)])
+def test_made_views_are_one_array(image, policy):
+    """make_views returns one C-contiguous float64 (N, C, H, W) array."""
     views = make_views([image, image[:, ::-1], 1.0 - image], policy, np.random.default_rng(11))
     assert_one_view_array(views, 3, image)
 
@@ -88,6 +98,14 @@ def test_make_views_rejects_no_images(image):
 def test_generate_views_rejects_no_views(image, policy):
     with pytest.raises(ValueError, match="need at least one view"):
         generate_views(image, 0, policy, seed=0)
+
+
+@pytest.mark.parametrize("kind", ["rrc", "augmix"])
+def test_generate_views_rejects_noise_patches(image, kind):
+    """Only pretraining's make_views draws noise patches; an episode's
+    policy that would is refused, of either kind."""
+    with pytest.raises(ValueError, match="no noise patches"):
+        generate_views(image, 8, AugmentPolicy(kind=kind, noise_patch_prob=0.5), seed=0)
 
 
 @pytest.mark.parametrize("policy", [AugmentPolicy(noise_patch_prob=0.5), AUGMIX[0]])
@@ -158,19 +176,15 @@ def test_full_frame_crop_is_identity(image):
 
 def test_the_first_views_of_a_seed_do_not_depend_on_n(image):
     """Row i of the draw table depends only on i, so the views of a batch
-    of n are the first n of a batch of m > n, except views with a noise
-    patch, which is drawn after the table.  An AugMix view draws in turn,
-    and its policy draws no patch."""
-    for policy, constants in RRC_POLICIES + (AUGMIX,):
+    of n are the first n of a batch of m > n.  An AugMix view draws in
+    turn."""
+    for policy, constants in EPISODE_POLICIES:
         with smooth_constants(constants):
             longest = expanded_views(image, 3 * RESAMPLE_BLOCK, policy, 42)
             # one view, then views that end in a part-filled resample block
             for n in (2, RESAMPLE_BLOCK + 2, 2 * RESAMPLE_BLOCK + 3):
-                table = np.random.default_rng(42).random((n - 1, 6))
-                views = expanded_views(image, n, policy, 42)[1:]
-                for view, want, row in zip(views, longest[1:], table):
-                    if row[5] >= policy.noise_patch_prob:
-                        np.testing.assert_array_equal(view, want)
+                for view, want in zip(expanded_views(image, n, policy, 42), longest):
+                    np.testing.assert_array_equal(view, want)
 
 
 def reference_crop(row, policy, h, w):
@@ -182,10 +196,7 @@ def reference_crop(row, policy, h, w):
 
 
 def reference_key(policy, row, shape):
-    """(smoothed, side, y0, x0, flip) of a view without a noise patch,
-    None for a view with one."""
-    if row[5] < policy.noise_patch_prob:
-        return None
+    """(smoothed, side, y0, x0, flip) of a view."""
     return (*reference_crop(row, policy, *shape[1:]), row[4] < 0.5)
 
 
@@ -237,10 +248,12 @@ def test_rrc_views_equal_the_per_view_reference(image):
     for policy, constants in RRC_POLICIES + (AUGMIX,):
         with smooth_constants(constants):
             for seed in range(3):
-                views = expanded_views(image, n, policy, seed)
-                for got, want in zip(views[1:], reference_views([image] * (n - 1), policy, seed),
-                                     strict=True):
-                    np.testing.assert_array_equal(got, want)
+                if (policy, constants) in EPISODE_POLICIES:
+                    views = expanded_views(image, n, policy, seed)
+                    for got, want in zip(views[1:],
+                                         reference_views([image] * (n - 1), policy, seed),
+                                         strict=True):
+                        np.testing.assert_array_equal(got, want)
                 views = make_views(images, policy, np.random.default_rng(seed))
                 for got, want in zip(views, reference_views(images, policy, seed), strict=True):
                     np.testing.assert_array_equal(got, want)
@@ -248,12 +261,12 @@ def test_rrc_views_equal_the_per_view_reference(image):
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=st.sampled_from(RRC_POLICIES + (AUGMIX,)),
+@given(case=st.sampled_from(EPISODE_POLICIES),
        n=st.integers(1, 70), seed=st.integers(0, 2 ** 64 - 1))
 def test_each_distinct_view_is_made_once(image, case, n, seed):
     """The index expands the distinct views into the N views the one-view
     reference makes, and a random resized crop is made once per draw
-    key; a view with a noise patch and an AugMix view are their own."""
+    key; an AugMix view is its own."""
     policy, constants = case
     with smooth_constants(constants):
         views, index = generate_views(image, n, policy, seed)
@@ -266,8 +279,7 @@ def test_each_distinct_view_is_made_once(image, case, n, seed):
         else:
             table = np.random.default_rng(seed).random((n - 1, 6))
             keys = [reference_key(policy, row, image.shape) for row in table]
-            patched = keys.count(None)
-            assert len(views) - 1 == len(set(keys) - {None}) + patched
+            assert len(views) - 1 == len(set(keys))
 
 
 def test_split_seed_is_a_distinct_int_per_index():
@@ -276,7 +288,7 @@ def test_split_seed_is_a_distinct_int_per_index():
 
 
 def test_views_construct_one_generator(image, monkeypatch):
-    """An episode's views, noise patches included, draw from the one
+    """An episode's views, of either kind, draw from the one
     default_rng(seed) that generate_views builds."""
     made = []
     for name in ("default_rng", "PCG64"):
@@ -284,7 +296,7 @@ def test_views_construct_one_generator(image, monkeypatch):
             made.append(name)
             return make(*args)
         monkeypatch.setattr(np.random, name, counted)
-    for policy in (AugmentPolicy(), AugmentPolicy(noise_patch_prob=1.0)):
+    for policy in (AugmentPolicy(), AUGMIX[0]):
         made.clear()
         generate_views(image, 64, policy, seed=3)
         assert made == ["default_rng"]

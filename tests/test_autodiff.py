@@ -688,6 +688,25 @@ class TestBitIdenticalToNumpyWrappers:
         for i, (g, w) in enumerate(zip(got, want)):
             assert np.array_equal(g, w), "output" if i == 0 else f"gradient of input {i - 1}"
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gather_rows_of_a_shared_table(self, seed):
+        """A (K, T) lookup of a shared table adds its gradient rows as
+        np.add.at adds one lookup at a time, the last lookup first: rows
+        repeat, and gradients of 1e-8 to 1e8 make any other order round
+        differently."""
+        rng = np.random.default_rng(seed)
+        table = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+        idx = rng.integers(0, 5, size=(7, 9))
+        g = rng.normal(size=(7, 9, 6)) * 10.0 ** rng.uniform(-8, 8, size=(7, 9, 6))
+        with Tape() as tape:
+            out = ad.gather_rows(table, idx)
+            tape.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+        want = np.zeros_like(table.data)
+        for rows, grads in zip(idx[::-1], g[::-1]):
+            np.add.at(want, rows, grads)
+        assert np.array_equal(out.data, table.data[idx])
+        assert np.array_equal(table.grad, want)
+
 
 class TestTapeBuffers:
     def _tape(self):

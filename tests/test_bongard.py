@@ -60,8 +60,8 @@ def _ref_generate_tasks(n_tasks, seed):
     tasks = []
     for t in range(n_tasks):
         pos_k, neg_k = rng.choice(len(names), size=2, replace=False)
-        proto_pos = dat.class_prototype(names[pos_k], spec.contrast)
-        proto_neg = dat.class_prototype(names[neg_k], spec.contrast)
+        proto_pos, proto_neg = 0.5 + spec.contrast * dat.class_patterns(
+            (names[pos_k], names[neg_k]))
 
         def noisy(proto):
             img = proto + rng.normal(0.0, spec.noise_sigma, size=proto.shape)

@@ -12,6 +12,11 @@ def small_spec(**kw):
     return dat.DatasetSpec(**kw)
 
 
+def prototype(name, contrast):
+    """A class's noise-free image at a contrast, as class_patterns defines it."""
+    return 0.5 + contrast * dat.class_patterns((name,))[0]
+
+
 def test_sigma_zero_fixed_contrast_gives_identical_images(monkeypatch):
     monkeypatch.setattr(dat.DatasetSpec, "noise_sigma", 0.0)
     monkeypatch.setattr(dat.DatasetSpec, "contrast", 0.3)
@@ -38,7 +43,7 @@ def test_contrasts_are_the_drawn_prototype_contrasts(monkeypatch):
     assert np.all((spec.contrast_min <= ds.contrasts) & (ds.contrasts <= spec.contrast))
     for img, label, c in zip(ds.images, ds.labels, ds.contrasts):
         np.testing.assert_array_equal(
-            img, np.clip(dat.class_prototype(ds.class_names[label], c), *dat.PIXEL_RANGE))
+            img, np.clip(prototype(ds.class_names[label], c), *dat.PIXEL_RANGE))
     np.testing.assert_array_equal(ds.subset([5, 0, 9]).contrasts, ds.contrasts[[5, 0, 9]])
     shifted = dat.apply_shift(ds, dat.ShiftSpec("noise", 0.3), seed=1)
     np.testing.assert_array_equal(shifted.contrasts, ds.contrasts)
@@ -46,7 +51,7 @@ def test_contrasts_are_the_drawn_prototype_contrasts(monkeypatch):
 
 def test_unknown_class_has_no_prototype():
     with pytest.raises(ValueError, match="no prototype for class 'triangles'"):
-        dat.class_prototype("triangles", 0.3)
+        dat.class_patterns(("checker", "triangles"))
 
 
 def test_same_seed_bit_identical():
@@ -249,7 +254,7 @@ def _ref_apply_shift(imgs, shift, seed):
 def test_class_prototype_matches_reference():
     for name in dat.DatasetSpec.class_names:
         for contrast in (0.15, 0.2718, 0.35):
-            np.testing.assert_array_equal(dat.class_prototype(name, contrast),
+            np.testing.assert_array_equal(prototype(name, contrast),
                                           _ref_prototype(name, contrast))
 
 

@@ -159,6 +159,28 @@ class TestSelectAndAverage:
         assert abs(loss.item() - ep.entropy(averaged.data[0])) <= 1e-12
 
 
+# each group's weight-name prefixes, written out as the reference that
+# model.ENCODER_WEIGHTS and episode.PARAMETER_GROUPS select by
+TEXT_PREFIXES = ("text.", "text_pos", "text_proj")
+IMAGE_PREFIXES = ("image.", "image_pos", "image_proj", "patch_")
+GROUP_PREFIXES = {"prompt": (), "text_encoder": TEXT_PREFIXES, "image_encoder": IMAGE_PREFIXES,
+                  "all": TEXT_PREFIXES + IMAGE_PREFIXES}
+
+
+def test_each_weight_is_the_token_embedding_or_one_encoders():
+    """Every weight is in exactly one of token_embedding and the two
+    encoders' lists; each list holds, in file order, the names that its
+    prefixes select."""
+    names = list(mdl.weight_shapes(mdl.ModelConfig()))
+    owners = [("token_embedding",), mdl.ENCODER_WEIGHTS["text"], mdl.ENCODER_WEIGHTS["image"]]
+    for name in names:
+        assert sum(name in owner for owner in owners) == 1, name
+    assert [len(owner) for owner in owners] == [1, 36, 38] and len(names) == 75
+    assert mdl.ENCODER_WEIGHTS["text"] == tuple(n for n in names if n.startswith(TEXT_PREFIXES))
+    assert mdl.ENCODER_WEIGHTS["image"] == tuple(n for n in names
+                                                 if n.startswith(IMAGE_PREFIXES))
+
+
 class TestTPTConfig:
     def test_defaults(self):
         cfg = ep.TPTConfig()
@@ -284,6 +306,29 @@ class TestTptClassify:
         assert trace["distinct_views"] == len(views)
         assert trace["distinct_selected"] == len(set(index[trace["mask_indices"][0]]))
 
+    @pytest.mark.parametrize("group", sorted(GROUP_PREFIXES))
+    def test_a_group_tunes_the_weights_its_prefixes_name(
+            self, weights, config, classes, prompt, image, monkeypatch, group):
+        """The episode makes trainable, besides the prompt, exactly the
+        weights whose names start with one of the group's prefixes, and
+        its config is image_tuned if one is an image weight's."""
+        tuned = []
+        set_trainable = mdl.set_trainable
+
+        def recording(tensors, trainable):
+            if trainable:
+                tuned.append([id(t) for t in tensors])
+            set_trainable(tensors, trainable)
+
+        monkeypatch.setattr(mdl, "set_trainable", recording)
+        cfg = self.small_cfg(parameter_group=group)
+        ep.tpt_classify(weights, config, prompt, classes, image, cfg)
+        assert cfg.image_tuned == any(p in IMAGE_PREFIXES for p in GROUP_PREFIXES[group])
+        names = {id(t): name for name, t in weights.items()}
+        assert len(tuned) == 1
+        assert sorted(names[i] for i in tuned[0]) == sorted(
+            name for name in weights if name.startswith(GROUP_PREFIXES[group]))
+
     @pytest.mark.parametrize("group", sorted(ep.PARAMETER_GROUPS))
     def test_each_encode_takes_the_distinct_views(
             self, weights, config, classes, prompt, image, monkeypatch, group):
@@ -339,7 +384,7 @@ class TestTptClassify:
 
         def image_grads(features):
             weights = mdl.init_weights(config, seed=1)
-            tuned = {n: t for n, t in weights.items() if n.startswith(ep._IMAGE)}
+            tuned = {n: weights[n] for n in mdl.ENCODER_WEIGHTS["image"]}
             mdl.set_trainable(tuned.values(), True)
             with ad.Tape() as tape:
                 tape.backward(ad.sum_all(ad.mul(features(weights), r)))

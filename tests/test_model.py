@@ -505,7 +505,7 @@ class TestBatchInvariance:
         """A view batch is encoded alike as one array, a slice of it, or a
         list of its rows; each block of the array is a slice, not a copy."""
         image = np.random.default_rng(7).random(config.image_shape)
-        views, _ = generate_views(image, 64, AugmentPolicy(noise_patch_prob=1.0), seed=2)
+        views, _ = generate_views(image, 64, AugmentPolicy(kind="augmix"), seed=2)
         blocks, encode_block = [], mdl._encode_block
 
         def recording(weights, config, images, taped):

@@ -214,7 +214,7 @@ def test_back_to_back_episodes_give_what_they_give_alone(weights, config, datase
                                                          monkeypatch):
     """Episodes of 64, few and some distinct views, in either order and
     under the image-tuning group, each as it runs on an empty pool."""
-    runs = [(0, ep.TPTConfig(seed=1, policy=AugmentPolicy(noise_patch_prob=1.0))),
+    runs = [(0, ep.TPTConfig(seed=1, policy=AugmentPolicy(kind="augmix"))),
             (1, ep.TPTConfig(seed=2, n_views=16)),
             (2, ep.TPTConfig(seed=3)),
             (3, ep.TPTConfig(seed=4, parameter_group="image_encoder", steps=2)),
