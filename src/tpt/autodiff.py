@@ -118,28 +118,19 @@ def _record(out, inputs, backward_fn):
     return out
 
 
-# The kept scratch pool: slot -> capacity in float64 elements.  Each slot
-# keeps one C-contiguous buffer of its capacity, made at its first
-# request, for the lifetime of the process: 4.4 MB in all, of which only
-# the pages a request has touched are resident.  The capacities cover an
-# episode's 64 views of a 3 x 32 x 32 image and every array of an
-# untaped encoder pass (pass_scratch) of model.UNTAPED_BLOCK = 32 images
-# of 16 patches: the patch matrix (192 values a patch), the eight
-# (32, 16, 32) arrays of _ROW_SLOTS, attention's (32, 2, 16, 16) scores
-# and the MLP's two (32, 16, 128) buffers.  Without the pool each is a
-# new array, and at 32 images the smallest is exactly 128 KB, which
-# glibc's malloc serves by a fresh mmap once its mmap threshold is fixed
-# there, so its pages would fault in zeroed on every pass.  Like the tape
-# stack, the pool is the process's: two threads may not run passes at
-# once.
-_PASS_N = 32 * 16  # rows of a 32-image pass
+# The kept scratch pool: slot -> one C-contiguous float64 buffer, made at
+# the slot's first request and replaced by a larger one when a request
+# outgrows it, so it holds the slot's largest request for the lifetime of
+# the process; only the pages a request has touched are resident.
+# Without the pool every array of an untaped pass is new, and one of
+# 128 KB or more is served by glibc's malloc from a fresh mmap once its
+# mmap threshold is fixed there, so its pages would fault in zeroed on
+# every pass.  Like the tape stack, the pool is the process's: two
+# threads may not run passes at once.
 # the (..., T, D) arrays of a pass: the residual stream, layer norm's
 # output and square, attention's q, k, v, the heads' contexts side by
 # side, and each sublayer's output
 _ROW_SLOTS = ("x", "ln.y", "ln.sq", "attn.q", "attn.k", "attn.v", "attn.ctx", "out")
-SCRATCH_CAPACITY = {**dict.fromkeys(_ROW_SLOTS, _PASS_N * 32), "attn.p": _PASS_N * 2 * 16,
-                    "mlp.pre": _PASS_N * 128, "mlp.erf": _PASS_N * 128,
-                    "patches": _PASS_N * 192, "views": 64 * 3 * 32 * 32}
 _scratch = {}
 
 
@@ -147,15 +138,13 @@ def scratch(slot, shape):
     """An uninitialised C-contiguous float64 array of `shape`: a reshaped
     prefix of the slot's kept buffer, which the slot's next request
     overwrites, so only an array that cannot outlive the call that takes
-    it may come from here.  A request above the slot's capacity gets a
-    new array and leaves the slot as it was."""
+    it may come from here.  A request larger than the buffer replaces it
+    with a buffer of the request's size."""
     n = math.prod(shape)
-    capacity = SCRATCH_CAPACITY[slot]
-    if n > capacity:
-        return np.empty(shape)
-    if slot not in _scratch:
-        _scratch[slot] = np.empty(capacity)
-    return _scratch[slot][:n].reshape(shape)
+    buf = _scratch.get(slot)
+    if buf is None or buf.size < n:
+        buf = _scratch[slot] = np.empty(n)
+    return buf[:n].reshape(shape)
 
 
 # The slot map of a recorded op: every slot None, so numpy makes each array anew.

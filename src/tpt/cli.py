@@ -131,7 +131,7 @@ def cmd_pretrain(args):
 def cmd_eval(args):
     mconfig, weights = mdl.ModelConfig(), mdl.load_weights(args.weights)
     ds = _build_dataset(args)
-    classes = hz.class_set(ds)
+    classes = ds.class_token_ids
     template = dat.template_ids()
     tcfg = _tpt_config(args, args.seed)
     method = args.method
@@ -165,7 +165,7 @@ def cmd_eval(args):
 def cmd_ablate(args):
     mconfig, weights = mdl.ModelConfig(), mdl.load_weights(args.weights)
     ds = _build_dataset(args)
-    classes = hz.class_set(ds)
+    classes = ds.class_token_ids
     grid = {field: values for field, values in (
         ("rho", args.grid_rho), ("n_views", args.grid_views),
         ("steps", args.grid_steps), ("parameter_group", args.grid_group))
@@ -208,7 +208,7 @@ def cmd_bongard(args):
 def cmd_dump_dist(args):
     mconfig, weights = mdl.ModelConfig(), mdl.load_weights(args.weights)
     ds = _build_dataset(args)
-    classes = hz.class_set(ds)
+    classes = ds.class_token_ids
     i = args.sample
     if not 0 <= i < len(ds):
         raise SystemExit(f"--sample {i} is out of range: the dataset has "
@@ -251,13 +251,13 @@ def _build_parser():
 
     p = command("pretrain", cmd_pretrain, "contrastive pretraining")
     p.add_argument("--epochs", type=_COUNT, default=mdl.PRETRAIN["epochs"])
-    p.add_argument("--seed", type=int, default=mdl.PRETRAIN["seed"])
+    p.add_argument("--seed", type=_NONNEGATIVE, default=mdl.PRETRAIN["seed"])
     p.add_argument("--out", default="weights.tptw")
 
     p = command("eval", cmd_eval, "evaluate a method")
     _add_eval_flags(p)
     p.add_argument("--method", required=True, choices=list(_UNREAD))
-    p.add_argument("--seed", type=int, default=_TPT.seed)
+    p.add_argument("--seed", type=_NONNEGATIVE, default=_TPT.seed)
     p.add_argument("--out", help="results CSV; none prints the accuracy only")
 
     p = command("ablate", cmd_ablate, "grid sweeps")
@@ -266,7 +266,7 @@ def _build_parser():
     p.add_argument("--grid-views", type=_comma_list(_COUNT))
     p.add_argument("--grid-steps", type=_comma_list(_COUNT))
     p.add_argument("--grid-group", type=_comma_list(_GROUP))
-    p.add_argument("--seeds", type=_comma_list(int), default=[_TPT.seed])
+    p.add_argument("--seeds", type=_comma_list(_NONNEGATIVE), default=[_TPT.seed])
     p.add_argument("--out", default="ablation.csv")
 
     p = command("bongard", cmd_bongard, "context-dependent reasoning tasks")
@@ -274,17 +274,17 @@ def _build_parser():
     p.add_argument("--tasks", type=_COUNT, default=100)
     p.add_argument("--steps", type=_NONNEGATIVE, default=_REASON.steps)
     p.add_argument("--lr", type=_LR, default=_REASON.lr)
-    p.add_argument("--seed", type=int, default=_REASON.seed)
+    p.add_argument("--seed", type=_NONNEGATIVE, default=_REASON.seed)
     p.add_argument("--out", default="bongard.csv")
 
     p = command("dump-dist", cmd_dump_dist, "per-view distributions before/after")
     _add_eval_flags(p)
     p.add_argument("--sample", type=int, default=0)
-    p.add_argument("--seed", type=int, default=_TPT.seed)
+    p.add_argument("--seed", type=_NONNEGATIVE, default=_TPT.seed)
     p.add_argument("--out", default="distributions")
 
     p = command("gradcheck", cmd_gradcheck, "finite-difference gradient report")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_NONNEGATIVE, default=0)
     return parser
 
 

@@ -157,9 +157,9 @@ def ablate(weights, config, template_ids, classes, dataset, base_config,
 
 
 def gradcheck_report(seed):
-    """finite_diff_check over every differentiable op plus the end-to-end
-    marginal-entropy loss w.r.t. prompt rows, with a fresh text pass and
-    with the kept start pass.  Returns [(name, max_err)]."""
+    """[(name, max_err)]: finite_diff_check over every differentiable op and
+    the end-to-end marginal-entropy loss w.r.t. prompt rows, whose error the
+    kept start pass shares if its gradient is a fresh pass's in every bit."""
     rng = np.random.default_rng(seed)
 
     def normal(*shape):  # a leaf; check differentiates in its x alone
@@ -206,17 +206,21 @@ def gradcheck_report(seed):
     # smooth branch the analytic gradient lives on.
     _, selected, _ = ep.select_and_average(view_probabilities(ep.text_features), 0.5)
 
-    # the loss with a fresh text pass, then as an episode's step 0 takes
-    # it: the text features are one record over the kept start pass's
-    # replayed tape, and each perturbed prompt re-keys the kept entry
-    for name, features in (("marginal_entropy_loss_vs_prompt", ep.text_features),
-                           ("marginal_entropy_loss_vs_prompt_kept_start",
-                            ep.start_text_features)):
-        def loss(prompt):  # finite_diff_check perturbs it in place
-            probs = view_probabilities(features)
-            return ep.marginal_entropy_loss(ad.mean_rows(ad.gather_rows(probs, selected)))
+    def loss(features):
+        probs = view_probabilities(features)
+        return ep.marginal_entropy_loss(ad.mean_rows(ad.gather_rows(probs, selected)))
 
-        checks.append((name, ad.finite_diff_check(loss, state.prompt)))
+    # finite differences run once, through a fresh text pass, and leave
+    # its gradient in the prompt's; step 0's kept start pass must give
+    # that gradient in every bit, or its entry reads inf
+    err = ad.finite_diff_check(lambda prompt: loss(ep.text_features), state.prompt)
+    fresh = state.prompt.grad.tobytes()
+    state.prompt.zero_grad()
+    with ad.Tape() as tape:
+        tape.backward(loss(ep.start_text_features))
+    checks += [("marginal_entropy_loss_vs_prompt", err),
+               ("marginal_entropy_loss_vs_prompt_kept_start",
+                err if state.prompt.grad.tobytes() == fresh else np.inf)]
 
     # batched ops: a 2-D weight shared by every item of a batch
     items = normal(3, 2, 4)

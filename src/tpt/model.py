@@ -220,11 +220,11 @@ def patchify(images, out=None):
 # image-tuning episodes, not pretraining: medians of 8 processes a side,
 # malloc pinned as perfbench pins it, read 20.3 ms at 8 and 22.2 at 32
 # for an image_encoder episode and 16.9 and 16.4 for a 16-pair step.  An
-# untaped pass takes every block-sized array from the kept scratch
-# (autodiff.SCRATCH_CAPACITY, sized for UNTAPED_BLOCK), so it maps no
-# fresh pages, and fewer, larger passes cost less Python per image: a
-# default episode's 64-view encode took 2.68-2.97 ms at 32 images a
-# pass, 2.97-3.09 at 16 and 3.20-3.34 at 8 (tools/stages.py, 2 runs each).
+# untaped pass takes every block-sized array from the kept scratch, so
+# it maps no fresh pages, and fewer, larger passes cost less Python per
+# image: a default episode's 64-view encode took 2.68-2.97 ms at 32
+# images a pass, 2.97-3.09 at 16 and 3.20-3.34 at 8 (tools/stages.py, 2
+# runs each).
 ENCODE_BLOCK = 8
 UNTAPED_BLOCK = 32
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import read_results
 
+from tpt import autodiff as ad
 from tpt import cli
 from tpt import data as dat
 from tpt import episode as ep
@@ -297,6 +298,19 @@ class TestGradcheck:
         for name, err in checks:
             assert err <= 1e-4, f"{name}: {err}"
 
+    def test_a_kept_start_gradient_that_differs_in_a_bit_reads_inf(self, monkeypatch):
+        """The kept start pass passes by giving the fresh pass's gradient
+        bit for bit, not by agreeing with finite differences: a pass off
+        by rounding alone fails."""
+        def off_by_rounding(weights, config, state, classes):
+            return ad.scale(ep.text_features(weights, config, state, classes),
+                            1.0 + 2.0 ** -50)
+
+        monkeypatch.setattr(ep, "start_text_features", off_by_rounding)
+        checks = dict(hz.gradcheck_report(seed=0))
+        assert checks["marginal_entropy_loss_vs_prompt"] <= 1e-4
+        assert checks["marginal_entropy_loss_vs_prompt_kept_start"] == np.inf
+
 
 class TestResultsFiles:
     def test_roundtrip(self, tmp_path):
@@ -538,11 +552,13 @@ class TestCli:
         *[(c, "--lr", v) for c in ("eval", "ablate", "dump-dist", "bongard")
           for v in ("nan", "inf", "-0.01")],
         ("ablate", "--grid-group", "prompt,logit_scale"),
+        *[(c, "--seed", "-1") for c in ("pretrain", "eval", "bongard", "dump-dist")],
+        ("ablate", "--seeds", "0,-1"),
     ])
     def test_bad_flag_value_exits_2_naming_the_flag(self, tmp_path, capsys,
                                                     command, flag, bad):
-        """Every count, fraction, rate and group flag is checked by argparse,
-        before any file is read or written."""
+        """Every count, fraction, rate, group and seed flag is checked by
+        argparse, before any file is read or written."""
         out = tmp_path / "out"
         required = {"eval": ["--method", "tpt"]}.get(command, [])
         weights = [] if command == "pretrain" else [
@@ -641,6 +657,12 @@ class TestCli:
         with pytest.raises(SystemExit) as exit_:
             cli.main(["gradcheck", "--out", "report.txt"])
         assert exit_.value.code == 2
+
+    def test_gradcheck_negative_seed_exits_2_naming_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["gradcheck", "--seed=-1"])
+        assert exit_.value.code == 2
+        assert "argument --seed: takes " in capsys.readouterr().err
 
     def test_bongard_csv(self, tmp_path, weights):
         wpath = tmp_path / "w.tptw"

@@ -1,8 +1,7 @@
 """The kept scratch pool of untaped passes (autodiff.scratch): an array
 from it never changes an output, never outlives the call that takes it,
-and the pool keeps a bounded number of bytes."""
+and the pool keeps each slot's largest request, no more."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -51,7 +50,7 @@ def empty_pool(monkeypatch):
 
 def pool_off(monkeypatch):
     """Every request gets a new array, as every pass did before the pool."""
-    monkeypatch.setattr(ad, "SCRATCH_CAPACITY", dict.fromkeys(ad.SCRATCH_CAPACITY, 0))
+    monkeypatch.setattr(ad, "scratch", lambda slot, shape: np.empty(shape))
 
 
 def images(config, n, seed=0):
@@ -62,31 +61,21 @@ def untaped(weights, config, imgs):
     return mdl.encode_images(weights, config, imgs).data.copy()
 
 
-def test_scratch_is_a_kept_prefix_up_to_the_capacity(empty_pool):
-    a = ad.scratch("patches", (2, 3))
-    b = ad.scratch("patches", (4, 5))
-    assert a.shape == (2, 3) and b.shape == (4, 5) and b.flags.c_contiguous
-    assert a.base is b.base is empty_pool["patches"]
-    assert empty_pool["patches"].size == ad.SCRATCH_CAPACITY["patches"]
-    over = ad.scratch("patches", (ad.SCRATCH_CAPACITY["patches"] + 1,))
-    assert not np.shares_memory(over, empty_pool["patches"])
-
-
-def test_capacities_cover_an_encode_block_and_an_episodes_views(config):
-    """The stated capacities fit what they are sized for, so a change of
-    model shape or pass size cannot turn the pool off unnoticed."""
-    rows = mdl.UNTAPED_BLOCK * config.num_patches
-    width = {"x", "ln.y", "ln.sq", "attn.q", "attn.k", "attn.v", "attn.ctx", "out"}
-    assert all(ad.SCRATCH_CAPACITY[slot] == rows * config.embed_dim for slot in width)
-    assert ad.SCRATCH_CAPACITY["attn.p"] == rows * config.heads * config.num_patches
-    assert ad.SCRATCH_CAPACITY["mlp.pre"] == ad.SCRATCH_CAPACITY["mlp.erf"] \
-        == rows * 4 * config.embed_dim
-    assert ad.SCRATCH_CAPACITY["patches"] == rows * config.patch_dim
-    views = ep.TPTConfig().n_views * math.prod(config.image_shape)
-    assert ad.SCRATCH_CAPACITY["views"] == views
-    assert set(ad.SCRATCH_CAPACITY) == width | {"attn.p", "mlp.pre", "mlp.erf", "patches",
-                                                "views"}
-    assert 8 * sum(ad.SCRATCH_CAPACITY.values()) == 4_587_520  # 4.4 MB, as stated
+def test_scratch_is_a_kept_prefix_of_the_largest_request(empty_pool):
+    """Requests up to the slot's buffer are prefixes of it; a larger one
+    replaces it, and an array taken before keeps its values."""
+    a = ad.scratch("patches", (4, 5))
+    b = ad.scratch("patches", (2, 3))
+    kept = empty_pool["patches"]
+    assert a.shape == (4, 5) and b.shape == (2, 3) and b.flags.c_contiguous
+    assert a.base is b.base is kept and kept.size == 20
+    a[...] = np.arange(20).reshape(4, 5)
+    c = ad.scratch("patches", (3, 7))
+    assert empty_pool["patches"] is not kept and empty_pool["patches"].size == 21
+    assert c.base is empty_pool["patches"] and c.flags.c_contiguous
+    c[...] = -1.0
+    np.testing.assert_array_equal(a, np.arange(20).reshape(4, 5))
+    assert ad.scratch("patches", (5, 4)).base is empty_pool["patches"]
 
 
 def sequences(config, n, seed=0):
@@ -258,13 +247,14 @@ def test_peak_of_a_warm_default_episode(weights, config, dataset):
     assert peak < 768 * 1024
 
 
-def test_a_large_untaped_pass_leaves_the_pool_at_its_capacity(weights, config,
-                                                              empty_pool):
-    """512 captions need 2.6 MB MLP buffers: they come and go, and the
-    pool keeps no more than its capacities."""
+def test_a_second_large_untaped_pass_allocates_no_pool_buffer(weights, config,
+                                                             empty_pool):
+    """512 captions need 2.6 MB MLP buffers: the first pass makes them and
+    the pool keeps them, so the same pass again keeps no new bytes."""
     captions = [[16 + i % 8, i % 16, 2, i % 5, 16 + i % 7] for i in range(512)]
     seqs = mdl.embed_tokens(weights, config, captions)
-    untaped(weights, config, images(config, 2))
+    mdl.encode_texts(weights, config, seqs)
+    pool = dict(empty_pool)
     tracemalloc.start()
     try:
         mdl.encode_texts(weights, config, seqs)
@@ -272,4 +262,5 @@ def test_a_large_untaped_pass_leaves_the_pool_at_its_capacity(weights, config,
     finally:
         tracemalloc.stop()
     assert kept < 16 * 1024
-    assert all(buf.size == ad.SCRATCH_CAPACITY[slot] for slot, buf in empty_pool.items())
+    assert empty_pool.keys() == pool.keys()
+    assert all(empty_pool[slot] is buf for slot, buf in pool.items())

@@ -95,7 +95,7 @@ def _library_digests(weights, config):
     clean = dat.generate(dat.DatasetSpec(), seed=1)
     full = dat.apply_shift(clean, dat.ShiftSpec.parse(SHIFT), seed=2)
     ds = full.subset(np.arange(0, len(full), 32))
-    classes = hz.class_set(ds)
+    classes = ds.class_token_ids
     template = dat.template_ids()
     tcfg = ep.TPTConfig()
     out = _data_digests(clean)
